@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Profile the delta function over one period and check it against dn3.
+"""Profile the delta function over one period and check it against both
+independent routes.
 
 Prints delta(u) on a uniform grid across [0, 2 omega], the pointwise gap to
-the doubly periodic extension dn3, and the differential-equation residual.
+the paper's integral-inversion route 1/F(1/3,2/3;1/2; kappa^2 sin^2 T(u)),
+the gap to the doubly periodic extension dn3 (wp by halving and
+duplication), and the differential-equation residual.
 """
 
 import argparse
+import math
 import sys
 
-from sig3.delta import DeltaContext, delta, dn3, half_periods_sig3
+from sig3.delta import DeltaContext, delta, delta_phase, dn3
+from sig3.hypergeom import f_half
 from sig3.moduli import modulus_from_kappa
 from sig3.transfer import verify_ode_delta
 
@@ -21,19 +26,21 @@ def main() -> int:
 
     mod = modulus_from_kappa(args.kappa)
     ctx = DeltaContext(mod)
-    omega = half_periods_sig3(mod).omega
+    omega = ctx.omega
+    k2 = args.kappa * args.kappa
     print(f"kappa = {args.kappa}   omega = {omega!r}   period = {2 * omega!r}")
-    print(f"{'u':>10} {'delta(u)':>20} {'|delta - dn3|':>14}")
+    print(f"{'u':>10} {'delta(u)':>20} {'|delta - inv|':>14} {'|delta - dn3|':>14}")
     interior = []
     for i in range(args.samples):
         u = 2.0 * omega * i / (args.samples - 1)
         d = delta(u, ctx)
+        inv_gap = abs(1.0 / f_half(k2 * math.sin(delta_phase(u, ctx)) ** 2) - d)
         # dn3 needs wp, which has poles at the lattice points 0 and 2 omega
         near_pole = min(u, abs(2.0 * omega - u)) < 1e-6
-        gap = float("nan") if near_pole else abs(dn3(u, mod) - d)
+        dn3_gap = float("nan") if near_pole else abs(dn3(u, mod) - d)
         if not near_pole:
             interior.append(u)
-        print(f"{u:10.5f} {d:20.15f} {gap:14.3e}")
+        print(f"{u:10.5f} {d:20.15f} {inv_gap:14.3e} {dn3_gap:14.3e}")
     residual = verify_ode_delta(args.kappa, [u for u in interior if 0 < u < 2 * omega])
     print(f"\nmax scaled ODE residual over the interior grid: {residual:.3e}")
     return 0

@@ -4,7 +4,8 @@ For modulus kappa, let G(T) be the strictly increasing primitive
 
     G(T) = integral_0^T F(1/3, 2/3; 1/2; kappa^2 sin^2 t) dt.
 
-delta is the derivative of the inverse of G: writing T(u) for the inverse,
+The paper defines delta as the derivative of the inverse of G: writing
+T(u) for the inverse,
 
     delta(u) = T'(u) = 1 / F(1/3, 2/3; 1/2; kappa^2 sin^2 T(u)),
 
@@ -15,8 +16,20 @@ delta extends to the doubly periodic function
 
     dn3(z) = 1 - (4/9) kappa^2 / (1/3 + wp(z; g2, g3)),
 
-coperiodic with the Weierstrass function of the configuration.  Both
-half-period routes live here: the signature-three route through
+coperiodic with the Weierstrass function of the configuration.  On the
+real axis the Jacobi bridge wp(u) = e3 + (e1 - e3)/sn^2(u sqrt(e1 - e3), k),
+k^2 = (e2 - e3)/(e1 - e3) (DLMF 23.6(i)), turns this into
+
+    delta(u) = 1 - a S / (1 + b S),    S = sn^2(u sqrt(e1 - e3), k),
+    a = (4/9) kappa^2 / (e1 - e3),     b = (1/3 + e3) / (e1 - e3).
+
+Two routes evaluate delta.  The production route, ``delta``, is this
+closed Jacobi form: one Landen-descent ``sn`` call per point.  The
+reference route is the paper's own construction, inverting G by Newton
+steps over adaptive quadrature (``delta_integral``, ``delta_phase``);
+the tests and ``verify_ode_delta`` check the production route against it.
+
+Both half-period routes live here too: the signature-three route through
 F(1/3, 2/3; 1; .) and the classical route through F(1/2, 1/2; 1; .) at the
 transfer arguments; their agreement is the analytic content that the
 transfer identities certify.
@@ -25,13 +38,13 @@ transfer identities certify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, NonConvergence, PoleError
 from .hypergeom import DEFAULT_CONFIG, EvalConfig, f2, f3, f_half
-from .moduli import ModulusSet, invariants, params_from_p
+from .moduli import ModulusSet, invariants, midpoints, params_from_p
 from .quadrature import integrate
-from .weierstrass import HalfPeriodPair, wp
+from .weierstrass import HalfPeriodPair, sn, wp
 
 __all__ = [
     "DeltaContext",
@@ -44,18 +57,29 @@ __all__ = [
     "dn3",
 ]
 
-# The series kernel loses convergence headroom as kappa^2 sin^2 t -> 1;
-# keep the modulus at or below this bound.
+# The series kernel of the reference route loses convergence headroom as
+# kappa^2 sin^2 t -> 1; keep the modulus at or below this bound.
 KAPPA_MAX = 0.99
 
 
 @dataclass(frozen=True)
 class DeltaContext:
-    """A modulus with the tolerances of the integral-inversion pipeline."""
+    """A modulus with the constants of both delta routes.
+
+    quad_tol and root_tol are the tolerances of the reference route.  The
+    remaining fields are derived once, at construction: the real half
+    period omega (evaluated with DEFAULT_CONFIG) and the four constants of
+    the Jacobi bridge, taken from the closed-form midpoint values.
+    """
 
     modulus: ModulusSet
     quad_tol: float = 1e-12  # absolute quadrature tolerance
     root_tol: float = 1e-13  # inversion tolerance, measured in T
+    omega: float = field(init=False, repr=False, compare=False)
+    bridge_scale: float = field(init=False, repr=False, compare=False)  # sqrt(e1 - e3)
+    jacobi_k: float = field(init=False, repr=False, compare=False)  # sqrt((e2 - e3)/(e1 - e3))
+    bridge_a: float = field(init=False, repr=False, compare=False)  # (4/9) kappa^2 / (e1 - e3)
+    bridge_b: float = field(init=False, repr=False, compare=False)  # (1/3 + e3) / (e1 - e3)
 
     def __post_init__(self):
         if self.modulus.kappa > KAPPA_MAX:
@@ -64,6 +88,18 @@ class DeltaContext:
             )
         if not (self.quad_tol > 0.0 and self.root_tol > 0.0):
             raise DomainError("tolerances must be positive")
+        k2 = self.modulus.kappa ** 2
+        mids = midpoints(self.modulus)
+        spread = mids.spread
+        derived = {
+            "omega": 0.5 * math.pi * f3(k2),
+            "bridge_scale": math.sqrt(spread),
+            "jacobi_k": math.sqrt(mids.jacobi_m),
+            "bridge_a": (4.0 / 9.0) * k2 / spread,
+            "bridge_b": (1.0 / 3.0 + mids.e3) / spread,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def half_periods_sig3(mod: ModulusSet, config: EvalConfig = DEFAULT_CONFIG) -> HalfPeriodPair:
@@ -119,9 +155,8 @@ def _invert_in_quarter(u: float, ctx: DeltaContext, config: EvalConfig) -> float
     if u == 0.0:
         return 0.0
     k2 = ctx.modulus.kappa ** 2
-    omega = 0.5 * math.pi * f3(k2, config)
     lo, hi = 0.0, 0.5 * math.pi + 0.01  # the pad absorbs quadrature-vs-AGM seams
-    T = min(max(u / omega * (0.5 * math.pi), lo), hi)
+    T = min(max(u / ctx.omega * (0.5 * math.pi), lo), hi)
     for _ in range(80):
         g = delta_integral(T, ctx, config) - u
         if g > 0.0:
@@ -148,7 +183,7 @@ def delta_phase(u: float, ctx: DeltaContext, config: EvalConfig = DEFAULT_CONFIG
     """
     if not math.isfinite(u):
         raise DomainError(f"argument must be finite, got {u}")
-    omega = 0.5 * math.pi * f3(ctx.modulus.kappa ** 2, config)
+    omega = ctx.omega
     period = 2.0 * omega
     cells = math.floor(u / period)
     v = u - cells * period
@@ -160,14 +195,22 @@ def delta_phase(u: float, ctx: DeltaContext, config: EvalConfig = DEFAULT_CONFIG
 
 
 def delta(u: float, ctx: DeltaContext, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """The delta function: delta(u) = 1/F(1/3,2/3;1/2; kappa^2 sin^2 T(u)).
+    """The delta function, by the production route: the Jacobi bridge
 
-    delta(0) = 1 exactly; values lie in (0, 1], are even in u, and repeat
-    with period 2 omega.
+        delta(u) = 1 - a S / (1 + b S),    S = sn^2(u sqrt(e1 - e3), k),
+
+    with a, b and k as in the module docstring.  It equals the paper's
+    1/F(1/3,2/3;1/2; kappa^2 sin^2 T(u)), which ``delta_phase`` evaluates
+    by the reference route.  delta(0) = 1 exactly, delta(-u) = delta(u)
+    bitwise, values lie in (0, 1] (b > 0 because e3 > -1/3, so the
+    denominator stays at or above 1) and repeat with period 2 omega.
     """
-    T = delta_phase(u, ctx, config)
-    st = math.sin(T)
-    return 1.0 / f_half(ctx.modulus.kappa ** 2 * st * st, config)
+    x = u * ctx.bridge_scale
+    if not math.isfinite(x):
+        raise DomainError(f"argument {u} is not finite, or too large to scale by sqrt(e1 - e3)")
+    s = sn(x, ctx.jacobi_k, config)
+    s2 = s * s
+    return 1.0 - ctx.bridge_a * s2 / (1.0 + ctx.bridge_b * s2)
 
 
 def dn3(z: complex, mod: ModulusSet, config: EvalConfig = DEFAULT_CONFIG) -> complex:

@@ -29,6 +29,7 @@ from .weierstrass import WeierstrassInvariants, wp
 
 __all__ = [
     "DEFAULT_TOL",
+    "MAX_GRID_POINTS",
     "IdentityCheck",
     "VerificationRow",
     "VerificationReport",
@@ -45,6 +46,7 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 RELERR_FLOOR = 1e-300  # division guard; every in-range rhs is >= 1
 ENDPOINT_MARGIN = 1e-3  # grids this close to {0, 1} need an explicit opt-in
+MAX_GRID_POINTS = 1_000_000  # larger grids are refused before any point is built
 
 
 class IdentityCheck(NamedTuple):
@@ -188,10 +190,23 @@ def period_route_gap(p: float, config: EvalConfig = DEFAULT_CONFIG) -> tuple[flo
 
 
 def grid_points(start: float, stop: float, step: float) -> list[float]:
-    """Arithmetic grid, endpoints inclusive within half a step."""
+    """Arithmetic grid, endpoints inclusive within half a step.
+
+    Bounds must be finite and the grid at most MAX_GRID_POINTS long; the
+    length is checked before the list is built.
+    """
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
+        raise ConfigError(f"grid bounds must be finite: start={start} stop={stop} step={step}")
     if step <= 0.0:
         raise ConfigError(f"grid step must be positive, got {step}")
-    count = math.floor((stop - start + 0.5 * step) / step) + 1
+    span = (stop - start + 0.5 * step) / step
+    # count = floor(span) + 1 exceeds the cap exactly when span reaches it;
+    # span is infinite when the quotient overflows.
+    if span >= MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid start={start} stop={stop} step={step} has more than {MAX_GRID_POINTS} points"
+        )
+    count = math.floor(span) + 1
     if count < 1:
         raise ConfigError(f"empty grid: start={start} stop={stop} step={step}")
     return [start + i * step for i in range(count)]
@@ -210,8 +225,11 @@ def grid_report(
     Grid values must stay in [ENDPOINT_MARGIN, 1 - ENDPOINT_MARGIN] unless
     ``allow_endpoints`` opts in: F2(1-alpha) turns singular as p -> 1.
     Rows are evaluated independently and assembled in ascending p, so the
-    report is identical under any evaluation order.
+    report is identical under any evaluation order.  ``tol`` must be a
+    finite, non-negative number.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"tolerance must be finite and non-negative, got {tol}")
     points = grid_points(p_start, p_stop, p_step)
     lo = ENDPOINT_MARGIN if not allow_endpoints else 0.0
     hi = 1.0 - ENDPOINT_MARGIN if not allow_endpoints else 1.0

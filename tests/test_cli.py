@@ -70,6 +70,27 @@ def test_malformed_grid_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tolerance_exits_two(tmp_path, capsys, tol):
+    code, _ = run_verify(tmp_path, "--tol", tol)
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["nan:0.5:0.1", "0.1:inf:0.1", "0.1:0.5:nan", "0.1:0.5:inf"])
+def test_non_finite_grid_exits_two(tmp_path, capsys, grid):
+    code = main(["verify", "--grid", grid, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_oversized_grid_exits_two(tmp_path, capsys):
+    # 10^8 points: refused from the computed count, before any point is built.
+    code = main(["verify", "--grid", "0.1:0.2:1e-9", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_quiet_suppresses_summary(tmp_path, capsys):
     code, _ = run_verify(tmp_path, "--quiet")
     assert code == 0

@@ -141,6 +141,18 @@ def test_delta_phase_monotone(ctx06, omega06):
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("kappa", [0.05, 0.3, 0.6, 0.9, 0.99])
+def test_delta_matches_the_integral_inversion_route(kappa):
+    # Production (Jacobi bridge) against reference (inverting the arc
+    # integral) over a full period; i = 8 is u = omega.
+    ctx = DeltaContext(modulus_from_kappa(kappa))
+    k2 = kappa * kappa
+    for i in range(17):
+        u = 2.0 * ctx.omega * i / 16
+        reference = 1.0 / f_half(k2 * math.sin(delta_phase(u, ctx)) ** 2)
+        assert rel_err(delta(u, ctx), reference) <= 1e-12, u
+
+
 def test_delta_periodicity(ctx06, omega06):
     assert abs(delta(0.4 + 2.0 * omega06, ctx06) - delta(0.4, ctx06)) < 1e-9
 
@@ -148,6 +160,11 @@ def test_delta_periodicity(ctx06, omega06):
 def test_delta_evenness(ctx06):
     for u in (0.25, 0.7, 1.4):
         assert abs(delta(-u, ctx06) - delta(u, ctx06)) < 1e-12
+
+
+def test_delta_evenness_is_bitwise(ctx06, omega06):
+    for u in (1e-9, 0.25, omega06, 2.9, 40.0):
+        assert delta(-u, ctx06) == delta(u, ctx06)
 
 
 def test_delta_at_the_half_period(ctx06, omega06):

@@ -7,6 +7,7 @@ import pytest
 from sig3.cli import emit_csv
 from sig3.errors import ConfigError
 from sig3.transfer import (
+    MAX_GRID_POINTS,
     grid_points,
     grid_report,
     period_route_gap,
@@ -160,6 +161,18 @@ def test_grid_points_rejects_empty_and_bad_step():
         grid_points(0.1, 0.9, 0.0)
     with pytest.raises(ConfigError):
         grid_points(0.1, 0.9, -0.1)
+
+
+def test_grid_points_cap_is_checked_on_the_count():
+    assert len(grid_points(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
+    with pytest.raises(ConfigError):
+        grid_points(0.0, float(MAX_GRID_POINTS), 1.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-10, math.inf])
+def test_grid_report_rejects_bad_tolerance(tol):
+    with pytest.raises(ConfigError):
+        grid_report(0.5, 0.5, 0.1, tol=tol)
 
 
 def test_grid_report_default_grid_all_pass():
