@@ -60,7 +60,7 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     start, stop, step = _parse_grid(args.grid)
-    report = grid_report(start, stop, step, tol=args.tol, allow_endpoints=args.allow_endpoints)
+    report = grid_report(start, stop, step, tol=args.tol)
     if not args.quiet:
         for label in ("56", "57", "58"):
             verdict = "pass" if all(
@@ -119,11 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=float, default=DEFAULT_TOL, help="pass tolerance")
     verify.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     verify.add_argument("--quiet", action="store_true", help="suppress the summary")
-    verify.add_argument(
-        "--allow-endpoints",
-        action="store_true",
-        help="permit grid points within 1e-3 of 0 or 1",
-    )
     verify.set_defaults(handler=_cmd_verify)
 
     evaluate = sub.add_parser("eval", help="evaluate one hypergeometric kernel")

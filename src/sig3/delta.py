@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, NonConvergence, PoleError
-from .hypergeom import DEFAULT_CONFIG, EvalConfig, f2, f3, f_half
+from .hypergeom import DEFAULT_CONFIG, EvalConfig, f2_complement, f3_complement, f_half
 from .moduli import ModulusSet, invariants, midpoints, params_from_p
 from .quadrature import integrate
 from .weierstrass import HalfPeriodPair, sn, wp
@@ -68,8 +68,8 @@ class DeltaContext:
 
     quad_tol and root_tol are the tolerances of the reference route.  The
     remaining fields are derived once, at construction: the real half
-    period omega (evaluated with DEFAULT_CONFIG) and the four constants of
-    the Jacobi bridge, taken from the closed-form midpoint values.
+    period omega (``half_periods_sig3``, DEFAULT_CONFIG) and the four
+    constants of the Jacobi bridge, taken from the closed-form midpoint values.
     """
 
     modulus: ModulusSet
@@ -92,7 +92,7 @@ class DeltaContext:
         mids = midpoints(self.modulus)
         spread = mids.spread
         derived = {
-            "omega": 0.5 * math.pi * f3(k2),
+            "omega": half_periods_sig3(self.modulus).omega,
             "bridge_scale": math.sqrt(spread),
             "jacobi_k": math.sqrt(mids.jacobi_m),
             "bridge_a": (4.0 / 9.0) * k2 / spread,
@@ -111,10 +111,18 @@ def half_periods_sig3(mod: ModulusSet, config: EvalConfig = DEFAULT_CONFIG) -> H
     Equivalently omega' = i sqrt3 omega(lambda), the complementary-modulus
     relation behind the imaginary-period formula.
     """
+    k = mod.kappa
+    return _sig3_half_periods(k * k, (1.0 - k) * (1.0 + k), config)
+
+
+def _sig3_half_periods(k2: float, k2_comp: float, config: EvalConfig) -> HalfPeriodPair:
+    """The half periods above from kappa^2 and its complement 1 - kappa^2,
+    each F3 value taken from the complement of its argument."""
     half_pi = 0.5 * math.pi
-    omega = half_pi * f3(mod.kappa * mod.kappa, config)
-    omega_lam = half_pi * f3(mod.lam * mod.lam, config)
-    return HalfPeriodPair(omega=omega, omega_prime=1j * (math.sqrt(3.0) * omega_lam))
+    return HalfPeriodPair(
+        omega=half_pi * f3_complement(k2_comp, config),
+        omega_prime=1j * (math.sqrt(3.0) * half_pi * f3_complement(k2, config)),
+    )
 
 
 def half_periods_jacobi_route(p: float, config: EvalConfig = DEFAULT_CONFIG) -> HalfPeriodPair:
@@ -131,8 +139,8 @@ def half_periods_jacobi_route(p: float, config: EvalConfig = DEFAULT_CONFIG) -> 
     r = math.sqrt(params.r2)
     half_pi = 0.5 * math.pi
     return HalfPeriodPair(
-        omega=half_pi * f2(params.alpha, config) / r,
-        omega_prime=1j * (half_pi * f2(1.0 - params.alpha, config) / r),
+        omega=half_pi * f2_complement(params.alpha_comp, config) / r,
+        omega_prime=1j * (half_pi * f2_complement(params.alpha, config) / r),
     )
 
 

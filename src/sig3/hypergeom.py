@@ -33,6 +33,8 @@ __all__ = [
     "gauss_2f1_series",
     "f2",
     "f3",
+    "f2_complement",
+    "f3_complement",
     "f_half",
     "f_half_deriv",
     "agm",
@@ -163,22 +165,39 @@ def agm3(a0: float, b0: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     raise NonConvergence(f"agm3({a0}, {b0}) not converged in {config.max_iters} iterations")
 
 
+def f2_complement(y: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
+    """F(1/2, 1/2; 1; 1 - y) for y in (0, 1], computed as 1/agm(1, sqrt(y)).
+
+    Passing y itself keeps the digits of a small y, which 1 - x would lose.
+    """
+    if not 0.0 < y <= 1.0:
+        raise DomainError(f"f2 complement must lie in (0, 1], got {y}")
+    return 1.0 / agm(1.0, math.sqrt(y), config)
+
+
+def f3_complement(y: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
+    """F(1/3, 2/3; 1; 1 - y) for y in (0, 1], computed as 1/agm3(1, y^(1/3))."""
+    if not 0.0 < y <= 1.0:
+        raise DomainError(f"f3 complement must lie in (0, 1], got {y}")
+    return 1.0 / agm3(1.0, _cbrt(y), config)
+
+
 def f2(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """F(1/2, 1/2; 1; x) for x in [0, 1), computed as 1/agm(1, sqrt(1-x)).
+    """F(1/2, 1/2; 1; x) for x in [0, 1), computed as f2_complement(1 - x).
 
     The AGM route stays accurate arbitrarily close to the logarithmic
     singularity at x = 1, where the power series stalls.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError(f"f2 argument must lie in [0, 1), got {x}")
-    return 1.0 / agm(1.0, math.sqrt(1.0 - x), config)
+    return f2_complement(1.0 - x, config)
 
 
 def f3(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """F(1/3, 2/3; 1; x) for x in [0, 1), computed as 1/agm3(1, (1-x)^(1/3))."""
+    """F(1/3, 2/3; 1; x) for x in [0, 1), computed as f3_complement(1 - x)."""
     if not 0.0 <= x < 1.0:
         raise DomainError(f"f3 argument must lie in [0, 1), got {x}")
-    return 1.0 / agm3(1.0, _cbrt(1.0 - x), config)
+    return f3_complement(1.0 - x, config)
 
 
 def f_half(x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:

@@ -24,6 +24,7 @@ constructors cross-check them and refuse to return inconsistent values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -74,7 +75,9 @@ class TransferParams:
 
     X is the quartic 8s^4 - 12s^2 + 3, s3c the product s^3 c, r2 the
     midpoint spread e1 - e3, and k2 the squared Jacobi modulus; alpha = k2
-    and beta = kappa^2 hold by construction to CROSS_ROUTE_TOL.
+    and beta = kappa^2 hold by construction to CROSS_ROUTE_TOL.  alpha_comp
+    and beta_comp are 1 - alpha and 1 - beta from their own rational
+    formulas, free of the cancellation that subtraction suffers.
     """
 
     p: float
@@ -84,6 +87,8 @@ class TransferParams:
     s3c: float
     alpha: float
     beta: float
+    alpha_comp: float
+    beta_comp: float
     r2: float
     k2: float
 
@@ -114,9 +119,14 @@ def params_from_p(p: float) -> TransferParams:
 
     alpha is computed from its own rational formula and k2 from the
     midpoint route 16 s^3 c / (8 s^3 c + sqrt3 X); beta likewise from its
-    rational formula and kappa^2 from s(3 - 4s^2).  Disagreement beyond
-    CROSS_ROUTE_TOL means a broken build, not bad input, and raises
-    ArithmeticError.
+    rational formula and kappa^2 from s(3 - 4s^2).  The complements
+
+        1 - alpha = (1-p)(1+p)^3 / (1+2p),
+        1 - beta  = ((1-p)(2+p)(1+2p))^2 / (4 (1+p+p^2)^3)
+
+    are checked against subtraction to CROSS_ROUTE_TOL (their term scale
+    is 1).  Disagreement beyond CROSS_ROUTE_TOL means a broken build, not
+    bad input, and raises ArithmeticError.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"transfer parameter must lie in (0, 1), got {p}")
@@ -127,19 +137,32 @@ def params_from_p(p: float) -> TransferParams:
     s2 = s * s
     X = (8.0 * s2 - 12.0) * s2 + 3.0
     s3c = s2 * s * c
+    if s3c < sys.float_info.min:
+        raise DomainError(f"transfer parameter {p} is too small: s^3 c and alpha ~ 2p^3 underflow")
 
-    alpha = p * p * p * (2.0 + p) / (1.0 + 2.0 * p)
-    beta = 6.75 * (p * (1.0 + p)) ** 2 / (q * q * q)
+    # All four lie in (0, 1); rounding lifts them up to two ulps above 1,
+    # the complements where p is tiny and beta where p is near 1.
+    alpha = min(1.0, p * p * p * (2.0 + p) / (1.0 + 2.0 * p))
+    beta = min(1.0, 6.75 * (p * (1.0 + p)) ** 2 / (q * q * q))
+    alpha_comp = min(1.0, (1.0 - p) * (1.0 + p) ** 3 / (1.0 + 2.0 * p))
+    beta_comp = min(1.0, ((1.0 - p) * (2.0 + p) * (1.0 + 2.0 * p)) ** 2 / (4.0 * q * q * q))
     r2 = (1.0 + 2.0 * p) / (q * q)
     k2 = 16.0 * s3c / (8.0 * s3c + SQRT3 * X)
 
     kappa_s = s * (3.0 - 4.0 * s2)
-    if abs(alpha - k2) > CROSS_ROUTE_TOL * alpha or abs(beta - kappa_s * kappa_s) > CROSS_ROUTE_TOL * beta:
+    gaps = (
+        abs(alpha - k2) / alpha,
+        abs(beta - kappa_s * kappa_s) / beta,
+        abs(alpha_comp - (1.0 - alpha)),
+        abs(beta_comp - (1.0 - beta)),
+    )
+    if max(gaps) > CROSS_ROUTE_TOL:
         raise ArithmeticError(
-            f"transfer parametrization routes disagree at p={p}: "
-            f"alpha={alpha} vs k2={k2}, beta={beta} vs kappa^2={kappa_s * kappa_s}"
+            f"transfer parametrization routes disagree at p={p}: gaps for alpha, beta, "
+            f"1 - alpha, 1 - beta are {gaps}"
         )
-    return TransferParams(p=p, s=s, c=c, X=X, s3c=s3c, alpha=alpha, beta=beta, r2=r2, k2=k2)
+    return TransferParams(p=p, s=s, c=c, X=X, s3c=s3c, alpha=alpha, beta=beta,
+                          alpha_comp=alpha_comp, beta_comp=beta_comp, r2=r2, k2=k2)
 
 
 def p_from_s_c(s: float, c: float) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DegenerateLattice, DomainError, NonConvergence, PoleError
-from .hypergeom import DEFAULT_CONFIG, EvalConfig, f2
+from .hypergeom import DEFAULT_CONFIG, EvalConfig, f2_complement
 
 __all__ = [
     "WeierstrassInvariants",
@@ -254,12 +254,13 @@ def sn(u: float, k: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
 
 
 def jacobi_quarter_periods(k: float, config: EvalConfig = DEFAULT_CONFIG) -> JacobiModulus:
-    """Quarter periods K = (pi/2) F(1/2,1/2;1;k^2), K' likewise at 1 - k^2."""
+    """Quarter periods K = (pi/2) F(1/2,1/2;1;k^2), K' likewise at 1 - k^2,
+    each from the complement of its argument ((1-k)(1+k) keeps K accurate as k -> 1)."""
     if not 0.0 < k < 1.0:
         raise DomainError(f"modulus must lie in (0, 1), got {k}")
-    m = k * k
     half_pi = 0.5 * math.pi
-    return JacobiModulus(k=k, K=half_pi * f2(m, config), K_prime=half_pi * f2(1.0 - m, config))
+    K = half_pi * f2_complement((1.0 - k) * (1.0 + k), config)
+    return JacobiModulus(k=k, K=K, K_prime=half_pi * f2_complement(k * k, config))
 
 
 def half_periods_from_midpoints(

@@ -91,6 +91,19 @@ def test_oversized_grid_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fine_grid_verify_exits_zero(tmp_path):
+    code, out = run_verify(tmp_path, "--grid", "0.001:0.999:0.001", "--quiet")
+    assert code == 0
+    assert len(out.read_text(encoding="utf-8").split("\n")) == 1001
+
+
+def test_underflowing_grid_point_exits_two(tmp_path, capsys):
+    # alpha ~ 2p^3 underflows at p = 1e-110.
+    code = main(["verify", "--grid", "1e-110:1e-110:1", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_quiet_suppresses_summary(tmp_path, capsys):
     code, _ = run_verify(tmp_path, "--quiet")
     assert code == 0

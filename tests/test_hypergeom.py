@@ -16,7 +16,9 @@ from sig3.hypergeom import (
     agm,
     agm3,
     f2,
+    f2_complement,
     f3,
+    f3_complement,
     f_half,
     f_half_deriv,
     gauss_2f1_series,
@@ -110,6 +112,16 @@ def test_agm_routes_reject_the_singular_point(func):
         func(1.0)
     with pytest.raises(DomainError):
         func(-0.2)
+
+
+@pytest.mark.parametrize("func,complement", [(f2, f2_complement), (f3, f3_complement)])
+def test_kernels_are_their_complement_routes_bitwise(func, complement):
+    for x in (0.0, 1e-300, 1e-9, 0.3, 0.5, 0.75, 1.0 - 1e-9, math.nextafter(1.0, 0.0)):
+        assert func(x) == complement(1.0 - x)
+    assert complement(1.0) == 1.0
+    for y in (0.0, -0.1, math.nextafter(1.0, 2.0)):
+        with pytest.raises(DomainError):
+            complement(y)
 
 
 def test_f_half_spot_value():

@@ -123,6 +123,25 @@ def test_dual_routes_on_the_decade_grid(p):
     assert abs(params.beta - kappa_s ** 2) <= 1e-14 * params.beta
 
 
+@pytest.mark.parametrize("p", [1e-100, 1e-6, 0.001, 0.3, 0.999, math.nextafter(1.0, 0.0)])
+def test_complements_against_exact_rationals(p):
+    # 1 - alpha and 1 - beta evaluated in rational arithmetic on the binary p;
+    # the float route keeps full relative precision even where they are tiny.
+    params = params_from_p(p)
+    x = Fraction(p)
+    alpha = x ** 3 * (2 + x) / (1 + 2 * x)
+    beta = Fraction(27, 4) * x ** 2 * (1 + x) ** 2 / (1 + x + x * x) ** 3
+    assert rel_err(params.alpha_comp, float(1 - alpha)) <= 1e-15
+    assert rel_err(params.beta_comp, float(1 - beta)) <= 1e-15
+
+
+def test_parametrization_refuses_underflowing_alpha():
+    assert params_from_p(1e-100).alpha > 0.0
+    for p in (1e-105, 1e-110):  # alpha subnormal, then zero
+        with pytest.raises(DomainError):
+            params_from_p(p)
+
+
 @given(p=st.floats(min_value=1e-3, max_value=0.999))
 @settings(max_examples=80, deadline=None)
 def test_transfer_arguments_stay_in_range(p):

@@ -51,11 +51,23 @@ def test_identity58_at_half():
     assert check.passed
 
 
-@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+# At p = 1e-9 the rational 1 - alpha, and at p = 1 - 1e-9 beta itself, round
+# above 1 before params_from_p clamps them.
+@pytest.mark.parametrize(
+    "p", [1e-100, 1e-9, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-9, math.nextafter(1.0, 0.0)]
+)
 def test_identities_hold_at_spot_parameters(p):
-    assert verify_identity56(p).relerr <= 1e-10
-    assert verify_identity57(p).relerr <= 1e-10
-    assert verify_identity58(p).relerr <= 1e-10
+    assert verify_identity56(p).relerr <= 4e-15
+    assert verify_identity57(p).relerr <= 4e-15
+    assert verify_identity58(p).relerr <= 4e-15
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.3, 0.999])
+def test_identity_checks_are_views_of_the_grid_row(p):
+    row = grid_report(p, p, 0.1).rows[0]
+    assert verify_identity56(p) == (row.lhs56, row.rhs56, row.relerr56, row.pass56)
+    assert verify_identity57(p) == (row.lhs57, row.rhs57, row.relerr57, row.pass57)
+    assert verify_identity58(p) == (row.lhs58, row.rhs58, row.relerr58, row.pass58)
 
 
 def test_identity58_passes_at_looser_tolerance_near_one():
@@ -188,11 +200,20 @@ def test_grid_report_rejects_out_of_range_grid():
         grid_report(1.5, 2.0, 0.1)
 
 
-def test_grid_report_endpoint_guard_and_opt_in():
-    with pytest.raises(ConfigError):
-        grid_report(1e-4, 0.5, 0.1)
-    report = grid_report(5e-4, 5e-4, 0.1, allow_endpoints=True)
-    assert len(report.rows) == 1
+def test_grid_report_evaluates_near_the_endpoints():
+    for p in (1e-4, 0.9999):
+        report = grid_report(p, p, 0.1)
+        assert len(report.rows) == 1
+        assert report.all_pass
+
+
+def test_grid_report_holds_to_roundoff_on_the_fine_grid():
+    # Both complements come from exact rational formulas, so p = 0.001 and
+    # p = 0.999 keep every digit.
+    report = grid_report(0.001, 0.999, 0.001)
+    assert len(report.rows) == 999
+    assert report.all_pass
+    assert all(report.max_relerr[key] <= 4e-15 for key in ("56", "57", "58"))
 
 
 def test_grid_report_sabotaged_tolerance_fails():

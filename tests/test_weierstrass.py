@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, getcontext
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from sig3.weierstrass import (
     wp_and_derivative,
     wp_via_sn,
 )
-from oracles import jacobi_sn_ode, rel_err
+from oracles import agm_decimal, jacobi_sn_ode, rel_err
 
 # sn(0.5, 0.3) frozen from the RK4 integration of the Jacobi system.
 SN_HALF_03 = 0.4778610525427159
@@ -163,6 +164,18 @@ def test_quarter_periods_frozen_transfer_point():
     jm = jacobi_quarter_periods(math.sqrt(5.0 / 32.0))
     assert rel_err(jm.K, K_AT_5_32) < 1e-13
     assert rel_err(jm.K_prime, KPRIME_AT_5_32) < 1e-13
+
+
+@pytest.mark.parametrize("k", [0.999999, 1.0 - 1e-9])
+def test_quarter_periods_near_unit_modulus_against_agm_oracle(k):
+    # K = (pi/2)/agm(1, k') with k' = sqrt((1-k)(1+k)) taken exactly in
+    # 50-digit decimal; forming 1 - k^2 in floats would lose ~log10(1/k'^2)
+    # digits here.
+    getcontext().prec = 50
+    kd = Decimal(k)
+    k_comp = ((1 - kd) * (1 + kd)).sqrt()
+    K_over_half_pi = jacobi_quarter_periods(k).K / (0.5 * math.pi)
+    assert rel_err(K_over_half_pi, float(1 / agm_decimal(Decimal(1), k_comp))) <= 1e-15
 
 
 @pytest.mark.parametrize("k", [0.0, 1.0, -0.1, 2.0])
