@@ -10,16 +10,12 @@ from .errors import (
     Sig3Error,
 )
 from .hypergeom import (
-    DEFAULT_CONFIG,
-    EvalConfig,
-    HyperTriple,
     agm,
     agm3,
     f2,
     f3,
     f_half,
     f_half_deriv,
-    gauss_2f1_series,
 )
 from .weierstrass import (
     HalfPeriodPair,

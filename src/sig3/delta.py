@@ -24,10 +24,15 @@ k^2 = (e2 - e3)/(e1 - e3) (DLMF 23.6(i)), turns this into
     a = (4/9) kappa^2 / (e1 - e3),     b = (1/3 + e3) / (e1 - e3).
 
 Two routes evaluate delta.  The production route, ``delta``, is this
-closed Jacobi form: one Landen-descent ``sn`` call per point.  The
-reference route is the paper's own construction, inverting G by Newton
-steps over adaptive quadrature (``delta_integral``, ``delta_phase``);
-the tests and ``verify_ode_delta`` check the production route against it.
+closed Jacobi form: one Landen-descent ``sn`` call per point, for every
+kappa in (0, 1).  The reference route is the paper's own construction,
+inverting G by Newton steps over adaptive quadrature of the closed-form
+kernel (``delta_integral``, ``delta_phase``); the tests and
+``verify_ode_delta`` check the production route against it.  The
+reference route agrees with ``delta`` to better than 1e-12 up to
+kappa = 0.999; closer to 1 the kernel peaks so sharply at t = pi/2 that
+the quadrature raises QuadratureFailure (at kappa = 0.9999, for
+instance) rather than return a value short of QUAD_TOL.
 
 Both half-period routes live here too: the signature-three route through
 F(1/3, 2/3; 1; .) and the classical route through F(1/2, 1/2; 1; .) at the
@@ -41,14 +46,13 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, NonConvergence, PoleError
-from .hypergeom import DEFAULT_CONFIG, EvalConfig, f2_complement, f3_complement, f_half
+from .hypergeom import f2_complement, f3_complement, f_half
 from .moduli import ModulusSet, invariants, midpoints, params_from_p
 from .quadrature import integrate
 from .weierstrass import HalfPeriodPair, sn, wp
 
 __all__ = [
     "DeltaContext",
-    "KAPPA_MAX",
     "half_periods_sig3",
     "half_periods_jacobi_route",
     "delta_integral",
@@ -57,24 +61,22 @@ __all__ = [
     "dn3",
 ]
 
-# The series kernel of the reference route loses convergence headroom as
-# kappa^2 sin^2 t -> 1; keep the modulus at or below this bound.
-KAPPA_MAX = 0.99
+# Tolerances of the reference route: absolute quadrature tolerance of G,
+# and the Newton stopping step of its inversion, measured in T.
+QUAD_TOL = 1e-12
+ROOT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class DeltaContext:
-    """A modulus with the constants of both delta routes.
+    """A modulus kappa in (0, 1) with the constants of the production route.
 
-    quad_tol and root_tol are the tolerances of the reference route.  The
-    remaining fields are derived once, at construction: the real half
-    period omega (``half_periods_sig3``, DEFAULT_CONFIG) and the four
-    constants of the Jacobi bridge, taken from the closed-form midpoint values.
+    Every field but the modulus is derived once, at construction: the real
+    half period omega (``half_periods_sig3``) and the four constants of the
+    Jacobi bridge, taken from the closed-form midpoint values.
     """
 
     modulus: ModulusSet
-    quad_tol: float = 1e-12  # absolute quadrature tolerance
-    root_tol: float = 1e-13  # inversion tolerance, measured in T
     omega: float = field(init=False, repr=False, compare=False)
     bridge_scale: float = field(init=False, repr=False, compare=False)  # sqrt(e1 - e3)
     jacobi_k: float = field(init=False, repr=False, compare=False)  # sqrt((e2 - e3)/(e1 - e3))
@@ -82,12 +84,6 @@ class DeltaContext:
     bridge_b: float = field(init=False, repr=False, compare=False)  # (1/3 + e3) / (e1 - e3)
 
     def __post_init__(self):
-        if self.modulus.kappa > KAPPA_MAX:
-            raise DomainError(
-                f"modulus {self.modulus.kappa} exceeds the quadrature bound {KAPPA_MAX}"
-            )
-        if not (self.quad_tol > 0.0 and self.root_tol > 0.0):
-            raise DomainError("tolerances must be positive")
         k2 = self.modulus.kappa ** 2
         mids = midpoints(self.modulus)
         spread = mids.spread
@@ -102,7 +98,7 @@ class DeltaContext:
             object.__setattr__(self, name, value)
 
 
-def half_periods_sig3(mod: ModulusSet, config: EvalConfig = DEFAULT_CONFIG) -> HalfPeriodPair:
+def half_periods_sig3(mod: ModulusSet) -> HalfPeriodPair:
     """Half periods in the signature-three basis:
 
         omega  = (pi/2) F(1/3, 2/3; 1; kappa^2),
@@ -112,20 +108,20 @@ def half_periods_sig3(mod: ModulusSet, config: EvalConfig = DEFAULT_CONFIG) -> H
     relation behind the imaginary-period formula.
     """
     k = mod.kappa
-    return _sig3_half_periods(k * k, (1.0 - k) * (1.0 + k), config)
+    return _sig3_half_periods(k * k, (1.0 - k) * (1.0 + k))
 
 
-def _sig3_half_periods(k2: float, k2_comp: float, config: EvalConfig) -> HalfPeriodPair:
+def _sig3_half_periods(k2: float, k2_comp: float) -> HalfPeriodPair:
     """The half periods above from kappa^2 and its complement 1 - kappa^2,
     each F3 value taken from the complement of its argument."""
     half_pi = 0.5 * math.pi
     return HalfPeriodPair(
-        omega=half_pi * f3_complement(k2_comp, config),
-        omega_prime=1j * (math.sqrt(3.0) * half_pi * f3_complement(k2, config)),
+        omega=half_pi * f3_complement(k2_comp),
+        omega_prime=1j * (math.sqrt(3.0) * half_pi * f3_complement(k2)),
     )
 
 
-def half_periods_jacobi_route(p: float, config: EvalConfig = DEFAULT_CONFIG) -> HalfPeriodPair:
+def half_periods_jacobi_route(p: float) -> HalfPeriodPair:
     """Half periods through the classical basis at transfer parameter p:
 
         r omega  = (pi/2) F(1/2, 1/2; 1; alpha),
@@ -139,25 +135,25 @@ def half_periods_jacobi_route(p: float, config: EvalConfig = DEFAULT_CONFIG) -> 
     r = math.sqrt(params.r2)
     half_pi = 0.5 * math.pi
     return HalfPeriodPair(
-        omega=half_pi * f2_complement(params.alpha_comp, config) / r,
-        omega_prime=1j * (half_pi * f2_complement(params.alpha, config) / r),
+        omega=half_pi * f2_complement(params.alpha_comp) / r,
+        omega_prime=1j * (half_pi * f2_complement(params.alpha) / r),
     )
 
 
-def delta_integral(T: float, ctx: DeltaContext, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """G(T): the arc integral of the series kernel up to T (odd in T)."""
+def delta_integral(T: float, ctx: DeltaContext) -> float:
+    """G(T): the arc integral of F(1/3, 2/3; 1/2; kappa^2 sin^2 t) up to T (odd in T)."""
     if T == 0.0:
         return 0.0
     k2 = ctx.modulus.kappa ** 2
 
     def kernel(t: float) -> float:
         st = math.sin(t)
-        return f_half(k2 * st * st, config)
+        return f_half(k2 * st * st)
 
-    return integrate(kernel, 0.0, T, ctx.quad_tol)
+    return integrate(kernel, 0.0, T, QUAD_TOL)
 
 
-def _invert_in_quarter(u: float, ctx: DeltaContext, config: EvalConfig) -> float:
+def _invert_in_quarter(u: float, ctx: DeltaContext) -> float:
     """Solve G(T) = u for T, for u in [0, omega]; Newton with a bisection
     bracket (G' = kernel >= 1 keeps the problem well conditioned)."""
     if u == 0.0:
@@ -166,23 +162,23 @@ def _invert_in_quarter(u: float, ctx: DeltaContext, config: EvalConfig) -> float
     lo, hi = 0.0, 0.5 * math.pi + 0.01  # the pad absorbs quadrature-vs-AGM seams
     T = min(max(u / ctx.omega * (0.5 * math.pi), lo), hi)
     for _ in range(80):
-        g = delta_integral(T, ctx, config) - u
+        g = delta_integral(T, ctx) - u
         if g > 0.0:
             hi = T
         else:
             lo = T
         st = math.sin(T)
-        slope = f_half(k2 * st * st, config)
+        slope = f_half(k2 * st * st)
         T_next = T - g / slope
         if not lo < T_next < hi:
             T_next = 0.5 * (lo + hi)
-        if abs(T_next - T) <= ctx.root_tol:
+        if abs(T_next - T) <= ROOT_TOL:
             return T_next
         T = T_next
     raise NonConvergence(f"inversion of the arc integral stalled at u={u}")
 
 
-def delta_phase(u: float, ctx: DeltaContext, config: EvalConfig = DEFAULT_CONFIG) -> float:
+def delta_phase(u: float, ctx: DeltaContext) -> float:
     """T(u), the inverse of G, for any real u.
 
     u is reduced modulo the period 2 omega and reflected into [0, omega],
@@ -196,13 +192,13 @@ def delta_phase(u: float, ctx: DeltaContext, config: EvalConfig = DEFAULT_CONFIG
     cells = math.floor(u / period)
     v = u - cells * period
     if v <= omega:
-        branch = _invert_in_quarter(v, ctx, config)
+        branch = _invert_in_quarter(v, ctx)
     else:
-        branch = math.pi - _invert_in_quarter(period - v, ctx, config)
+        branch = math.pi - _invert_in_quarter(period - v, ctx)
     return cells * math.pi + branch
 
 
-def delta(u: float, ctx: DeltaContext, config: EvalConfig = DEFAULT_CONFIG) -> float:
+def delta(u: float, ctx: DeltaContext) -> float:
     """The delta function, by the production route: the Jacobi bridge
 
         delta(u) = 1 - a S / (1 + b S),    S = sn^2(u sqrt(e1 - e3), k),
@@ -216,12 +212,12 @@ def delta(u: float, ctx: DeltaContext, config: EvalConfig = DEFAULT_CONFIG) -> f
     x = u * ctx.bridge_scale
     if not math.isfinite(x):
         raise DomainError(f"argument {u} is not finite, or too large to scale by sqrt(e1 - e3)")
-    s = sn(x, ctx.jacobi_k, config)
+    s = sn(x, ctx.jacobi_k)
     s2 = s * s
     return 1.0 - ctx.bridge_a * s2 / (1.0 + ctx.bridge_b * s2)
 
 
-def dn3(z: complex, mod: ModulusSet, config: EvalConfig = DEFAULT_CONFIG) -> complex:
+def dn3(z: complex, mod: ModulusSet) -> complex:
     """The elliptic extension of delta:
 
         dn3(z) = 1 - (4/9) kappa^2 / (1/3 + wp(z; g2, g3)).
@@ -230,7 +226,7 @@ def dn3(z: complex, mod: ModulusSet, config: EvalConfig = DEFAULT_CONFIG) -> com
     where wp = -1/3 (for instance two thirds of the way up the imaginary
     half-period); those raise PoleError, as do lattice points via ``wp``.
     """
-    p = wp(z, invariants(mod), config)
+    p = wp(z, invariants(mod))
     denom = 1.0 / 3.0 + p
     if abs(denom) <= 1e-8 * max(1.0, abs(p)):
         raise PoleError(f"dn3 pole: wp({z}) = {p} is too close to -1/3")

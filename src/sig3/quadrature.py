@@ -2,19 +2,45 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable
-
-import numpy.polynomial.legendre as _leg
 
 from .errors import QuadratureFailure
 
 __all__ = ["integrate"]
 
-_nodes, _weights = _leg.leggauss(15)
-GAUSS_NODES = tuple(float(t) for t in _nodes)
-GAUSS_WEIGHTS = tuple(float(w) for w in _weights)
-
 MAX_DEPTH = 40
+
+
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p_prev, p = 1.0, x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
+def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule.
+
+    Each positive root of P_n is polished by Newton steps from the
+    Tricomi estimate cos(pi (i + 3/4)/(n + 1/2)); the negative half is
+    its mirror image, and an odd n gets the exact root 0.
+    """
+    half = []
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(8):  # quadratic convergence: 3-4 steps reach roundoff
+            p, dp = _legendre(n, x)
+            x -= p / dp
+        dp = _legendre(n, x)[1]
+        half.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    middle = [(0.0, 2.0 / _legendre(n, 0.0)[1] ** 2)] if n % 2 else []
+    pairs = [(-x, w) for x, w in half] + middle + [(x, w) for x, w in reversed(half)]
+    return tuple(x for x, _ in pairs), tuple(w for _, w in pairs)
+
+
+GAUSS_NODES, GAUSS_WEIGHTS = _gauss_legendre(15)
 
 
 def _panel(f: Callable[[float], float], a: float, b: float) -> float:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 from .delta import DeltaContext, _sig3_half_periods, delta_phase, half_periods_jacobi_route
 from .errors import ConfigError
-from .hypergeom import DEFAULT_CONFIG, EvalConfig, f2_complement, f3_complement, f_half, f_half_deriv
+from .hypergeom import f2_complement, f3_complement, f_half, f_half_deriv
 from .moduli import modulus_from_kappa, params_from_p, trimidiation, invariants
 from .weierstrass import WeierstrassInvariants, wp
 
@@ -89,16 +89,16 @@ class VerificationReport:
     max_relerr: dict[str, float]
 
 
-def _transfer_row(p: float, tol: float, config: EvalConfig) -> VerificationRow:
+def _transfer_row(p: float, tol: float) -> VerificationRow:
     """All three identities at p from one parametrization and four kernels,
     each taking the exact complement of its argument: neither 1 - alpha nor
     1 - beta is ever formed by subtraction."""
     params = params_from_p(p)
     q = 1.0 + p + p * p
-    f2_alpha = f2_complement(params.alpha_comp, config)
-    f2_alpha_comp = f2_complement(params.alpha, config)
-    f3_beta = f3_complement(params.beta_comp, config)
-    f3_beta_comp = f3_complement(params.beta, config)
+    f2_alpha = f2_complement(params.alpha_comp)
+    f2_alpha_comp = f2_complement(params.alpha)
+    f3_beta = f3_complement(params.beta_comp)
+    f3_beta_comp = f3_complement(params.beta)
     c56 = _check(q * f2_alpha, math.sqrt(1.0 + 2.0 * p) * f3_beta, tol)
     c57 = _check(q * f2_alpha_comp, math.sqrt(3.0 + 6.0 * p) * f3_beta_comp, tol)
     c58 = _check(f2_alpha_comp / f2_alpha, math.sqrt(3.0) * f3_beta_comp / f3_beta, tol)
@@ -111,27 +111,21 @@ def _transfer_row(p: float, tol: float, config: EvalConfig) -> VerificationRow:
     )
 
 
-def verify_identity56(
-    p: float, tol: float = DEFAULT_TOL, config: EvalConfig = DEFAULT_CONFIG
-) -> IdentityCheck:
+def verify_identity56(p: float, tol: float = DEFAULT_TOL) -> IdentityCheck:
     """(1+p+p^2) F2(alpha) against sqrt(1+2p) F3(beta)."""
-    row = _transfer_row(p, tol, config)
+    row = _transfer_row(p, tol)
     return IdentityCheck(row.lhs56, row.rhs56, row.relerr56, row.pass56)
 
 
-def verify_identity57(
-    p: float, tol: float = DEFAULT_TOL, config: EvalConfig = DEFAULT_CONFIG
-) -> IdentityCheck:
+def verify_identity57(p: float, tol: float = DEFAULT_TOL) -> IdentityCheck:
     """(1+p+p^2) F2(1-alpha) against sqrt(3+6p) F3(1-beta)."""
-    row = _transfer_row(p, tol, config)
+    row = _transfer_row(p, tol)
     return IdentityCheck(row.lhs57, row.rhs57, row.relerr57, row.pass57)
 
 
-def verify_identity58(
-    p: float, tol: float = DEFAULT_TOL, config: EvalConfig = DEFAULT_CONFIG
-) -> IdentityCheck:
+def verify_identity58(p: float, tol: float = DEFAULT_TOL) -> IdentityCheck:
     """F2(1-alpha)/F2(alpha) against sqrt3 F3(1-beta)/F3(beta)."""
-    row = _transfer_row(p, tol, config)
+    row = _transfer_row(p, tol)
     return IdentityCheck(row.lhs58, row.rhs58, row.relerr58, row.pass58)
 
 
@@ -139,7 +133,6 @@ def verify_ode_delta(
     kappa: float,
     u_grid: Sequence[float],
     ctx: DeltaContext | None = None,
-    config: EvalConfig = DEFAULT_CONFIG,
 ) -> float:
     """Maximum scaled residual of 9 (delta')^2 = 4(1-delta)(delta^3+3delta^2-4lambda^2).
 
@@ -156,20 +149,18 @@ def verify_ode_delta(
     lam2 = ctx.modulus.lam ** 2
     worst = 0.0
     for u in u_grid:
-        T = delta_phase(u, ctx, config)
+        T = delta_phase(u, ctx)
         x = k2 * math.sin(T) ** 2
-        f = f_half(x, config)
+        f = f_half(x)
         d = 1.0 / f
-        d_prime = -d * f_half_deriv(x, config) * k2 * math.sin(2.0 * T) / (f * f)
+        d_prime = -d * f_half_deriv(x) * k2 * math.sin(2.0 * T) / (f * f)
         lhs = 9.0 * d_prime * d_prime
         rhs = 4.0 * (1.0 - d) * (d * d * (d + 3.0) - 4.0 * lam2)
         worst = max(worst, abs(lhs - rhs) / (1.0 + d ** 4))
     return worst
 
 
-def verify_trimidiation(
-    kappa: float, z_samples: Sequence[complex], config: EvalConfig = DEFAULT_CONFIG
-) -> float:
+def verify_trimidiation(kappa: float, z_samples: Sequence[complex]) -> float:
     """Maximum relative residual of wp(z; h2, h3) = -3 wp(sqrt3 i z; g2(lam), g3(lam)).
 
     The left side lives on the lattice with imaginary period divided by
@@ -183,13 +174,13 @@ def verify_trimidiation(
     rot = math.sqrt(3.0) * 1j
     worst = 0.0
     for z in z_samples:
-        lhs = wp(z, inv_h, config)
-        rhs = -3.0 * wp(rot * z, inv_lam, config)
+        lhs = wp(z, inv_h)
+        rhs = -3.0 * wp(rot * z, inv_lam)
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     return worst
 
 
-def period_route_gap(p: float, config: EvalConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def period_route_gap(p: float) -> tuple[float, float]:
     """Relative disagreement of the two half-period routes at parameter p.
 
     Returns the gaps for omega and for -i omega'.  This is the geometric
@@ -197,8 +188,8 @@ def period_route_gap(p: float, config: EvalConfig = DEFAULT_CONFIG) -> tuple[flo
     to within a decade.
     """
     params = params_from_p(p)
-    sig = _sig3_half_periods(params.beta, params.beta_comp, config)
-    jac = half_periods_jacobi_route(p, config)
+    sig = _sig3_half_periods(params.beta, params.beta_comp)
+    jac = half_periods_jacobi_route(p)
     gap_re = abs(sig.omega - jac.omega) / sig.omega
     gap_im = abs(sig.omega_prime.imag - jac.omega_prime.imag) / sig.omega_prime.imag
     return gap_re, gap_im
@@ -232,7 +223,6 @@ def grid_report(
     p_stop: float,
     p_step: float,
     tol: float = DEFAULT_TOL,
-    config: EvalConfig = DEFAULT_CONFIG,
 ) -> VerificationReport:
     """Run all three identities on the grid and assemble the report.
 
@@ -247,7 +237,7 @@ def grid_report(
     for p in points:
         if not 0.0 < p < 1.0:
             raise ConfigError(f"grid point {p} outside (0, 1)")
-    rows = [_transfer_row(p, tol, config) for p in points]
+    rows = [_transfer_row(p, tol) for p in points]
     return VerificationReport(
         rows=tuple(rows),
         tol=tol,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DegenerateLattice, DomainError, NonConvergence, PoleError
-from .hypergeom import DEFAULT_CONFIG, EvalConfig, f2_complement
+from .hypergeom import f2_complement
 
 __all__ = [
     "WeierstrassInvariants",
@@ -47,6 +47,7 @@ LAURENT_TAIL_TARGET = 1e-18
 POLE_THRESHOLD = 1e-8  # |z| below this: 1/z^2 noise exceeds 1e16
 SN_MODULUS_FLOOR = 1e-14  # stop the Landen descent here
 SN_MAX_DEPTH = 12
+WP_MAX_HALVINGS = 64  # |z| up to 2^64 r0 reduces into the Laurent disc
 
 
 @dataclass(frozen=True)
@@ -150,9 +151,7 @@ def _laurent(g2: float, g3: float) -> tuple[tuple[float, ...], float]:
     return tuple(c), r0
 
 
-def wp_and_derivative(
-    z: complex, inv: WeierstrassInvariants, config: EvalConfig = DEFAULT_CONFIG
-) -> tuple[complex, complex]:
+def wp_and_derivative(z: complex, inv: WeierstrassInvariants) -> tuple[complex, complex]:
     """Weierstrass function and its derivative at z for invariants (g2, g3).
 
     The argument is halved until it lies inside the Laurent disc, then the
@@ -162,7 +161,7 @@ def wp_and_derivative(
 
     with wp' propagated by the differentiated formula.  Raises PoleError
     when z is within ``POLE_THRESHOLD`` of the origin and NonConvergence if
-    the halving budget (config.max_iters) is exhausted.
+    the halving budget (WP_MAX_HALVINGS) is exhausted.
 
     Accuracy is ~1e-13 relative within a couple of lattice cells of the
     origin.  On nearly degenerate lattices (two midpoint values close:
@@ -179,7 +178,7 @@ def wp_and_derivative(
     while abs(w) > r0:
         w *= 0.5
         halvings += 1
-        if halvings > config.max_iters:
+        if halvings > WP_MAX_HALVINGS:
             raise NonConvergence(f"argument reduction for wp({z}) exceeded budget")
 
     w2 = w * w
@@ -201,12 +200,12 @@ def wp_and_derivative(
     return p, dp
 
 
-def wp(z: complex, inv: WeierstrassInvariants, config: EvalConfig = DEFAULT_CONFIG) -> complex:
+def wp(z: complex, inv: WeierstrassInvariants) -> complex:
     """Weierstrass function wp(z; g2, g3); see ``wp_and_derivative``."""
-    return wp_and_derivative(z, inv, config)[0]
+    return wp_and_derivative(z, inv)[0]
 
 
-def sn(u: float, k: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
+def sn(u: float, k: float) -> float:
     """Jacobi sn(u, k) for real u and modulus 0 < k < 1.
 
     Descending Landen transformation: the modulus ladder is driven down
@@ -253,19 +252,17 @@ def sn(u: float, k: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     return val if s >= 0.0 else -val
 
 
-def jacobi_quarter_periods(k: float, config: EvalConfig = DEFAULT_CONFIG) -> JacobiModulus:
+def jacobi_quarter_periods(k: float) -> JacobiModulus:
     """Quarter periods K = (pi/2) F(1/2,1/2;1;k^2), K' likewise at 1 - k^2,
     each from the complement of its argument ((1-k)(1+k) keeps K accurate as k -> 1)."""
     if not 0.0 < k < 1.0:
         raise DomainError(f"modulus must lie in (0, 1), got {k}")
     half_pi = 0.5 * math.pi
-    K = half_pi * f2_complement((1.0 - k) * (1.0 + k), config)
-    return JacobiModulus(k=k, K=K, K_prime=half_pi * f2_complement(k * k, config))
+    K = half_pi * f2_complement((1.0 - k) * (1.0 + k))
+    return JacobiModulus(k=k, K=K, K_prime=half_pi * f2_complement(k * k))
 
 
-def half_periods_from_midpoints(
-    mids: MidpointTriple, config: EvalConfig = DEFAULT_CONFIG
-) -> HalfPeriodPair:
+def half_periods_from_midpoints(mids: MidpointTriple) -> HalfPeriodPair:
     """Half periods of the Weierstrass function with midpoint values ``mids``.
 
     omega = K/sqrt(e1-e3) and omega' = iK'/sqrt(e1-e3), with the Jacobi
@@ -279,7 +276,7 @@ def half_periods_from_midpoints(
         raise DegenerateLattice(
             f"midpoint spreads ({spread}, {gap}) too small for a period lattice"
         )
-    quarter = jacobi_quarter_periods(math.sqrt(mids.jacobi_m), config)
+    quarter = jacobi_quarter_periods(math.sqrt(mids.jacobi_m))
     r = math.sqrt(spread)
     return HalfPeriodPair(omega=quarter.K / r, omega_prime=1j * (quarter.K_prime / r))
 
@@ -307,11 +304,11 @@ def midpoints_from_invariants(inv: WeierstrassInvariants) -> MidpointTriple:
     )
 
 
-def wp_via_sn(z: float, mids: MidpointTriple, config: EvalConfig = DEFAULT_CONFIG) -> float:
+def wp_via_sn(z: float, mids: MidpointTriple) -> float:
     """Weierstrass value on the real axis through the Jacobi bridge
     wp(z) = e3 + (e1 - e3)/sn^2(z sqrt(e1 - e3), k)."""
     r = math.sqrt(mids.spread)
-    s = sn(z * r, math.sqrt(mids.jacobi_m), config)
+    s = sn(z * r, math.sqrt(mids.jacobi_m))
     if abs(s) < POLE_THRESHOLD:
         raise PoleError(f"argument {z} is a period of the lattice (sn vanishes)")
     return mids.e3 + mids.spread / (s * s)

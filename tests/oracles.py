@@ -1,8 +1,9 @@
 """Independent oracles used to pin expected values in the tests.
 
-Nothing here touches the package's own evaluation paths: the series oracle
-runs in exact rational arithmetic, the AGM oracle in 50-digit decimal, and
-the sn oracle integrates the Jacobi differential system directly.
+Nothing here touches the package's own evaluation paths: the series oracles
+run in exact rational and in compensated float arithmetic, the AGM oracle in
+50-digit decimal, and the sn oracle integrates the Jacobi differential
+system directly.
 """
 
 from __future__ import annotations
@@ -30,6 +31,37 @@ def hyp2f1_exact(a: Fraction, b: Fraction, c: Fraction, x: Fraction,
             return total
         if n > 20_000:
             raise RuntimeError("exact series did not converge")
+
+
+def hyp2f1_series(a: float, b: float, c: float, x: float,
+                  rel_tol: float = 1e-15, max_terms: int = 100_000) -> float:
+    """Gauss series sum_n (a)_n (b)_n / ((c)_n n!) x^n in floats, for x in [0, 1).
+
+    Terms follow the recurrence t_{n+1} = t_n (a+n)(b+n) x / ((c+n)(1+n))
+    and are summed with Kahan compensation.  The sum stops at the first
+    term below ``rel_tol`` times the partial sum; for x > 0.9 two
+    consecutive such terms are required, guarding slow tails.  Raises
+    ValueError outside [0, 1) and ArithmeticError once ``max_terms`` runs out.
+    """
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"series argument must lie in [0, 1), got {x}")
+    need_below = 2 if x > 0.9 else 1
+    below = 0
+    term = total = 1.0
+    comp = 0.0
+    for n in range(max_terms):
+        term *= (a + n) * (b + n) * x / ((c + n) * (1.0 + n))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if abs(term) <= rel_tol * abs(total):
+            below += 1
+            if below >= need_below:
+                return total
+        else:
+            below = 0
+    raise ArithmeticError(f"series not converged within {max_terms} terms at x={x}")
 
 
 def agm_decimal(a: Decimal, b: Decimal, digits: int = 50) -> Decimal:

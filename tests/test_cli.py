@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from sig3.cli import CSV_HEADER, emit_csv, main
@@ -162,7 +166,15 @@ def test_delta_subcommand(capsys):
 
 
 def test_delta_subcommand_domain_error(capsys):
-    assert main(["delta", "--kappa", "0.999", "--u", "0.4"]) == 2
+    assert main(["delta", "--kappa", "0.999", "--u", "0.4"]) == 0
+    assert main(["delta", "--kappa", "1.0", "--u", "0.4"]) == 2
+    assert main(["eval", "fhalf", "0.9999"]) == 0
+
+
+def test_import_loads_no_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import sig3; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_emit_csv_refuses_empty_report():

@@ -6,13 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sig3 import hypergeom
 from sig3.errors import DomainError, NonConvergence
 from sig3.hypergeom import (
-    EvalConfig,
-    F2_PARAMS,
-    F3_PARAMS,
-    F_HALF_PARAMS,
-    HyperTriple,
     agm,
     agm3,
     f2,
@@ -21,9 +17,24 @@ from sig3.hypergeom import (
     f3_complement,
     f_half,
     f_half_deriv,
-    gauss_2f1_series,
 )
-from oracles import HALF, ONE, THIRD, TWO_THIRDS, agm_decimal, hyp2f1_exact, rel_err, richardson_diff
+from oracles import (
+    HALF,
+    ONE,
+    THIRD,
+    TWO_THIRDS,
+    agm_decimal,
+    hyp2f1_exact,
+    hyp2f1_series,
+    rel_err,
+    richardson_diff,
+)
+
+# Parameter triples (a, b, c) of the float series oracle.
+F2_PARAMS = (0.5, 0.5, 1.0)
+F3_PARAMS = (1.0 / 3.0, 2.0 / 3.0, 1.0)
+F_HALF_PARAMS = (1.0 / 3.0, 2.0 / 3.0, 0.5)
+F_HALF_DERIV_PARAMS = (4.0 / 3.0, 5.0 / 3.0, 1.5)  # d/dx F_half = (4/9) F(4/3, 5/3; 3/2; x)
 
 # Frozen from the exact-rational series oracle (hyp2f1_exact); the oracle is
 # re-run below so a broken freeze cannot hide.
@@ -34,15 +45,25 @@ F3_AT_7_8 = 1.505254038857066
 F_HALF_AT_9_25 = 1.2213535839028458
 F_HALF_DERIV_AT_1_4 = 0.680928393883536
 AGM_1_INV_SQRT2 = 0.847213084793979  # 50-digit decimal AGM iteration
+# F(1/3, 2/3; 1/2; x) and its derivative next to the singularity, from
+# 40-digit mpmath hyp2f1.
+F_HALF_NEAR_ONE = {
+    0.9999: (86.76872837354368, 433015.08305876044),
+    1.0 - 2.0 ** -30: (28378.087096406896, 15235280023354.584),
+}
+
+
+# The float series is the oracle that the AGM and closed-form routes are
+# checked against; these tests check the oracle itself.
 
 
 def test_series_is_exactly_one_at_zero():
     for params in (F2_PARAMS, F3_PARAMS, F_HALF_PARAMS):
-        assert gauss_2f1_series(params, 0.0) == 1.0
+        assert hyp2f1_series(*params, 0.0) == 1.0
 
 
 def test_series_frozen_value_at_half():
-    value = gauss_2f1_series(F2_PARAMS, 0.5)
+    value = hyp2f1_series(*F2_PARAMS, 0.5)
     assert rel_err(value, F2_AT_HALF) < 1e-15
     oracle = float(hyp2f1_exact(HALF, HALF, ONE, Fraction(1, 2)))
     assert rel_err(value, oracle) < 1e-15
@@ -50,21 +71,13 @@ def test_series_frozen_value_at_half():
 
 @pytest.mark.parametrize("x", [1.0, 1.5, -0.01, math.inf])
 def test_series_rejects_bad_arguments(x):
-    with pytest.raises(DomainError):
-        gauss_2f1_series(F2_PARAMS, x)
+    with pytest.raises(ValueError):
+        hyp2f1_series(*F2_PARAMS, x)
 
 
 def test_series_nonconvergence_when_starved():
-    with pytest.raises(NonConvergence):
-        gauss_2f1_series(F2_PARAMS, 0.9, EvalConfig(max_terms=5))
-
-
-def test_hyper_triple_rejects_nonpositive_integer_c():
-    with pytest.raises(DomainError):
-        HyperTriple(0.5, 0.5, 0.0)
-    with pytest.raises(DomainError):
-        HyperTriple(0.5, 0.5, -2.0)
-    HyperTriple(0.5, 0.5, -0.5)  # fine: not an integer
+    with pytest.raises(ArithmeticError):
+        hyp2f1_series(*F2_PARAMS, 0.9, max_terms=5)
 
 
 @pytest.mark.parametrize("func,params", [(f2, F2_PARAMS), (f3, F3_PARAMS)])
@@ -75,7 +88,7 @@ def test_agm_routes_match_series_on_grid(func, params):
     for i in range(1, 100):
         x = i / 100.0
         via_agm = func(x)
-        via_series = gauss_2f1_series(params, x)
+        via_series = hyp2f1_series(*params, x)
         worst = max(worst, abs(via_agm - via_series) / via_agm)
         assert via_agm > previous  # strictly increasing
         previous = via_agm
@@ -131,11 +144,24 @@ def test_f_half_spot_value():
     assert rel_err(value, oracle) < 1e-14
 
 
-def test_f_half_near_singularity_refuses_silent_degradation():
-    with pytest.raises(NonConvergence):
-        f_half(0.9999)
-    with pytest.raises(DomainError):
-        f_half(1.0)
+def test_f_half_matches_the_series_oracle():
+    # Closed form against the Gauss series, kernel and derivative, up to
+    # x = 0.98 (kappa = 0.99), where the series still converges.
+    for x in [i / 100.0 for i in range(98)] + [0.9801]:
+        assert rel_err(f_half(x), hyp2f1_series(*F_HALF_PARAMS, x)) < 1e-13
+        deriv = (4.0 / 9.0) * hyp2f1_series(*F_HALF_DERIV_PARAMS, x)
+        assert rel_err(f_half_deriv(x), deriv) < 1e-13
+
+
+def test_f_half_near_singularity_against_40_digit_values():
+    for x, (value, deriv) in F_HALF_NEAR_ONE.items():
+        assert rel_err(f_half(x), value) <= 1e-15
+        assert rel_err(f_half_deriv(x), deriv) <= 1e-15
+    for x in (1.0, -0.1):
+        with pytest.raises(DomainError):
+            f_half(x)
+        with pytest.raises(DomainError):
+            f_half_deriv(x)
 
 
 def test_f_half_deriv_leading_coefficient():
@@ -179,9 +205,10 @@ def test_agm_rejects_nonpositive_input():
         agm(1.0, -2.0)
 
 
-def test_agm_nonconvergence_budget():
+def test_agm_nonconvergence_budget(monkeypatch):
+    monkeypatch.setattr(hypergeom, "AGM_MAX_ITERS", 1)
     with pytest.raises(NonConvergence):
-        agm(1.0, 1e-9, EvalConfig(max_iters=1))
+        agm(1.0, 1e-9)
 
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
@@ -220,19 +247,11 @@ def test_agm3_spot_value_against_series():
 @settings(max_examples=60, deadline=None)
 def test_agm3_inverts_the_cubic_kernel(s):
     lhs = 1.0 / agm3(1.0, s)
-    rhs = gauss_2f1_series(F3_PARAMS, 1.0 - s ** 3)
+    rhs = hyp2f1_series(*F3_PARAMS, 1.0 - s ** 3)
     assert rel_err(lhs, rhs) < 1e-12
 
 
-def test_agm3_nonconvergence_budget():
+def test_agm3_nonconvergence_budget(monkeypatch):
+    monkeypatch.setattr(hypergeom, "AGM_MAX_ITERS", 1)
     with pytest.raises(NonConvergence):
-        agm3(1.0, 0.01, EvalConfig(max_iters=1))
-
-
-def test_eval_config_validation():
-    with pytest.raises(DomainError):
-        EvalConfig(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        EvalConfig(max_terms=0)
-    with pytest.raises(DomainError):
-        EvalConfig(max_iters=0)
+        agm3(1.0, 0.01)
