@@ -1,7 +1,9 @@
-"""Command-line front end: evaluate kernels, dump periods, verify identities.
+"""Command-line front end: evaluate kernels, tabulate periods, profile
+delta, verify identities.
 
 Exit codes: 0 all requested checks passed, 1 a verification failed (or an
-I/O failure), 2 usage or domain errors.
+I/O failure, or the reference route could not reach its tolerance), 2
+usage or domain errors.
 """
 
 from __future__ import annotations
@@ -9,20 +11,38 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
+from itertools import product
+from operator import attrgetter
 from typing import IO, Sequence
 
-from .delta import DeltaContext, delta, half_periods_jacobi_route, half_periods_sig3
+from .delta import DeltaContext, delta, delta_phase, dn3, half_periods_sig3
 from .errors import ConfigError, DomainError, Sig3Error
 from .hypergeom import f2, f3, f_half
 from .moduli import modulus_from_kappa, p_from_s_c
-from .transfer import DEFAULT_TOL, VerificationReport, grid_report
+from .transfer import (
+    DEFAULT_TOL,
+    VerificationReport,
+    VerificationRow,
+    grid_points,
+    grid_report,
+    period_route_gap,
+    verify_ode_delta,
+)
 
 __all__ = ["main", "run", "emit_csv"]
 
-CSV_HEADER = (
-    "p,alpha,beta,lhs56,rhs56,relerr56,lhs57,rhs57,relerr57,"
-    "lhs58,rhs58,relerr58,pass56,pass57,pass58"
-)
+# CSV columns are the VerificationRow fields: the floats, then the verdicts.
+_NUMBER_COLUMNS = tuple(f.name for f in fields(VerificationRow) if f.type == "float")
+_VERDICT_COLUMNS = tuple(f.name for f in fields(VerificationRow) if f.type == "bool")
+CSV_HEADER = ",".join(_NUMBER_COLUMNS + _VERDICT_COLUMNS)
+_numbers = attrgetter(*_NUMBER_COLUMNS)
+_verdicts = attrgetter(*_VERDICT_COLUMNS)
+# Line endings by verdicts, e.g. (True, False, True) -> ",true,false,true\n".
+_LINE_ENDS = {
+    verdicts: "".join("," + str(v).lower() for v in verdicts) + "\n"
+    for verdicts in product((False, True), repeat=len(_VERDICT_COLUMNS))
+}
 
 EVAL_FUNCTIONS = {"f2": f2, "f3": f3, "fhalf": f_half}
 
@@ -35,16 +55,7 @@ def emit_csv(report: VerificationReport, sink: IO[str]) -> None:
         raise ConfigError("refusing to emit an empty report")
     sink.write(CSV_HEADER + "\n")
     for r in report.rows:
-        fields = [
-            repr(r.p), repr(r.alpha), repr(r.beta),
-            repr(r.lhs56), repr(r.rhs56), repr(r.relerr56),
-            repr(r.lhs57), repr(r.rhs57), repr(r.relerr57),
-            repr(r.lhs58), repr(r.rhs58), repr(r.relerr58),
-            "true" if r.pass56 else "false",
-            "true" if r.pass57 else "false",
-            "true" if r.pass58 else "false",
-        ]
-        sink.write(",".join(fields) + "\n")
+        sink.write(",".join(map(repr, _numbers(r))) + _LINE_ENDS[_verdicts(r)])
 
 
 def _parse_grid(text: str) -> tuple[float, float, float]:
@@ -85,26 +96,54 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_periods(args: argparse.Namespace) -> int:
-    mod = modulus_from_kappa(args.kappa)
-    sig = half_periods_sig3(mod)
-    third = mod.theta / 3.0
-    p = p_from_s_c(math.sin(third), math.cos(third))
-    jac = half_periods_jacobi_route(p)
-    gap_re = abs(sig.omega - jac.omega) / sig.omega
-    gap_im = abs(sig.omega_prime.imag - jac.omega_prime.imag) / sig.omega_prime.imag
-    print(f"kappa = {args.kappa!r}  (transfer parameter p = {p!r})")
-    print(f"omega    sig3={sig.omega!r} jacobi={jac.omega!r} relgap={gap_re:.3e}")
-    print(
-        f"-i*omega' sig3={sig.omega_prime.imag!r} "
-        f"jacobi={jac.omega_prime.imag!r} relgap={gap_im:.3e}"
-    )
+    # A single kappa is the one-point grid kappa:kappa:1.  Every kappa is
+    # checked before the table starts, so a bad grid prints no rows.
+    text = args.kappa if ":" in args.kappa else f"{args.kappa}:{args.kappa}:1"
+    mods = [modulus_from_kappa(kappa) for kappa in grid_points(*_parse_grid(text))]
+    print(f"{'kappa':>20} {'p':>22} {'omega':>18} {'-i omega_prime':>18} {'gap_re':>9} {'gap_im':>9}")
+    for mod in mods:
+        third = mod.theta / 3.0
+        p = p_from_s_c(math.sin(third), math.cos(third))
+        sig = half_periods_sig3(mod)
+        gap_re, gap_im = period_route_gap(p)
+        print(
+            f"{mod.kappa!r:>20} {p!r:>22} {sig.omega:18.15f} {sig.omega_prime.imag:18.15f} "
+            f"{gap_re:9.2e} {gap_im:9.2e}"
+        )
     return 0
 
 
 def _cmd_delta(args: argparse.Namespace) -> int:
     ctx = DeltaContext(modulus_from_kappa(args.kappa))
-    print(repr(delta(args.u, ctx)))
+    if args.u is not None:
+        print(repr(delta(args.u, ctx)))
+    else:
+        _print_profile(ctx, args.samples)
     return 0
+
+
+def _print_profile(ctx: DeltaContext, samples: int) -> None:
+    """delta on a uniform grid over [0, 2 omega], its gaps to the
+    integral-inversion route and to dn3, and the ODE residual."""
+    if samples < 2:
+        raise ConfigError(f"--samples must be at least 2, got {samples}")
+    mod = ctx.modulus
+    omega = ctx.omega
+    k2 = mod.kappa * mod.kappa
+    print(f"kappa = {mod.kappa}   omega = {omega!r}   period = {2 * omega!r}")
+    print(f"{'u':>10} {'delta(u)':>20} {'|delta - inv|':>14} {'|delta - dn3|':>14}")
+    interior = []
+    for i in range(samples):
+        u = 2.0 * omega * i / (samples - 1)
+        d = delta(u, ctx)
+        inv_gap = abs(1.0 / f_half(k2 * math.sin(delta_phase(u, ctx)) ** 2) - d)
+        # dn3 needs wp, which has poles at the lattice points 0 and 2 omega
+        near_pole = min(u, abs(2.0 * omega - u)) < 1e-6
+        dn3_gap = float("nan") if near_pole else abs(dn3(u, mod) - d)
+        if not near_pole:
+            interior.append(u)
+        print(f"{u:10.5f} {d:20.15f} {inv_gap:14.3e} {dn3_gap:14.3e}")
+    print(f"\nmax scaled ODE residual over the interior grid: {verify_ode_delta(ctx, interior):.3e}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,13 +165,15 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("x", type=float)
     evaluate.set_defaults(handler=_cmd_eval)
 
-    periods = sub.add_parser("periods", help="print both half-period routes at a modulus")
-    periods.add_argument("--kappa", type=float, required=True)
+    periods = sub.add_parser("periods", help="tabulate both half-period routes over kappa")
+    periods.add_argument("--kappa", required=True, help="kappa, or a grid start:stop:step")
     periods.set_defaults(handler=_cmd_periods)
 
-    dlt = sub.add_parser("delta", help="evaluate the delta function")
+    dlt = sub.add_parser("delta", help="evaluate or profile the delta function")
     dlt.add_argument("--kappa", type=float, required=True)
-    dlt.add_argument("--u", type=float, required=True)
+    at = dlt.add_mutually_exclusive_group(required=True)
+    at.add_argument("--u", type=float, help="print delta(u)")
+    at.add_argument("--samples", type=int, help="profile delta at this many points over one period")
     dlt.set_defaults(handler=_cmd_delta)
     return parser
 

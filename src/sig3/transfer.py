@@ -129,11 +129,7 @@ def verify_identity58(p: float, tol: float = DEFAULT_TOL) -> IdentityCheck:
     return IdentityCheck(row.lhs58, row.rhs58, row.relerr58, row.pass58)
 
 
-def verify_ode_delta(
-    kappa: float,
-    u_grid: Sequence[float],
-    ctx: DeltaContext | None = None,
-) -> float:
+def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> float:
     """Maximum scaled residual of 9 (delta')^2 = 4(1-delta)(delta^3+3delta^2-4lambda^2).
 
     delta' is evaluated analytically through the chain rule
@@ -141,10 +137,7 @@ def verify_ode_delta(
     differences would dominate the residual budget).  Residuals are scaled
     by 1 + delta^4.
     """
-    if ctx is None:
-        ctx = DeltaContext(modulus_from_kappa(kappa))
-    elif ctx.modulus.kappa != kappa:
-        raise ConfigError(f"context modulus {ctx.modulus.kappa} does not match kappa={kappa}")
+    kappa = ctx.modulus.kappa
     k2 = kappa * kappa
     lam2 = ctx.modulus.lam ** 2
     worst = 0.0

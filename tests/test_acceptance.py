@@ -93,7 +93,7 @@ def test_criterion_6_delta_construction():
     period_gap = abs(2.0 * delta_integral(0.5 * math.pi, ctx) - 2.0 * omega)
     ok = ok and period_gap <= 1e-10 * omega
     for kappa in KAPPAS:
-        ok = ok and verify_ode_delta(kappa, (0.2, 0.5, 0.9)) <= 1e-9
+        ok = ok and verify_ode_delta(DeltaContext(modulus_from_kappa(kappa)), (0.2, 0.5, 0.9)) <= 1e-9
     for u in (0.3, 0.7):
         ok = ok and abs(dn3(u, ctx.modulus) - delta(u, ctx)) <= 1e-8
     report(6, "delta initial value, period, ODE, dn3", ok)

@@ -1,15 +1,22 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from sig3.cli import CSV_HEADER, emit_csv, main
-from sig3.delta import DeltaContext, delta
+from sig3.cli import emit_csv, main
+from sig3.delta import DeltaContext, delta, half_periods_sig3
 from sig3.errors import ConfigError
 from sig3.hypergeom import f2
 from sig3.moduli import modulus_from_kappa
-from sig3.transfer import grid_report
+from sig3.transfer import grid_points, grid_report, period_route_gap
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+HEADER = (
+    "p,alpha,beta,lhs56,rhs56,relerr56,lhs57,rhs57,relerr57,"
+    "lhs58,rhs58,relerr58,pass56,pass57,pass58"
+)
 
 
 def run_verify(tmp_path, *extra):
@@ -25,7 +32,7 @@ def test_default_verify_run(tmp_path, capsys):
     lines = text.split("\n")
     assert lines[-1] == ""  # trailing newline, nothing after
     assert len(lines) == 21  # header + 19 rows + final empty split
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == HEADER
     summary = capsys.readouterr().out
     assert "identity56" in summary and "identity57" in summary and "identity58" in summary
 
@@ -118,7 +125,7 @@ def test_verify_without_out_streams_csv(capsys):
     code = main(["verify", "--grid", "0.5:0.5:0.1", "--quiet"])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == HEADER
     assert len(lines) == 2
 
 
@@ -146,16 +153,49 @@ def test_unknown_subcommand_exits_two(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def periods_table(capsys, kappa):
+    """Run ``sig3 periods --kappa kappa``; return its header and split rows."""
+    assert main(["periods", "--kappa", kappa]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["kappa", "p", "omega", "-i", "omega_prime", "gap_re", "gap_im"]
+    return [row.split() for row in rows]
+
+
 def test_periods_subcommand(capsys):
-    assert main(["periods", "--kappa", "0.6"]) == 0
-    out = capsys.readouterr().out
-    assert "omega" in out and "jacobi" in out
-    # both routes are printed with a tiny relative gap
-    assert "relgap" in out
+    [row] = periods_table(capsys, "0.6")
+    sig = half_periods_sig3(modulus_from_kappa(0.6))
+    assert row[0] == "0.6"
+    assert row[2:4] == [f"{sig.omega:.15f}", f"{sig.omega_prime.imag:.15f}"]
+    assert row[4:] == [f"{gap:.2e}" for gap in period_route_gap(float(row[1]))]
+
+
+def test_periods_grid_prints_the_route_gaps(capsys):
+    rows = periods_table(capsys, "0.1:0.9:0.1")
+    assert [row[0] for row in rows] == [repr(k) for k in grid_points(0.1, 0.9, 0.1)]
+    for row in rows:
+        gaps = period_route_gap(float(row[1]))
+        assert row[4:] == [f"{gap:.2e}" for gap in gaps]
+        assert max(gaps) <= 1e-10
+
+
+def test_periods_names_each_modulus_exactly(capsys):
+    # Three-decimal rounding printed the last two kappas as 0.999 and 1.000.
+    rows = periods_table(capsys, "0.9991:0.9999:0.0004")
+    kappas = grid_points(0.9991, 0.9999, 0.0004)
+    assert [float(row[0]) for row in rows] == kappas
+    assert len(set(row[1] for row in rows)) == 3
+    assert all(k < 1.0 for k in kappas)
 
 
 def test_periods_domain_error(capsys):
     assert main(["periods", "--kappa", "1.2"]) == 2
+
+
+@pytest.mark.parametrize("grid", ["0.1:0.9:0", "0.1:nan:0.1", "0.1:0.9", "0.5:1.0:0.5"])
+def test_periods_bad_grid_exits_two(capsys, grid):
+    assert main(["periods", "--kappa", grid]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
 
 
 def test_delta_subcommand(capsys):
@@ -171,10 +211,46 @@ def test_delta_subcommand_domain_error(capsys):
     assert main(["eval", "fhalf", "0.9999"]) == 0
 
 
+@pytest.mark.parametrize("args", [
+    ("--kappa", "0.6", "--samples", "1"),
+    ("--kappa", "0.6", "--samples", "0"),
+    ("--kappa", "1.5", "--samples", "3"),
+    ("--kappa", "0.6", "--u", "0.4", "--samples", "3"),
+    ("--kappa", "0.6"),
+])
+def test_delta_profile_bad_input_exits_two(capsys, args):
+    assert main(["delta", *args]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_delta_profile_runs(capsys):
+    assert main(["delta", "--kappa", "0.6", "--samples", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7  # title, column header, 3 rows, blank, residual
+    assert [float(line.split()[1]) for line in lines[2:5]] == pytest.approx([1.0, 0.8187637, 1.0])
+    assert lines[-1].startswith("max scaled ODE residual")
+
+
+def test_delta_profile_reports_the_reference_route_limit(capsys):
+    # Beyond kappa ~ 0.999 the integral inversion cannot reach its
+    # tolerance; the profile says so and exits 1.
+    assert main(["delta", "--kappa", "0.9999", "--samples", "3"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_import_loads_no_numpy():
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = f"import sys; sys.path.insert(0, {str(src)!r}); import sig3; assert 'numpy' not in sys.modules"
+    code = f"import sys; sys.path.insert(0, {str(SRC)!r}); import sig3; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_module_entry_point_runs():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-m", "sig3", "periods", "--kappa", "0.6"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[1].split()[0] == "0.6"
 
 
 def test_emit_csv_refuses_empty_report():

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from sig3.cli import emit_csv
+from sig3.delta import DeltaContext
 from sig3.errors import ConfigError
+from sig3.moduli import modulus_from_kappa
 from sig3.transfer import (
     MAX_GRID_POINTS,
     grid_points,
@@ -105,19 +107,11 @@ def test_identity58_error_is_dominated_by_56_and_57():
 
 def test_delta_ode_residual_at_sample_points():
     for kappa in (0.3, 0.6, 0.9):
-        assert verify_ode_delta(kappa, (0.2, 0.5, 0.9)) <= 1e-9
+        assert verify_ode_delta(DeltaContext(modulus_from_kappa(kappa)), (0.2, 0.5, 0.9)) <= 1e-9
 
 
 def test_delta_ode_residual_vanishes_at_zero():
-    assert verify_ode_delta(0.6, (0.0,)) < 1e-14
-
-
-def test_delta_ode_context_mismatch():
-    from sig3.delta import DeltaContext
-    from sig3.moduli import modulus_from_kappa
-
-    with pytest.raises(ConfigError):
-        verify_ode_delta(0.6, (0.2,), ctx=DeltaContext(modulus_from_kappa(0.5)))
+    assert verify_ode_delta(DeltaContext(modulus_from_kappa(0.6)), (0.0,)) < 1e-14
 
 
 # ---------------------------------------------- trimidiation ----
