@@ -28,7 +28,6 @@ from .weierstrass import (
     sn,
     wp,
     wp_and_derivative,
-    wp_via_sn,
 )
 from .moduli import (
     ModulusSet,

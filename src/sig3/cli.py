@@ -3,23 +3,27 @@ delta, verify identities.
 
 Exit codes: 0 all requested checks passed, 1 a verification failed (or an
 I/O failure, or the reference route could not reach its tolerance), 2
-usage or domain errors.
+usage or domain errors.  A reader that closes standard output early (as in
+``sig3 verify | head -1``) is not a failure: the output stops without a
+message and the exit code is the verdict, which each handler computes
+before it returns the function that writes its output.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import fields
 from itertools import product
 from operator import attrgetter
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 from .delta import DeltaContext, delta, delta_phase, dn3, half_periods_sig3
 from .errors import ConfigError, DomainError, Sig3Error
 from .hypergeom import f2, f3, f_half
-from .moduli import modulus_from_kappa, p_from_s_c
+from .moduli import ModulusSet, modulus_from_kappa, p_from_s_c
 from .transfer import (
     DEFAULT_TOL,
     VerificationReport,
@@ -27,7 +31,7 @@ from .transfer import (
     grid_points,
     grid_report,
     period_route_gap,
-    verify_ode_delta,
+    _ode_residual,
 )
 
 __all__ = ["main", "run", "emit_csv"]
@@ -69,37 +73,41 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     return start, stop, step
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
     start, stop, step = _parse_grid(args.grid)
     report = grid_report(start, stop, step, tol=args.tol)
-    if not args.quiet:
-        for label in ("56", "57", "58"):
-            verdict = "pass" if all(
-                getattr(r, f"pass{label}") for r in report.rows
-            ) else "FAIL"
-            print(
-                f"identity{label}: max relerr {report.max_relerr[label]:.3e} "
-                f"(tol {report.tol:.1e}) {verdict}"
-            )
-        print(f"{len(report.rows)} grid points: {'all pass' if report.all_pass else 'FAILURES'}")
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as sink:
-            emit_csv(report, sink)
-    else:
-        emit_csv(report, sys.stdout)
-    return 0 if report.all_pass else 1
+
+    def write() -> None:
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8", newline="") as sink:
+                emit_csv(report, sink)
+        if not args.quiet:
+            for label in ("56", "57", "58"):
+                verdict = "pass" if all(getattr(r, f"pass{label}") for r in report.rows) else "FAIL"
+                print(
+                    f"identity{label}: max relerr {report.max_relerr[label]:.3e} "
+                    f"(tol {report.tol:.1e}) {verdict}"
+                )
+            print(f"{len(report.rows)} grid points: {'all pass' if report.all_pass else 'FAILURES'}")
+        if args.out is None:
+            emit_csv(report, sys.stdout)
+
+    return (0 if report.all_pass else 1), write
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    print(repr(EVAL_FUNCTIONS[args.fn](args.x)))
-    return 0
+def _cmd_eval(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
+    return 0, lambda: print(repr(EVAL_FUNCTIONS[args.fn](args.x)))
 
 
-def _cmd_periods(args: argparse.Namespace) -> int:
+def _cmd_periods(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
     # A single kappa is the one-point grid kappa:kappa:1.  Every kappa is
     # checked before the table starts, so a bad grid prints no rows.
     text = args.kappa if ":" in args.kappa else f"{args.kappa}:{args.kappa}:1"
     mods = [modulus_from_kappa(kappa) for kappa in grid_points(*_parse_grid(text))]
+    return 0, lambda: _print_periods(mods)
+
+
+def _print_periods(mods: list[ModulusSet]) -> None:
     print(f"{'kappa':>20} {'p':>22} {'omega':>18} {'-i omega_prime':>18} {'gap_re':>9} {'gap_im':>9}")
     for mod in mods:
         third = mod.theta / 3.0
@@ -110,40 +118,39 @@ def _cmd_periods(args: argparse.Namespace) -> int:
             f"{mod.kappa!r:>20} {p!r:>22} {sig.omega:18.15f} {sig.omega_prime.imag:18.15f} "
             f"{gap_re:9.2e} {gap_im:9.2e}"
         )
-    return 0
 
 
-def _cmd_delta(args: argparse.Namespace) -> int:
+def _cmd_delta(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
     ctx = DeltaContext(modulus_from_kappa(args.kappa))
     if args.u is not None:
-        print(repr(delta(args.u, ctx)))
-    else:
-        _print_profile(ctx, args.samples)
-    return 0
+        return 0, lambda: print(repr(delta(args.u, ctx)))
+    if args.samples < 2:
+        raise ConfigError(f"--samples must be at least 2, got {args.samples}")
+    return 0, lambda: _print_profile(ctx, args.samples)
 
 
 def _print_profile(ctx: DeltaContext, samples: int) -> None:
     """delta on a uniform grid over [0, 2 omega], its gaps to the
-    integral-inversion route and to dn3, and the ODE residual."""
-    if samples < 2:
-        raise ConfigError(f"--samples must be at least 2, got {samples}")
+    integral-inversion route and to dn3, and the ODE residual; one
+    inversion of the arc integral per point serves both references."""
     mod = ctx.modulus
     omega = ctx.omega
     k2 = mod.kappa * mod.kappa
     print(f"kappa = {mod.kappa}   omega = {omega!r}   period = {2 * omega!r}")
     print(f"{'u':>10} {'delta(u)':>20} {'|delta - inv|':>14} {'|delta - dn3|':>14}")
-    interior = []
+    worst = 0.0
     for i in range(samples):
         u = 2.0 * omega * i / (samples - 1)
         d = delta(u, ctx)
-        inv_gap = abs(1.0 / f_half(k2 * math.sin(delta_phase(u, ctx)) ** 2) - d)
+        T = delta_phase(u, ctx)
+        inv_gap = abs(1.0 / f_half(k2 * math.sin(T) ** 2) - d)
         # dn3 needs wp, which has poles at the lattice points 0 and 2 omega
         near_pole = min(u, abs(2.0 * omega - u)) < 1e-6
         dn3_gap = float("nan") if near_pole else abs(dn3(u, mod) - d)
         if not near_pole:
-            interior.append(u)
+            worst = max(worst, _ode_residual(T, ctx))
         print(f"{u:10.5f} {d:20.15f} {inv_gap:14.3e} {dn3_gap:14.3e}")
-    print(f"\nmax scaled ODE residual over the interior grid: {verify_ode_delta(ctx, interior):.3e}")
+    print(f"\nmax scaled ODE residual over the interior grid: {worst:.3e}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -185,7 +192,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code) if exc.code else 0
     try:
-        return args.handler(args)
+        code, write = args.handler(args)
+        try:
+            write()
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped.  Later writes, and the flush at shutdown,
+            # go to the null device instead of raising again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return code
     except (DomainError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

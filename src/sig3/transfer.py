@@ -137,20 +137,23 @@ def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> float:
     differences would dominate the residual budget).  Residuals are scaled
     by 1 + delta^4.
     """
-    kappa = ctx.modulus.kappa
-    k2 = kappa * kappa
-    lam2 = ctx.modulus.lam ** 2
     worst = 0.0
     for u in u_grid:
-        T = delta_phase(u, ctx)
-        x = k2 * math.sin(T) ** 2
-        f = f_half(x)
-        d = 1.0 / f
-        d_prime = -d * f_half_deriv(x) * k2 * math.sin(2.0 * T) / (f * f)
-        lhs = 9.0 * d_prime * d_prime
-        rhs = 4.0 * (1.0 - d) * (d * d * (d + 3.0) - 4.0 * lam2)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + d ** 4))
+        worst = max(worst, _ode_residual(delta_phase(u, ctx), ctx))
     return worst
+
+
+def _ode_residual(T: float, ctx: DeltaContext) -> float:
+    """The scaled residual of ``verify_ode_delta`` at the phase T = T(u)."""
+    kappa = ctx.modulus.kappa
+    k2 = kappa * kappa
+    x = k2 * math.sin(T) ** 2
+    f = f_half(x)
+    d = 1.0 / f
+    d_prime = -d * f_half_deriv(x) * k2 * math.sin(2.0 * T) / (f * f)
+    lhs = 9.0 * d_prime * d_prime
+    rhs = 4.0 * (1.0 - d) * (d * d * (d + 3.0) - 4.0 * ctx.modulus.lam ** 2)
+    return abs(lhs - rhs) / (1.0 + d ** 4)
 
 
 def verify_trimidiation(kappa: float, z_samples: Sequence[complex]) -> float:

@@ -2,14 +2,16 @@
 
 Nothing here touches the package's own evaluation paths: the series oracles
 run in exact rational and in compensated float arithmetic, the AGM oracle in
-50-digit decimal, and the sn oracle integrates the Jacobi differential
-system directly.
+50-digit decimal, the sn oracle integrates the Jacobi differential system
+directly, and the wp oracle sums the Laurent series of the invariants and
+doubles its way back out.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from functools import lru_cache
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -105,3 +107,73 @@ def richardson_diff(f, x: float, h: float = 1e-6) -> float:
 
 def rel_err(value: float, reference: float) -> float:
     return abs(value - reference) / abs(reference)
+
+
+# Laurent truncation of the reference wp: 20 coefficients c_2 .. c_21, and
+# the tail target that sets the radius of the disc the argument is halved
+# into.  Duplication roughly squares error, so a longer series buys a larger
+# disc, i.e. fewer error-amplifying halvings.
+LAURENT_COEFFS = 20
+LAURENT_TAIL_TARGET = 1e-18
+WP_MAX_HALVINGS = 64  # |z| up to 2^64 r0 reduces into the Laurent disc
+
+
+@lru_cache(maxsize=64)
+def _laurent(g2: float, g3: float) -> tuple[tuple[float, ...], float]:
+    """Laurent coefficients c_2..c_N and the reduction radius for (g2, g3).
+
+    c_2 = g2/20, c_3 = g3/28, and for k >= 4 the standard recurrence
+    c_k = 3 sum_{m=2}^{k-2} c_m c_{k-m} / ((2k+1)(k-3)).  The radius r0 is
+    the largest r with |c_N| r^(2N) <= tail target, capped at half the
+    convergence-radius estimate |c_N|^(-1/(2N)).
+    """
+    n_last = LAURENT_COEFFS + 1  # coefficients are indexed c_2 .. c_{n_last}
+    c = [0.0] * (n_last + 1)
+    c[2] = g2 / 20.0
+    c[3] = g3 / 28.0
+    for k in range(4, n_last + 1):
+        acc = 0.0
+        for m in range(2, k - 1):
+            acc += c[m] * c[k - m]
+        c[k] = 3.0 * acc / ((2 * k + 1) * (k - 3))
+    tail = max(abs(c[n_last]), abs(c[n_last - 1]), 1e-300)
+    rho_half = 0.5 * tail ** (-1.0 / (2 * n_last))
+    r0 = min(rho_half, (LAURENT_TAIL_TARGET / tail) ** (1.0 / (2 * n_last)))
+    return tuple(c), r0
+
+
+def wp_duplication(z: complex, g2: float, g3: float) -> tuple[complex, complex]:
+    """Weierstrass wp and wp' from the invariants alone, with no lattice.
+
+    The argument is halved into the Laurent disc, the series is summed, and
+    the pair is pushed back up through the duplication formula
+
+        wp(2z) = -2 wp + ((6 wp^2 - g2/2) / (2 wp'))^2,
+
+    with wp' propagated by the differentiated formula.  ~1e-13 relative
+    within a cell of the origin, less on nearly degenerate lattices and far
+    out, where duplication amplifies the error.  Raises ZeroDivisionError at
+    the origin or when a halving lands on a half period, and
+    ArithmeticError once WP_MAX_HALVINGS runs out.
+    """
+    w = complex(z)
+    coeffs, r0 = _laurent(g2, g3)
+    halvings = 0
+    while abs(w) > r0:
+        w *= 0.5
+        halvings += 1
+        if halvings > WP_MAX_HALVINGS:
+            raise ArithmeticError(f"argument reduction for wp({z}) exceeded budget")
+    w2 = w * w
+    p = 1.0 / w2
+    dp = -2.0 / (w2 * w)
+    wpow = 1.0 + 0.0j
+    for k in range(2, len(coeffs)):
+        wpow *= w2  # w^(2k-2)
+        p += coeffs[k] * wpow
+        dp += (2 * k - 2) * coeffs[k] * wpow / w
+    for _ in range(halvings):
+        b = 6.0 * p * p - 0.5 * g2  # = wp''
+        a = b / (2.0 * dp)
+        p, dp = -2.0 * p + a * a, -dp + a * (6.0 * p - b * b / (2.0 * dp * dp))
+    return p, dp

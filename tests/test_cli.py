@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
+import sig3.cli
+import sig3.transfer
 from sig3.cli import emit_csv, main
 from sig3.delta import DeltaContext, delta, half_periods_sig3
 from sig3.errors import ConfigError
 from sig3.hypergeom import f2
 from sig3.moduli import modulus_from_kappa
-from sig3.transfer import grid_points, grid_report, period_route_gap
+from sig3.transfer import grid_points, grid_report, period_route_gap, verify_ode_delta
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEADER = (
@@ -236,6 +238,48 @@ def test_delta_profile_reports_the_reference_route_limit(capsys):
     # tolerance; the profile says so and exits 1.
     assert main(["delta", "--kappa", "0.9999", "--samples", "3"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_delta_profile_inverts_once_per_point(capsys, monkeypatch):
+    # One arc-integral inversion per row serves both the |delta - inv|
+    # column and the ODE residual.
+    calls = []
+    counted = sig3.cli.delta_phase
+
+    def counting(u, ctx):
+        calls.append(u)
+        return counted(u, ctx)
+
+    monkeypatch.setattr(sig3.cli, "delta_phase", counting)
+    monkeypatch.setattr(sig3.transfer, "delta_phase", counting)
+    assert main(["delta", "--kappa", "0.6", "--samples", "17"]) == 0
+    assert len(calls) == 17
+    monkeypatch.undo()
+    ctx = DeltaContext(modulus_from_kappa(0.6))
+    worst = verify_ode_delta(ctx, [2.0 * ctx.omega * i / 16 for i in range(1, 16)])
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"max scaled ODE residual over the interior grid: {worst:.3e}"
+
+
+@pytest.mark.parametrize("extra, verdict", [([], 0), (["--tol", "1e-300"], 1)])
+def test_closed_pipe_exits_with_the_verdict(extra, verdict):
+    # The 999-row CSV overflows the pipe buffer, so the writer is still
+    # writing when the reader goes away.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sig3", "verify", "--grid", "0.001:0.999:0.001", *extra],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert first.startswith(b"identity56")
+    assert code == verdict
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_import_loads_no_numpy():

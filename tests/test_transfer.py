@@ -7,7 +7,7 @@ import pytest
 from sig3.cli import emit_csv
 from sig3.delta import DeltaContext
 from sig3.errors import ConfigError
-from sig3.moduli import modulus_from_kappa
+from sig3.moduli import modulus_from_kappa, trimidiation
 from sig3.transfer import (
     MAX_GRID_POINTS,
     grid_points,
@@ -18,6 +18,11 @@ from sig3.transfer import (
     verify_identity58,
     verify_ode_delta,
     verify_trimidiation,
+)
+from sig3.weierstrass import (
+    WeierstrassInvariants,
+    half_periods_from_midpoints,
+    midpoints_from_invariants,
 )
 from oracles import HALF, ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err
 
@@ -120,6 +125,18 @@ def test_delta_ode_residual_vanishes_at_zero():
 @pytest.mark.parametrize("kappa", [0.4, 0.7, 1.0 / math.sqrt(2.0)])
 def test_trimidiation_identity(kappa):
     assert verify_trimidiation(kappa, TRIMID_SAMPLES) <= 1e-8
+
+
+@pytest.mark.parametrize("kappa", [0.4, 0.7, 0.9])
+def test_trimidiation_identity_cells_out(kappa):
+    # Both sides reduce their arguments onto their own lattices: the left
+    # on the (h2, h3) lattice, whose periods come only from its invariants.
+    tri = trimidiation(modulus_from_kappa(kappa))
+    periods = half_periods_from_midpoints(
+        midpoints_from_invariants(WeierstrassInvariants(tri.h2, tri.h3))
+    )
+    shift = 2.0 * (7.0 * periods.omega + 5.0 * periods.omega_prime)
+    assert verify_trimidiation(kappa, [z + shift for z in TRIMID_SAMPLES]) <= 1e-10
 
 
 def test_trimidiation_is_even_in_z():

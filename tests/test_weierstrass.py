@@ -3,7 +3,7 @@ import random
 from decimal import Decimal, getcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sig3.errors import DegenerateLattice, DomainError, PoleError
@@ -18,9 +18,8 @@ from sig3.weierstrass import (
     sn,
     wp,
     wp_and_derivative,
-    wp_via_sn,
 )
-from oracles import agm_decimal, hyp2f1_series, jacobi_sn_ode, rel_err
+from oracles import agm_decimal, hyp2f1_series, jacobi_sn_ode, rel_err, wp_duplication
 
 # sn(0.5, 0.3) frozen from the RK4 integration of the Jacobi system.
 SN_HALF_03 = 0.4778610525427159
@@ -240,26 +239,122 @@ def test_midpoints_from_invariants_rejects_negative_discriminant():
 # ------------------------------------------------------- bridge ----
 
 
-def test_wp_via_sn_at_real_half_period(config06):
-    _, _, mids, periods = config06
-    assert rel_err(wp_via_sn(periods.omega, mids), mids.e1) < 1e-12
-
-
-def test_wp_via_sn_agrees_with_wp(config06):
+def test_wp_at_real_half_period(config06):
     _, inv, mids, periods = config06
-    assert rel_err(wp_via_sn(0.7, mids), wp(0.7, inv).real) < 1e-9
+    assert rel_err(wp(periods.omega, inv).real, mids.e1) < 1e-12
+
+
+def test_wp_agrees_with_the_duplication_reference(config06):
+    # The Laurent-plus-duplication route shares nothing with the Jacobi
+    # bridge but the invariants; in the centred cell it holds ~1e-12.
+    _, inv, _, periods = config06
+    om, omp = periods.omega, periods.omega_prime.imag
     for frac in (0.2, 0.5, 0.9, 1.3, 1.8):
-        z = frac * periods.omega
-        assert rel_err(wp_via_sn(z, mids), wp(z, inv).real) < 1e-9
+        z = frac * om
+        assert rel_err(wp(z, inv).real, wp_duplication(z, inv.g2, inv.g3)[0].real) < 1e-11
+    for a in (-0.9, -0.4, 0.3, 0.8):
+        for b in (-0.95, -0.3, 0.1, 0.6, 1.0):
+            z = complex(a * om, b * omp)
+            value, deriv = wp_and_derivative(z, inv)
+            ref_value, ref_deriv = wp_duplication(z, inv.g2, inv.g3)
+            assert abs(value - ref_value) <= 1e-11 * abs(ref_value)
+            assert abs(deriv - ref_deriv) <= 1e-10 * abs(ref_deriv)
 
 
-def test_wp_via_sn_blows_up_at_the_origin(config06):
-    _, _, mids, _ = config06
-    values = [wp_via_sn(z, mids) for z in (0.2, 0.1, 0.05, 0.02)]
+def test_wp_blows_up_at_the_origin(config06):
+    _, inv, _, _ = config06
+    values = [wp(z, inv).real for z in (0.2, 0.1, 0.05, 0.02)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_wp_via_sn_pole_at_full_period(config06):
-    _, _, mids, periods = config06
+def test_wp_pole_at_full_period(config06):
+    _, inv, _, periods = config06
     with pytest.raises(PoleError):
-        wp_via_sn(2.0 * periods.omega, mids)
+        wp(2.0 * periods.omega, inv)
+
+
+# ------------------------------------------------- far cells ----
+
+
+@pytest.mark.parametrize("kappa", [0.6, 0.9, 0.99])
+@given(
+    a=st.floats(min_value=-1.0, max_value=1.0),
+    b=st.floats(min_value=-1.0, max_value=1.0),
+    m=st.integers(min_value=-1000, max_value=1000),
+    n=st.integers(min_value=-1000, max_value=1000),
+)
+@settings(max_examples=60, deadline=None)
+def test_wp_is_periodic_out_to_a_thousand_cells(kappa, a, b, m, n):
+    # Scaled by max(1, |wp|): next to a zero of wp, rounding the shifted
+    # argument alone moves wp by |wp'| ulp(z), a few 1e-13 this far out.
+    inv = invariants(modulus_from_kappa(kappa))
+    periods = half_periods_from_midpoints(midpoints_from_invariants(inv))
+    z = complex(a * periods.omega, b * periods.omega_prime.imag)
+    assume(abs(z) >= 0.05 * periods.omega)
+    near = wp(z, inv)
+    far = wp(z + 2 * m * periods.omega + 2 * n * periods.omega_prime, inv)
+    assert abs(far - near) <= 1e-9 * max(1.0, abs(near))
+
+
+def test_wp_pole_guard_at_a_far_lattice_point(config06):
+    _, inv, _, periods = config06
+    lattice_point = 2 * 700 * periods.omega - 2 * 300 * periods.omega_prime
+    with pytest.raises(PoleError):
+        wp(lattice_point + 5e-9, inv)
+    assert abs(wp(lattice_point + 0.3, inv) - wp(0.3, inv)) <= 1e-9 * abs(wp(0.3, inv))
+
+
+@pytest.mark.parametrize("z", [math.nan, complex(0.3, math.nan), math.inf, complex(0.1, -math.inf),
+                               1e300, complex(0.2, 1e300), 1e8])
+def test_wp_rejects_unreducible_arguments(config06, z):
+    _, inv, _, _ = config06
+    with pytest.raises(DomainError):
+        wp_and_derivative(z, inv)
+
+
+def test_wp_refuses_non_rectangular_lattices():
+    with pytest.raises(DegenerateLattice):
+        wp(0.3 + 0.1j, WeierstrassInvariants(1.0, 1.0))
+
+
+# ----------------------------------------- 40-digit reference ----
+
+
+def _mpmath_bridge(inv, mpmath):
+    """wp and wp' as functions of z, from the Jacobi bridge in 40 digits on
+    the exact roots of 4t^3 - g2 t - g3 for the float (g2, g3)."""
+    g2, g3 = mpmath.mpf(inv.g2), mpmath.mpf(inv.g3)
+    roots = mpmath.polyroots([4, 0, -g2, -g3], maxsteps=200, extraprec=200)
+    e1, e2, e3 = sorted((mpmath.re(t) for t in roots), reverse=True)
+    m = (e2 - e3) / (e1 - e3)
+    r = mpmath.sqrt(e1 - e3)
+
+    def wp_and_deriv(z):
+        u = mpmath.mpc(z.real, z.imag) * r
+        sn, cn, dn = (mpmath.ellipfun(kind, u, m=m) for kind in ("sn", "cn", "dn"))
+        return e3 + (e1 - e3) / sn ** 2, -2 * (e1 - e3) * r * cn * dn / sn ** 3
+
+    return wp_and_deriv
+
+
+@pytest.mark.parametrize("kappa, bound", [
+    (0.05, 1e-12), (0.3, 1e-14), (0.6, 1e-14), (0.9, 1e-14), (0.95, 1e-14), (0.99, 1e-14),
+])
+def test_wp_against_40_digit_jacobi_values(kappa, bound):
+    # At kappa = 0.05 e2 - e3 is 1.4e-5 of e1 - e3, and the trigonometric
+    # cubic solve leaves 6.2e-13 in e2 and e3 (wp is within 1.6e-15 of the
+    # bridge on those float midpoints).  The bound is relative
+    # to the condition number |z wp'/wp| where it exceeds 1: near a zero
+    # of wp, rounding z sqrt(e1 - e3) alone costs that many ulps.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    inv = invariants(modulus_from_kappa(kappa))
+    periods = half_periods_from_midpoints(midpoints_from_invariants(inv))
+    reference = _mpmath_bridge(inv, mpmath)
+    for a in (-1.0, -0.55, -0.1, 0.35, 0.8):
+        for b in (-1.0, -0.7, -0.25, 0.2, 0.65, 0.95):
+            z = complex(a * periods.omega, b * periods.omega_prime.imag)
+            ref_value, ref_deriv = reference(z)
+            condition = float(abs(mpmath.mpc(z) * ref_deriv / ref_value))
+            err = float(abs(wp(z, inv) - ref_value) / abs(ref_value))
+            assert err <= bound * max(1.0, condition), (z, err, condition)
