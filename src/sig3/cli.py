@@ -15,9 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
 from itertools import product
-from operator import attrgetter
 from typing import IO, Callable, Sequence
 
 from .delta import DeltaContext, delta, delta_phase, dn3, half_periods_sig3
@@ -36,16 +34,14 @@ from .transfer import (
 
 __all__ = ["main", "run", "emit_csv"]
 
-# CSV columns are the VerificationRow fields: the floats, then the verdicts.
-_NUMBER_COLUMNS = tuple(f.name for f in fields(VerificationRow) if f.type == "float")
-_VERDICT_COLUMNS = tuple(f.name for f in fields(VerificationRow) if f.type == "bool")
-CSV_HEADER = ",".join(_NUMBER_COLUMNS + _VERDICT_COLUMNS)
-_numbers = attrgetter(*_NUMBER_COLUMNS)
-_verdicts = attrgetter(*_VERDICT_COLUMNS)
+# CSV columns are the VerificationRow fields: the floats, then from pass56
+# on the verdicts.
+CSV_HEADER = ",".join(VerificationRow._fields)
+_FIRST_VERDICT = VerificationRow._fields.index("pass56")
 # Line endings by verdicts, e.g. (True, False, True) -> ",true,false,true\n".
 _LINE_ENDS = {
     verdicts: "".join("," + str(v).lower() for v in verdicts) + "\n"
-    for verdicts in product((False, True), repeat=len(_VERDICT_COLUMNS))
+    for verdicts in product((False, True), repeat=len(VerificationRow._fields) - _FIRST_VERDICT)
 }
 
 EVAL_FUNCTIONS = {"f2": f2, "f3": f3, "fhalf": f_half}
@@ -59,7 +55,7 @@ def emit_csv(report: VerificationReport, sink: IO[str]) -> None:
         raise ConfigError("refusing to emit an empty report")
     sink.write(CSV_HEADER + "\n")
     for r in report.rows:
-        sink.write(",".join(map(repr, _numbers(r))) + _LINE_ENDS[_verdicts(r)])
+        sink.write(",".join(map(repr, r[:_FIRST_VERDICT])) + _LINE_ENDS[r[_FIRST_VERDICT:]])
 
 
 def _parse_grid(text: str) -> tuple[float, float, float]:

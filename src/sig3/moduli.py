@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .weierstrass import MidpointTriple, WeierstrassInvariants
@@ -69,9 +70,9 @@ class ModulusSet:
         return modulus_from_kappa(self.lam)
 
 
-@dataclass(frozen=True)
-class TransferParams:
-    """The parameter p with every derived transfer quantity.
+class TransferParams(NamedTuple):
+    """The parameter p with every derived transfer quantity, as a named
+    tuple: it unpacks, indexes and compares equal to a plain tuple.
 
     X is the quartic 8s^4 - 12s^2 + 3, s3c the product s^3 c, r2 the
     midpoint spread e1 - e3, and k2 the squared Jacobi modulus; alpha = k2
@@ -97,11 +98,10 @@ class TransferParams:
 class TrimidiationData:
     """Invariants (h2, h3) after dividing the imaginary period by three.
 
-    b is the Weierstrass value at two thirds of the imaginary half-period;
-    it equals -1/3 identically in the modulus.
+    ``trimidiation`` derives them through b = -1/3, the Weierstrass value
+    at two thirds of the imaginary half-period for every modulus.
     """
 
-    b: float
     h2: float
     h3: float
 
@@ -161,8 +161,7 @@ def params_from_p(p: float) -> TransferParams:
             f"transfer parametrization routes disagree at p={p}: gaps for alpha, beta, "
             f"1 - alpha, 1 - beta are {gaps}"
         )
-    return TransferParams(p=p, s=s, c=c, X=X, s3c=s3c, alpha=alpha, beta=beta,
-                          alpha_comp=alpha_comp, beta_comp=beta_comp, r2=r2, k2=k2)
+    return TransferParams(p, s, c, X, s3c, alpha, beta, alpha_comp, beta_comp, r2, k2)
 
 
 def p_from_s_c(s: float, c: float) -> float:
@@ -249,4 +248,4 @@ def trimidiation(mod: ModulusSet) -> TrimidiationData:
             f"trimidiation routes disagree at kappa={mod.kappa}: "
             f"({h2}, {h3}) vs ({h2_b}, {h3_b})"
         )
-    return TrimidiationData(b=b, h2=h2, h3=h3)
+    return TrimidiationData(h2=h2, h3=h3)

@@ -232,9 +232,12 @@ def _sncndn(u: float, ladder: tuple[tuple[tuple[float, float], ...], float]) -> 
 def sn(u: float, k: float) -> float:
     """Jacobi sn(u, k) for real u and modulus 0 < k < 1, by the descending
     Landen transformation on the cached ladder of k.  Periodicity
-    sn(u + 4K) = sn(u) is inherited exactly from the sine."""
+    sn(u + 4K) = sn(u) is inherited exactly from the sine.  A u that is not
+    finite raises DomainError."""
     if not 0.0 < k < 1.0:
         raise DomainError(f"modulus must lie in (0, 1), got {k}")
+    if not math.isfinite(u):
+        raise DomainError(f"argument must be finite, got {u}")
     return _sncndn(u, _landen((1.0 - k) * (1.0 + k)))[0]
 
 

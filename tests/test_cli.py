@@ -7,12 +7,12 @@ import pytest
 
 import sig3.cli
 import sig3.transfer
-from sig3.cli import emit_csv, main
+from sig3.cli import CSV_HEADER, emit_csv, main
 from sig3.delta import DeltaContext, delta, half_periods_sig3
 from sig3.errors import ConfigError
 from sig3.hypergeom import f2
 from sig3.moduli import modulus_from_kappa
-from sig3.transfer import grid_points, grid_report, period_route_gap, verify_ode_delta
+from sig3.transfer import VerificationRow, grid_points, grid_report, period_route_gap, verify_ode_delta
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEADER = (
@@ -295,6 +295,10 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split("\n")[1].split()[0] == "0.6"
+
+
+def test_csv_header_is_the_row_fields():
+    assert CSV_HEADER == ",".join(VerificationRow._fields) == HEADER
 
 
 def test_emit_csv_refuses_empty_report():

@@ -14,6 +14,7 @@ from sig3.moduli import (
     params_from_p,
     trimidiation,
 )
+from sig3.weierstrass import half_periods_from_midpoints, midpoints_from_invariants, wp
 from oracles import rel_err
 
 SQRT3 = math.sqrt(3.0)
@@ -226,8 +227,14 @@ def test_midpoint_spread_matches_parametrization(p):
 # ---------------------------------------------------- trimidiation ----
 
 
-def test_trimidiation_b_is_exact():
-    assert trimidiation(modulus_from_kappa(0.35)).b == -1.0 / 3.0
+# b = -1/3, on which the trimidiation route rests, is the Weierstrass value
+# at two thirds of the imaginary half-period.  kappa = 0.1 is left out: there
+# the trigonometric cubic solve of the midpoints alone costs ~3e-12.
+@pytest.mark.parametrize("kappa", [0.35, 0.6, 0.9, 0.99])
+def test_wp_at_two_thirds_of_the_imaginary_half_period_is_minus_a_third(kappa):
+    inv = invariants(modulus_from_kappa(kappa))
+    omega_prime = half_periods_from_midpoints(midpoints_from_invariants(inv)).omega_prime
+    assert abs(wp(2.0 * omega_prime / 3.0, inv) + 1.0 / 3.0) <= 1e-13
 
 
 def test_trimidiation_closed_forms():

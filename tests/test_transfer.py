@@ -1,13 +1,15 @@
 import io
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import sig3.transfer
 from sig3.cli import emit_csv
 from sig3.delta import DeltaContext
 from sig3.errors import ConfigError
-from sig3.moduli import modulus_from_kappa, trimidiation
+from sig3.moduli import modulus_from_kappa, params_from_p, trimidiation
 from sig3.transfer import (
     MAX_GRID_POINTS,
     grid_points,
@@ -230,6 +232,39 @@ def test_grid_report_holds_to_roundoff_on_the_fine_grid():
 def test_grid_report_sabotaged_tolerance_fails():
     report = grid_report(0.3, 0.7, 0.2, tol=1e-300)
     assert not report.all_pass
+
+
+def test_grid_report_computes_each_kernel_value_once_per_point(monkeypatch):
+    # transfer binds the kernels by name, so the counters go on its names.
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in ("params_from_p", "f2_complement", "f3_complement"):
+        monkeypatch.setattr(sig3.transfer, name, counting(name, getattr(sig3.transfer, name)))
+    grid_report(0.001, 0.999, 0.001)
+    assert calls == {"params_from_p": 999, "f2_complement": 1998, "f3_complement": 1998}
+
+
+@pytest.mark.parametrize("p", [0.001, 0.5, 0.999])
+def test_identity_checks_are_cut_from_the_grid_row(p):
+    row = grid_report(p, p, 1.0).rows[0]
+    assert verify_identity56(p) == row[3:6] + row[12:13]
+    assert verify_identity57(p) == row[6:9] + row[13:14]
+    assert verify_identity58(p) == row[9:12] + row[14:15]
+
+
+def test_rows_and_params_are_immutable():
+    row = grid_report(0.5, 0.5, 1.0).rows[0]
+    with pytest.raises(AttributeError):
+        row.lhs56 = 0.0
+    params = params_from_p(0.5)
+    with pytest.raises(AttributeError):
+        params.alpha = 0.0
 
 
 def test_report_is_deterministic():

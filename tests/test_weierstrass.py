@@ -145,6 +145,13 @@ def test_sn_rejects_bad_modulus():
             sn(0.5, k)
 
 
+def test_sn_rejects_non_finite_arguments():
+    for u in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            sn(u, 0.5)
+    assert abs(sn(1e15, 0.5)) <= 1.0
+
+
 # ---------------------------------------------- quarter periods ----
 
 
