@@ -79,7 +79,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
                 emit_csv(report, sink)
         if not args.quiet:
             for label in ("56", "57", "58"):
-                verdict = "pass" if all(getattr(r, f"pass{label}") for r in report.rows) else "FAIL"
+                # Every relerr is finite, so this is all(passNN) over the rows.
+                verdict = "pass" if report.max_relerr[label] <= report.tol else "FAIL"
                 print(
                     f"identity{label}: max relerr {report.max_relerr[label]:.3e} "
                     f"(tol {report.tol:.1e}) {verdict}"
@@ -140,7 +141,8 @@ def _print_profile(ctx: DeltaContext, samples: int) -> None:
         d = delta(u, ctx)
         T = delta_phase(u, ctx)
         inv_gap = abs(1.0 / f_half(k2 * math.sin(T) ** 2) - d)
-        # dn3 needs wp, which has poles at the lattice points 0 and 2 omega
+        # dn3 refuses the lattice points 0 and 2 omega, the poles of its
+        # 1/sn^2 (dn3 itself tends to 1 there)
         near_pole = min(u, abs(2.0 * omega - u)) < 1e-6
         dn3_gap = float("nan") if near_pole else abs(dn3(u, mod) - d)
         if not near_pole:

@@ -16,23 +16,36 @@ delta extends to the doubly periodic function
 
     dn3(z) = 1 - (4/9) kappa^2 / (1/3 + wp(z; g2, g3)),
 
-coperiodic with the Weierstrass function of the configuration.  On the
-real axis the Jacobi bridge wp(u) = e3 + (e1 - e3)/sn^2(u sqrt(e1 - e3), k),
-k^2 = (e2 - e3)/(e1 - e3) (DLMF 23.6(i)), turns this into
+coperiodic with the Weierstrass function of the configuration.  The
+Jacobi bridge wp(z) = e3 + (e1 - e3)/sn^2(z sqrt(e1 - e3), k),
+k^2 = (e2 - e3)/(e1 - e3) (DLMF 23.6(i)), with the closed-form midpoint
+values of ``moduli.midpoints``, turns this into
 
-    delta(u) = 1 - a S / (1 + b S),    S = sn^2(u sqrt(e1 - e3), k),
-    a = (4/9) kappa^2 / (e1 - e3),     b = (1/3 + e3) / (e1 - e3).
+    dn3(z) = 1 - a / (b + 1/sn^2(z sqrt(e1 - e3), k)),
+    a = (4/9) kappa^2 / (e1 - e3),     b = (1/3 + e3) / (e1 - e3),
 
-Two routes evaluate delta.  The production route, ``delta``, is this
-closed Jacobi form: one Landen-descent ``sn`` call per point, for every
-kappa in (0, 1).  The reference route is the paper's own construction,
-inverting G by Newton steps over adaptive quadrature of the closed-form
-kernel (``delta_integral``, ``delta_phase``); the tests and
-``verify_ode_delta`` check the production route against it.  The
-reference route agrees with ``delta`` to better than 1e-12 up to
-kappa = 0.999; closer to 1 the kernel peaks so sharply at t = pi/2 that
-the quadrature raises QuadratureFailure (at kappa = 0.9999, for
-instance) rather than return a value short of QUAD_TOL.
+and on the real axis, with S = sn^2(u sqrt(e1 - e3), k), into
+
+    delta(u) = 1 - a S / (1 + b S).
+
+``DeltaContext`` holds these constants for one modulus.  ``delta`` is one
+Landen-descent sn per point, for every kappa in (0, 1).  ``dn3`` evaluates
+the same bridge at complex z on the lattice of kappa itself, whose periods
+are the signature-three half periods below: z is reduced into the centred
+cell and sn taken by the addition formulas (DLMF 22.6), through the helper
+that ``weierstrass.wp`` uses.  Neither calls ``wp`` or builds invariants.
+
+The reference route is the paper's own construction, inverting G by
+Newton steps over adaptive quadrature of the closed-form kernel
+(``delta_integral``, ``delta_phase``); the tests and ``verify_ode_delta``
+check the production route against it.  The kernel is formed from
+cos z = sqrt(cos^2 t + lambda^2 sin^2 t), so it keeps its digits at the
+peak t = pi/2.  The two routes agree to 1e-13 absolute up to
+kappa = 0.9999 (1e-12 relative up to kappa = 0.999); the Newton stop on
+a step in T limits the reference, not the quadrature.  At
+kappa = 0.999999 the quadrature, which halves its absolute tolerance at
+every split, raises QuadratureFailure rather than return a value short of
+QUAD_TOL.
 
 Both half-period routes live here too: the signature-three route through
 F(1/3, 2/3; 1; .) and the classical route through F(1/2, 1/2; 1; .) at the
@@ -44,12 +57,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import DomainError, NonConvergence, PoleError
-from .hypergeom import f2_complement, f3_complement, f_half
-from .moduli import ModulusSet, invariants, midpoints, params_from_p
+from .hypergeom import f2_complement, f3_complement
+from .moduli import ModulusSet, midpoints, params_from_p
 from .quadrature import integrate
-from .weierstrass import HalfPeriodPair, sn, wp
+from .weierstrass import HalfPeriodPair, _Cell, _centred_inv_sn, _landen, _sncndn
 
 __all__ = [
     "DeltaContext",
@@ -71,9 +85,12 @@ ROOT_TOL = 1e-13
 class DeltaContext:
     """A modulus kappa in (0, 1) with the constants of the production route.
 
-    Every field but the modulus is derived once, at construction: the real
-    half period omega (``half_periods_sig3``) and the four constants of the
-    Jacobi bridge, taken from the closed-form midpoint values.
+    Every field but the modulus is derived once, at construction, from the
+    closed-form midpoint values and ``half_periods_sig3``: the real half
+    period omega, the four constants of the Jacobi bridge, e3 and e1 - e3,
+    and ``cell``, the lattice of kappa as ``dn3`` reads it (the periods
+    2 omega and 2|omega'|, and the Landen ladders of k and of k').
+    ``delta`` reads the ladder of k there; it is the one ``sn(., k)`` uses.
     """
 
     modulus: ModulusSet
@@ -82,20 +99,36 @@ class DeltaContext:
     jacobi_k: float = field(init=False, repr=False, compare=False)  # sqrt((e2 - e3)/(e1 - e3))
     bridge_a: float = field(init=False, repr=False, compare=False)  # (4/9) kappa^2 / (e1 - e3)
     bridge_b: float = field(init=False, repr=False, compare=False)  # (1/3 + e3) / (e1 - e3)
+    e3: float = field(init=False, repr=False, compare=False)
+    spread: float = field(init=False, repr=False, compare=False)  # e1 - e3
+    cell: _Cell = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k2 = self.modulus.kappa ** 2
         mids = midpoints(self.modulus)
         spread = mids.spread
+        periods = half_periods_sig3(self.modulus)
+        r = math.sqrt(spread)
+        k = math.sqrt(mids.jacobi_m)
         derived = {
-            "omega": half_periods_sig3(self.modulus).omega,
-            "bridge_scale": math.sqrt(spread),
-            "jacobi_k": math.sqrt(mids.jacobi_m),
+            "omega": periods.omega,
+            "bridge_scale": r,
+            "jacobi_k": k,
             "bridge_a": (4.0 / 9.0) * k2 / spread,
             "bridge_b": (1.0 / 3.0 + mids.e3) / spread,
+            "e3": mids.e3,
+            "spread": spread,
+            "cell": _Cell(
+                2.0 * periods.omega, 2.0 * periods.omega_prime.imag, r, k * k,
+                _landen((1.0 - k) * (1.0 + k)), _landen(k * k),
+            ),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+
+# dn3's contexts, one per modulus, bounded as ``weierstrass._lattice`` is.
+_context = lru_cache(maxsize=64)(DeltaContext)
 
 
 def half_periods_sig3(mod: ModulusSet) -> HalfPeriodPair:
@@ -140,17 +173,27 @@ def half_periods_jacobi_route(p: float) -> HalfPeriodPair:
     )
 
 
+def _arc_kernel(t: float, kappa: float, lam2: float) -> float:
+    """F(1/3, 2/3; 1/2; kappa^2 sin^2 t) = cos(z/3)/cos z, sin z = kappa sin t.
+
+    cos z = sqrt(cos^2 t + lambda^2 sin^2 t), with lam2 = (1 - kappa)(1 + kappa),
+    never forms 1 - kappa^2 sin^2 t: near kappa = 1 and t = pi/2 that
+    difference keeps only a few digits, and its rounding noise is more than
+    the adaptive quadrature can integrate away.
+    """
+    st = math.sin(t)
+    ct = math.cos(t)
+    cos_z = math.sqrt(ct * ct + lam2 * st * st)
+    return math.cos(math.atan2(kappa * st, cos_z) / 3.0) / cos_z
+
+
 def delta_integral(T: float, ctx: DeltaContext) -> float:
     """G(T): the arc integral of F(1/3, 2/3; 1/2; kappa^2 sin^2 t) up to T (odd in T)."""
     if T == 0.0:
         return 0.0
-    k2 = ctx.modulus.kappa ** 2
-
-    def kernel(t: float) -> float:
-        st = math.sin(t)
-        return f_half(k2 * st * st)
-
-    return integrate(kernel, 0.0, T, QUAD_TOL)
+    kappa = ctx.modulus.kappa
+    lam2 = (1.0 - kappa) * (1.0 + kappa)
+    return integrate(lambda t: _arc_kernel(t, kappa, lam2), 0.0, T, QUAD_TOL)
 
 
 def _invert_in_quarter(u: float, ctx: DeltaContext) -> float:
@@ -158,7 +201,8 @@ def _invert_in_quarter(u: float, ctx: DeltaContext) -> float:
     bracket (G' = kernel >= 1 keeps the problem well conditioned)."""
     if u == 0.0:
         return 0.0
-    k2 = ctx.modulus.kappa ** 2
+    kappa = ctx.modulus.kappa
+    lam2 = (1.0 - kappa) * (1.0 + kappa)
     lo, hi = 0.0, 0.5 * math.pi + 0.01  # the pad absorbs quadrature-vs-AGM seams
     T = min(max(u / ctx.omega * (0.5 * math.pi), lo), hi)
     for _ in range(80):
@@ -167,9 +211,7 @@ def _invert_in_quarter(u: float, ctx: DeltaContext) -> float:
             hi = T
         else:
             lo = T
-        st = math.sin(T)
-        slope = f_half(k2 * st * st)
-        T_next = T - g / slope
+        T_next = T - g / _arc_kernel(T, kappa, lam2)
         if not lo < T_next < hi:
             T_next = 0.5 * (lo + hi)
         if abs(T_next - T) <= ROOT_TOL:
@@ -212,22 +254,31 @@ def delta(u: float, ctx: DeltaContext) -> float:
     x = u * ctx.bridge_scale
     if not math.isfinite(x):
         raise DomainError(f"argument {u} is not finite, or too large to scale by sqrt(e1 - e3)")
-    s = sn(x, ctx.jacobi_k)
+    s = _sncndn(x, ctx.cell.ladder)[0]
     s2 = s * s
     return 1.0 - ctx.bridge_a * s2 / (1.0 + ctx.bridge_b * s2)
 
 
 def dn3(z: complex, mod: ModulusSet) -> complex:
-    """The elliptic extension of delta:
+    """The elliptic extension of delta, at complex z:
 
-        dn3(z) = 1 - (4/9) kappa^2 / (1/3 + wp(z; g2, g3)).
+        dn3(z) = 1 - (4/9) kappa^2 / (1/3 + wp(z))
+               = 1 - a / (b + 1/sn^2(z sqrt(e1 - e3), k)),
 
-    Agrees with ``delta`` on the real axis.  Poles of the quotient sit
-    where wp = -1/3 (for instance two thirds of the way up the imaginary
-    half-period); those raise PoleError, as do lattice points via ``wp``.
+    the Jacobi bridge of ``delta`` on the lattice of kappa itself, with the
+    constants of a ``DeltaContext`` cached per modulus.  z is reduced into
+    the centred cell and sn taken at complex argument as in
+    ``weierstrass.wp_and_derivative``.  Agrees with ``delta`` on the real
+    axis.  Poles of the quotient sit where wp = -1/3 (for instance two
+    thirds of the way up the imaginary half-period); those raise PoleError,
+    as do lattice points.
     """
-    p = wp(z, invariants(mod))
-    denom = 1.0 / 3.0 + p
-    if abs(denom) <= 1e-8 * max(1.0, abs(p)):
-        raise PoleError(f"dn3 pole: wp({z}) = {p} is too close to -1/3")
-    return 1.0 - (4.0 / 9.0) * mod.kappa ** 2 / denom
+    ctx = _context(mod)
+    inv_sn = _centred_inv_sn(z, ctx.cell)[0]
+    inv_sn2 = inv_sn * inv_sn
+    shifted = ctx.bridge_b + inv_sn2  # (1/3 + wp)/(e1 - e3)
+    spread = ctx.spread
+    wp_value = ctx.e3 + spread * inv_sn2
+    if spread * abs(shifted) <= 1e-8 * max(1.0, abs(wp_value)):
+        raise PoleError(f"dn3 pole: wp({z}) = {wp_value} is too close to -1/3")
+    return 1.0 - ctx.bridge_a / shifted

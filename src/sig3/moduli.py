@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -177,6 +178,7 @@ def p_from_s_c(s: float, c: float) -> float:
     return 2.0 * (s * s + SQRT3 * s * c) / (3.0 - 4.0 * s * s)
 
 
+@lru_cache(maxsize=64)
 def invariants(mod: ModulusSet) -> WeierstrassInvariants:
     """Invariant pair of the configuration:
 
@@ -187,7 +189,8 @@ def invariants(mod: ModulusSet) -> WeierstrassInvariants:
     (8/729)(8 lambda^4 + 20 lambda^2 - 1) are evaluated as a guard; they
     must agree to CROSS_ROUTE_TOL of each polynomial's term scale (g3
     itself crosses zero near kappa = 0.975, where a value-relative
-    comparison would be meaningless).
+    comparison would be meaningless).  The pair is cached per modulus, so
+    the guard runs the first time each modulus is seen.
     """
     t = mod.kappa * mod.kappa
     u = mod.lam * mod.lam

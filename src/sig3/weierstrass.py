@@ -8,6 +8,9 @@ into the centred period cell, and the classical Jacobi bridge
 
 is evaluated there at complex argument, sn(x + iy) coming from the real
 sn, cn and dn of x at k and of y at k' through the addition formulas.
+One private helper does the reduction and the addition formulas, for
+``wp`` on the lattice of (g2, g3) and for ``delta.dn3`` on the lattice of
+its modulus.
 
 The rest of the dictionary lives here too: Jacobi sn by the descending
 Landen recursion (one cached ladder per modulus), quarter periods K and K'
@@ -22,6 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DegenerateLattice, DomainError, NonConvergence, PoleError
 from .hypergeom import f2_complement
@@ -148,22 +152,11 @@ def wp_and_derivative(z: complex, inv: WeierstrassInvariants) -> tuple[complex, 
     kappa = 0.05 the trigonometric cubic solve of the midpoints limits it
     to ~6e-13.
     """
-    w = complex(z)
-    if not abs(w) < WP_MAX_MODULUS:
-        raise DomainError(f"argument {z} is not finite, or too large to reduce onto the lattice")
-    x, y = w.real, w.imag
-    period_re, period_im, e3, spread, r, m, ladder, ladder_comp = _lattice(inv.g2, inv.g3)
-    x -= round(x / period_re) * period_re
-    y -= round(y / period_im) * period_im
-    if math.hypot(x, y) < POLE_THRESHOLD:
-        raise PoleError(f"argument {z} is within {POLE_THRESHOLD} of a lattice point")
-    s, c, d = _sncndn(x * r, ladder)
-    s1, c1, d1 = _sncndn(y * r, ladder_comp)
-    denom = c1 * c1 + m * (s * s1) ** 2
-    inv_sn = denom / complex(s * d1, c * d * s1 * c1)
-    cn_dn = complex(c * c1, -s * d * s1 * d1) * complex(d * c1 * d1, -m * s * c * s1)
+    e3, spread, cell = _lattice(inv.g2, inv.g3)
+    inv_sn, denom, s, c, d, s1, c1, d1 = _centred_inv_sn(z, cell)
+    cn_dn = complex(c * c1, -s * d * s1 * d1) * complex(d * c1 * d1, -cell.m * s * c * s1)
     inv_sn2 = inv_sn * inv_sn
-    return e3 + spread * inv_sn2, (-2.0 * spread * r / (denom * denom)) * cn_dn * inv_sn2 * inv_sn
+    return e3 + spread * inv_sn2, (-2.0 * spread * cell.r / (denom * denom)) * cn_dn * inv_sn2 * inv_sn
 
 
 def wp(z: complex, inv: WeierstrassInvariants) -> complex:
@@ -171,20 +164,54 @@ def wp(z: complex, inv: WeierstrassInvariants) -> complex:
     return wp_and_derivative(z, inv)[0]
 
 
+class _Cell(NamedTuple):
+    """A rectangular lattice as the Jacobi bridge sees it: the periods
+    2 omega and 2|omega'|, r = sqrt(e1 - e3), k^2, and the ``_landen``
+    ladders of k and of k'."""
+
+    period_re: float
+    period_im: float
+    r: float
+    m: float
+    ladder: tuple
+    ladder_comp: tuple
+
+
+def _centred_inv_sn(z: complex, cell: _Cell) -> tuple:
+    """1/sn(z r, k) after reducing z into the centred cell of ``cell``,
+    followed by the pieces wp' needs: D, s, c, d, s1, c1 and d1 in the
+    notation of ``wp_and_derivative``.  Raises DomainError for a z that is
+    not finite or has |z| >= ``WP_MAX_MODULUS``, PoleError within
+    ``POLE_THRESHOLD`` of a lattice point."""
+    w = complex(z)
+    if not abs(w) < WP_MAX_MODULUS:
+        raise DomainError(f"argument {z} is not finite, or too large to reduce onto the lattice")
+    period_re, period_im, r, m, ladder, ladder_comp = cell
+    x = w.real - round(w.real / period_re) * period_re
+    y = w.imag - round(w.imag / period_im) * period_im
+    if math.hypot(x, y) < POLE_THRESHOLD:
+        raise PoleError(f"argument {z} is within {POLE_THRESHOLD} of a lattice point")
+    s, c, d = _sncndn(x * r, ladder)
+    s1, c1, d1 = _sncndn(y * r, ladder_comp)
+    denom = c1 * c1 + m * (s * s1) ** 2
+    return denom / complex(s * d1, c * d * s1 * c1), denom, s, c, d, s1, c1, d1
+
+
 @lru_cache(maxsize=64)
-def _lattice(g2: float, g3: float) -> tuple:
-    """Constants of ``wp`` for (g2, g3): the periods 2 omega and 2|omega'|,
-    e3, e1 - e3, its root, k^2, and the Landen ladders of k and of k', each
-    from its exact complementary parameter, (e1-e2)/(e1-e3) and k^2.
-    Forming 1 - k'^2 from k' would lose digits on small-modulus lattices."""
+def _lattice(g2: float, g3: float) -> tuple[float, float, _Cell]:
+    """e3, e1 - e3 and the ``_Cell`` of ``wp`` for (g2, g3).  The ladders
+    of k and of k' are built from their exact complementary parameters,
+    (e1-e2)/(e1-e3) and k^2: forming 1 - k'^2 from k' would lose digits on
+    small-modulus lattices."""
     mids = midpoints_from_invariants(WeierstrassInvariants(g2, g3))
     periods = half_periods_from_midpoints(mids)
     spread = mids.spread
     m = mids.jacobi_m
-    return (
-        2.0 * periods.omega, 2.0 * periods.omega_prime.imag, mids.e3, spread,
-        math.sqrt(spread), m, _landen((mids.e1 - mids.e2) / spread), _landen(m),
+    cell = _Cell(
+        2.0 * periods.omega, 2.0 * periods.omega_prime.imag, math.sqrt(spread), m,
+        _landen((mids.e1 - mids.e2) / spread), _landen(m),
     )
+    return mids.e3, spread, cell
 
 
 @lru_cache(maxsize=64)

@@ -117,6 +117,28 @@ def test_underflowing_grid_point_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", [None, "4e-16", "0"])
+def test_verify_summary_verdicts(tmp_path, capsys, tol):
+    # The summary takes each verdict from the identity's max relerr.  It
+    # must print what the row-by-row verdicts say: all pass at the default
+    # tolerance, identity 56 alone at 4e-16, none at 0.
+    extra = [] if tol is None else ["--tol", tol]
+    code, _ = run_verify(tmp_path, *extra)
+    report = grid_report(0.05, 0.95, 0.05, **({} if tol is None else {"tol": float(tol)}))
+    expected = ""
+    for label in ("56", "57", "58"):
+        verdict = "pass" if all(getattr(r, f"pass{label}") for r in report.rows) else "FAIL"
+        expected += (
+            f"identity{label}: max relerr {report.max_relerr[label]:.3e} "
+            f"(tol {report.tol:.1e}) {verdict}\n"
+        )
+    expected += f"19 grid points: {'all pass' if report.all_pass else 'FAILURES'}\n"
+    assert capsys.readouterr().out == expected
+    assert code == (0 if report.all_pass else 1)
+    verdicts = [line.split()[-1] for line in expected.splitlines()[:3]]
+    assert verdicts == {None: ["pass"] * 3, "4e-16": ["pass", "FAIL", "FAIL"], "0": ["FAIL"] * 3}[tol]
+
+
 def test_verify_quiet_suppresses_summary(tmp_path, capsys):
     code, _ = run_verify(tmp_path, "--quiet")
     assert code == 0
@@ -234,10 +256,20 @@ def test_delta_profile_runs(capsys):
 
 
 def test_delta_profile_reports_the_reference_route_limit(capsys):
-    # Beyond kappa ~ 0.999 the integral inversion cannot reach its
-    # tolerance; the profile says so and exits 1.
-    assert main(["delta", "--kappa", "0.9999", "--samples", "3"]) == 1
+    # At kappa = 0.999999 the quadrature of the integral inversion halves
+    # its absolute tolerance below what any panel can meet; the profile
+    # says so and exits 1.
+    assert main(["delta", "--kappa", "0.999999", "--samples", "3"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_delta_profile_reaches_kappa_0_9999(capsys):
+    # The kernel formed from cos^2 t + lambda^2 sin^2 t keeps its digits at
+    # the peak t = pi/2, so the reference route follows delta there.
+    assert main(["delta", "--kappa", "0.9999", "--samples", "17"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:19]
+    gaps = [float(row.split()[2]) for row in rows]
+    assert len(gaps) == 17 and max(gaps) <= 1e-13
 
 
 def test_delta_profile_inverts_once_per_point(capsys, monkeypatch):

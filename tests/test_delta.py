@@ -1,8 +1,12 @@
 import math
 from fractions import Fraction
 
+import importlib
+
 import pytest
 
+import sig3.moduli
+import sig3.weierstrass
 from sig3.delta import (
     DeltaContext,
     delta,
@@ -20,9 +24,13 @@ from sig3.weierstrass import (
     WeierstrassInvariants,
     half_periods_from_midpoints,
     midpoints_from_invariants,
+    sn,
     wp,
 )
 from oracles import ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err
+
+# The package namespace exports the function delta under the module's name.
+delta_module = importlib.import_module("sig3.delta")
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +204,17 @@ def test_delta_context_validation():
         assert rel_err(delta(ctx.omega, ctx), expected) <= 5e-14
 
 
+def test_delta_is_the_bridge_through_sn_bitwise():
+    # delta reads the Landen ladder cached in its context; it is the one
+    # sn(., k) uses, so the value is the sn-based formula to the last bit.
+    for kappa in (0.05, 0.3, 0.6, 0.9, 0.99, 0.999999):
+        ctx = DeltaContext(modulus_from_kappa(kappa))
+        for i in range(-40, 41):
+            u = 0.137 * i * ctx.omega
+            s2 = sn(u * ctx.bridge_scale, ctx.jacobi_k) ** 2
+            assert delta(u, ctx) == 1.0 - ctx.bridge_a * s2 / (1.0 + ctx.bridge_b * s2), (kappa, u)
+
+
 def test_delta_rejects_non_finite(ctx06):
     with pytest.raises(DomainError):
         delta(math.inf, ctx06)
@@ -204,10 +223,12 @@ def test_delta_rejects_non_finite(ctx06):
 # --------------------------------------------------------- dn3 ----
 
 
-def test_dn3_matches_delta_on_the_real_axis(ctx06):
-    mod = ctx06.modulus
-    for u in (0.3, 0.5, 0.7):
-        assert abs(dn3(u, mod) - delta(u, ctx06)) < 1e-8
+def test_dn3_matches_delta_on_the_real_axis():
+    for kappa in (0.05, 0.3, 0.6, 0.9, 0.99, 0.999):
+        ctx = DeltaContext(modulus_from_kappa(kappa))
+        for i in range(1, 32):
+            u = 2.0 * ctx.omega * i / 32
+            assert abs(dn3(u, ctx.modulus) - delta(u, ctx)) <= 1e-14, (kappa, u)
 
 
 def test_dn3_tends_to_one_at_the_origin(ctx06):
@@ -226,6 +247,82 @@ def test_dn3_pole_two_thirds_up_the_imaginary_half_period(ctx06):
 def test_dn3_propagates_lattice_pole(ctx06):
     with pytest.raises(PoleError):
         dn3(1e-9, ctx06.modulus)
+
+
+def test_dn3_builds_no_invariants_and_calls_no_wp(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dn3 must not take this route")
+
+    monkeypatch.setattr(sig3.moduli, "invariants", refuse)
+    monkeypatch.setattr(sig3.weierstrass, "midpoints_from_invariants", refuse)
+    monkeypatch.setattr(sig3.weierstrass, "wp_and_derivative", refuse)
+    delta_module._context.cache_clear()
+    mod = modulus_from_kappa(0.6)
+    for z in (0.3, 0.2 + 0.4j, -5.1 + 33.0j):
+        dn3(z, mod)
+
+
+def test_dn3_builds_one_context_per_modulus(monkeypatch):
+    built = []
+    post_init = DeltaContext.__post_init__
+
+    def counting(self):
+        built.append(self.modulus.kappa)
+        post_init(self)
+
+    monkeypatch.setattr(DeltaContext, "__post_init__", counting)
+    delta_module._context.cache_clear()
+    for kappa in (0.3, 0.7):
+        for z in (0.3, 0.2 + 0.4j, -5.1 + 33.0j):
+            dn3(z, modulus_from_kappa(kappa))
+    assert built == [0.3, 0.7]
+
+
+def _mpmath_dn3(kappa, mpmath):
+    """dn3 and |dn3'| as functions of z, in 40 digits on the exact lattice
+    of kappa: the roots of 4t^3 - g2 t - g3 for the exact g2, g3 of the
+    binary value of kappa, the Jacobi bridge for wp, and
+    wp'^2 = 4 wp^3 - g2 wp - g3."""
+    t = mpmath.mpf(kappa) ** 2
+    g2 = mpmath.mpf(4) / 27 * (9 - 8 * t)
+    g3 = mpmath.mpf(8) / 729 * (27 - 36 * t + 8 * t * t)
+    roots = mpmath.polyroots([4, 0, -g2, -g3], maxsteps=200, extraprec=200)
+    e1, e2, e3 = sorted((mpmath.re(root) for root in roots), reverse=True)
+    m = (e2 - e3) / (e1 - e3)
+    r = mpmath.sqrt(e1 - e3)
+    c = mpmath.mpf(4) / 9 * t
+
+    def dn3_and_deriv(z):
+        sn_ = mpmath.ellipfun("sn", mpmath.mpc(z.real, z.imag) * r, m=m)
+        wp_value = e3 + (e1 - e3) / sn_ ** 2
+        wp_deriv = mpmath.sqrt(4 * wp_value ** 3 - g2 * wp_value - g3)
+        shifted = mpmath.mpf(1) / 3 + wp_value
+        return 1 - c / shifted, abs(c * wp_deriv / shifted ** 2)
+
+    return dn3_and_deriv
+
+
+@pytest.mark.parametrize("kappa", [0.05, 0.6, 0.95])
+def test_dn3_against_40_digit_values(kappa):
+    # The centred cell and cells 1 to 50 out.  The bound is relative to the
+    # condition number |z dn3'/dn3| where it exceeds 1: rounding z alone
+    # costs that many ulps next to a zero or a pole of dn3.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    mod = modulus_from_kappa(kappa)
+    periods = half_periods_sig3(mod)
+    omega, omega_im = periods.omega, periods.omega_prime.imag
+    reference = _mpmath_dn3(kappa, mpmath)
+    offsets = [(a, b) for a in (-0.85, -0.2, 0.6) for b in (-0.9, 0.15, 0.7)]
+    cells = [(0, 0)] + [(d * dm, d * dn) for d in (1, 2, 5, 10, 20, 50)
+                        for dm, dn in ((1, 0), (0, 1), (-1, 1), (1, -1))]
+    for m, n in cells:
+        for a, b in offsets:
+            z = complex(omega * (2 * m + a), omega_im * (2 * n + b))
+            ref_value, ref_deriv = reference(z)
+            condition = float(abs(z) * ref_deriv / abs(ref_value))
+            err = float(abs(dn3(z, mod) - ref_value) / abs(ref_value))
+            assert err <= 1e-11 * max(1.0, condition), (z, err, condition)
 
 
 # ------------------------------------- trimidiated lattice checks ----

@@ -180,6 +180,15 @@ def test_invariants_complementary_form_agreement():
         assert abs(inv.g3 - g3_alt) < 1e-15 * (8.0 / 729.0) * (27.0 + 36.0 * kappa ** 2)
 
 
+def test_invariants_are_built_once_per_modulus():
+    # Cached per modulus: a repeat call, also with an equal ModulusSet built
+    # afresh, returns the very same pair.
+    mod = modulus_from_kappa(0.4321)
+    first = invariants(mod)
+    assert invariants(mod) is first
+    assert invariants(modulus_from_kappa(0.4321)) is first
+
+
 def test_discriminant_positive_inside_the_family():
     for kappa in (0.05, 0.3, 0.6, 0.9, 0.99):
         inv = invariants(modulus_from_kappa(kappa))
