@@ -18,12 +18,13 @@ import sys
 from itertools import product
 from typing import IO, Callable, Sequence
 
-from .delta import DeltaContext, delta, delta_phase, dn3, half_periods_sig3
+from .delta import DeltaContext, _reference_delta, delta, delta_phase, dn3, half_periods_sig3
 from .errors import ConfigError, DomainError, Sig3Error
 from .hypergeom import f2, f3, f_half
 from .moduli import ModulusSet, modulus_from_kappa, p_from_s_c
 from .transfer import (
     DEFAULT_TOL,
+    MAX_GRID_POINTS,
     VerificationReport,
     VerificationRow,
     grid_points,
@@ -121,8 +122,8 @@ def _cmd_delta(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
     ctx = DeltaContext(modulus_from_kappa(args.kappa))
     if args.u is not None:
         return 0, lambda: print(repr(delta(args.u, ctx)))
-    if args.samples < 2:
-        raise ConfigError(f"--samples must be at least 2, got {args.samples}")
+    if not 2 <= args.samples <= MAX_GRID_POINTS:
+        raise ConfigError(f"--samples must lie in [2, {MAX_GRID_POINTS}], got {args.samples}")
     return 0, lambda: _print_profile(ctx, args.samples)
 
 
@@ -132,7 +133,6 @@ def _print_profile(ctx: DeltaContext, samples: int) -> None:
     inversion of the arc integral per point serves both references."""
     mod = ctx.modulus
     omega = ctx.omega
-    k2 = mod.kappa * mod.kappa
     print(f"kappa = {mod.kappa}   omega = {omega!r}   period = {2 * omega!r}")
     print(f"{'u':>10} {'delta(u)':>20} {'|delta - inv|':>14} {'|delta - dn3|':>14}")
     worst = 0.0
@@ -140,7 +140,7 @@ def _print_profile(ctx: DeltaContext, samples: int) -> None:
         u = 2.0 * omega * i / (samples - 1)
         d = delta(u, ctx)
         T = delta_phase(u, ctx)
-        inv_gap = abs(1.0 / f_half(k2 * math.sin(T) ** 2) - d)
+        inv_gap = abs(_reference_delta(T, ctx) - d)
         # dn3 refuses the lattice points 0 and 2 omega, the poles of its
         # 1/sn^2 (dn3 itself tends to 1 there)
         near_pole = min(u, abs(2.0 * omega - u)) < 1e-6

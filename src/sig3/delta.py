@@ -56,7 +56,6 @@ transfer identities certify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DomainError, NonConvergence, PoleError
@@ -81,7 +80,6 @@ QUAD_TOL = 1e-12
 ROOT_TOL = 1e-13
 
 
-@dataclass(frozen=True)
 class DeltaContext:
     """A modulus kappa in (0, 1) with the constants of the production route.
 
@@ -91,40 +89,42 @@ class DeltaContext:
     and ``cell``, the lattice of kappa as ``dn3`` reads it (the periods
     2 omega and 2|omega'|, and the Landen ladders of k and of k').
     ``delta`` reads the ladder of k there; it is the one ``sn(., k)`` uses.
+    ``dn3`` shares one context per modulus, so no field can be reassigned.
     """
 
-    modulus: ModulusSet
-    omega: float = field(init=False, repr=False, compare=False)
-    bridge_scale: float = field(init=False, repr=False, compare=False)  # sqrt(e1 - e3)
-    jacobi_k: float = field(init=False, repr=False, compare=False)  # sqrt((e2 - e3)/(e1 - e3))
-    bridge_a: float = field(init=False, repr=False, compare=False)  # (4/9) kappa^2 / (e1 - e3)
-    bridge_b: float = field(init=False, repr=False, compare=False)  # (1/3 + e3) / (e1 - e3)
-    e3: float = field(init=False, repr=False, compare=False)
-    spread: float = field(init=False, repr=False, compare=False)  # e1 - e3
-    cell: _Cell = field(init=False, repr=False, compare=False)
+    __slots__ = ("modulus", "omega", "bridge_scale", "jacobi_k", "bridge_a", "bridge_b", "e3", "spread", "cell")
 
-    def __post_init__(self):
-        k2 = self.modulus.kappa ** 2
-        mids = midpoints(self.modulus)
+    def __init__(self, modulus: ModulusSet):
+        k2 = modulus.kappa ** 2
+        mids = midpoints(modulus)
         spread = mids.spread
-        periods = half_periods_sig3(self.modulus)
+        periods = half_periods_sig3(modulus)
         r = math.sqrt(spread)
         k = math.sqrt(mids.jacobi_m)
-        derived = {
+        fields = {
+            "modulus": modulus,
             "omega": periods.omega,
-            "bridge_scale": r,
-            "jacobi_k": k,
+            "bridge_scale": r,  # sqrt(e1 - e3)
+            "jacobi_k": k,  # sqrt((e2 - e3)/(e1 - e3))
             "bridge_a": (4.0 / 9.0) * k2 / spread,
             "bridge_b": (1.0 / 3.0 + mids.e3) / spread,
             "e3": mids.e3,
-            "spread": spread,
+            "spread": spread,  # e1 - e3
             "cell": _Cell(
                 2.0 * periods.omega, 2.0 * periods.omega_prime.imag, r, k * k,
                 _landen((1.0 - k) * (1.0 + k)), _landen(k * k),
             ),
         }
-        for name, value in derived.items():
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"DeltaContext is read-only: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"DeltaContext({self.modulus!r})"
 
 
 # dn3's contexts, one per modulus, bounded as ``weierstrass._lattice`` is.
@@ -185,6 +185,14 @@ def _arc_kernel(t: float, kappa: float, lam2: float) -> float:
     ct = math.cos(t)
     cos_z = math.sqrt(ct * ct + lam2 * st * st)
     return math.cos(math.atan2(kappa * st, cos_z) / 3.0) / cos_z
+
+
+def _reference_delta(T: float, ctx: DeltaContext) -> float:
+    """delta at the phase T = T(u) by the reference route,
+    1/F(1/3, 2/3; 1/2; kappa^2 sin^2 T), from ``_arc_kernel``: near kappa = 1
+    and T = pi/2 it keeps the digits that 1/f_half(kappa^2 sin^2 T) loses."""
+    kappa = ctx.modulus.kappa
+    return 1.0 / _arc_kernel(T, kappa, (1.0 - kappa) * (1.0 + kappa))
 
 
 def delta_integral(T: float, ctx: DeltaContext) -> float:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -50,21 +49,19 @@ SQRT3 = math.sqrt(3.0)
 CROSS_ROUTE_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class ModulusSet:
+class ModulusSet(NamedTuple("ModulusSet", [("kappa", float), ("lam", float), ("theta", float)])):
     """Modulus kappa, complementary modulus, and modular angle (radians)."""
 
-    kappa: float
-    lam: float
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.kappa < 1.0:
-            raise DomainError(f"modulus must lie in (0, 1), got {self.kappa}")
-        if abs(self.lam - math.sqrt((1.0 - self.kappa) * (1.0 + self.kappa))) > 1e-15:
-            raise DomainError(f"complementary modulus {self.lam} does not match {self.kappa}")
-        if abs(self.kappa - math.sin(self.theta)) > 1e-15:
-            raise DomainError(f"modular angle {self.theta} does not match {self.kappa}")
+    def __new__(cls, kappa: float, lam: float, theta: float):
+        if not 0.0 < kappa < 1.0:
+            raise DomainError(f"modulus must lie in (0, 1), got {kappa}")
+        if abs(lam - math.sqrt((1.0 - kappa) * (1.0 + kappa))) > 1e-15:
+            raise DomainError(f"complementary modulus {lam} does not match {kappa}")
+        if abs(kappa - math.sin(theta)) > 1e-15:
+            raise DomainError(f"modular angle {theta} does not match {kappa}")
+        return super().__new__(cls, kappa, lam, theta)
 
     @property
     def complement(self) -> "ModulusSet":
@@ -95,8 +92,7 @@ class TransferParams(NamedTuple):
     k2: float
 
 
-@dataclass(frozen=True)
-class TrimidiationData:
+class TrimidiationData(NamedTuple):
     """Invariants (h2, h3) after dividing the imaginary period by three.
 
     ``trimidiation`` derives them through b = -1/3, the Weierstrass value

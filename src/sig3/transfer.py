@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .delta import DeltaContext, _sig3_half_periods, delta_phase, half_periods_jacobi_route
+from .delta import DeltaContext, _reference_delta, _sig3_half_periods, delta_phase, half_periods_jacobi_route
 from .errors import ConfigError
-from .hypergeom import f2_complement, f3_complement, f_half, f_half_deriv
+from .hypergeom import f2_complement, f3_complement, f_half_deriv
 from .moduli import modulus_from_kappa, params_from_p, trimidiation, invariants
 from .weierstrass import WeierstrassInvariants, wp
 
@@ -134,9 +134,9 @@ def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> float:
     """Maximum scaled residual of 9 (delta')^2 = 4(1-delta)(delta^3+3delta^2-4lambda^2).
 
     delta' is evaluated analytically through the chain rule
-    delta' = -delta * f_half' * kappa^2 sin(2T) / f_half^2 (finite
-    differences would dominate the residual budget).  Residuals are scaled
-    by 1 + delta^4.
+    delta' = -delta^3 f_half' kappa^2 sin(2T), with delta = 1/f_half from
+    the reference route's kernel (finite differences would dominate the
+    residual budget).  Residuals are scaled by 1 + delta^4.
     """
     worst = 0.0
     for u in u_grid:
@@ -146,12 +146,9 @@ def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> float:
 
 def _ode_residual(T: float, ctx: DeltaContext) -> float:
     """The scaled residual of ``verify_ode_delta`` at the phase T = T(u)."""
-    kappa = ctx.modulus.kappa
-    k2 = kappa * kappa
-    x = k2 * math.sin(T) ** 2
-    f = f_half(x)
-    d = 1.0 / f
-    d_prime = -d * f_half_deriv(x) * k2 * math.sin(2.0 * T) / (f * f)
+    k2 = ctx.modulus.kappa ** 2
+    d = _reference_delta(T, ctx)
+    d_prime = -d ** 3 * f_half_deriv(k2 * math.sin(T) ** 2) * k2 * math.sin(2.0 * T)
     lhs = 9.0 * d_prime * d_prime
     rhs = 4.0 * (1.0 - d) * (d * d * (d + 3.0) - 4.0 * ctx.modulus.lam ** 2)
     return abs(lhs - rhs) / (1.0 + d ** 4)

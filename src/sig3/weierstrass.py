@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -44,51 +43,43 @@ __all__ = [
 ]
 
 POLE_THRESHOLD = 1e-8  # |z| below this: 1/z^2 noise exceeds 1e16
-SN_MODULUS_FLOOR = 1e-14  # stop the Landen descent here
+SN_MODULUS_FLOOR = 2.0 ** -26  # stop the Landen descent at |a - b| <= this * a
 SN_MAX_DEPTH = 12
 # Beyond this modulus (~4.5e7) the rounding of z alone, |z| eps, exceeds
 # POLE_THRESHOLD: no lattice point can be told apart from its neighbourhood.
 WP_MAX_MODULUS = POLE_THRESHOLD / sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class WeierstrassInvariants:
+class WeierstrassInvariants(NamedTuple("WeierstrassInvariants", [("g2", float), ("g3", float)])):
     """Invariant pair (g2, g3) of a Weierstrass function."""
 
-    g2: float
-    g3: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.g2) and math.isfinite(self.g3)):
-            raise DomainError(f"invariants must be finite, got ({self.g2}, {self.g3})")
+    def __new__(cls, g2: float, g3: float):
+        if not (math.isfinite(g2) and math.isfinite(g3)):
+            raise DomainError(f"invariants must be finite, got ({g2}, {g3})")
+        return super().__new__(cls, g2, g3)
 
     @property
     def discriminant(self) -> float:
         return self.g2 ** 3 - 27.0 * self.g3 ** 2
 
 
-@dataclass(frozen=True)
-class MidpointTriple:
+class MidpointTriple(NamedTuple("MidpointTriple", [("e1", float), ("e2", float), ("e3", float)])):
     """Midpoint values e1 > e2 > e3 of a real-lattice Weierstrass function.
 
     The strict ordering is validated at construction: the labels fix the
     Jacobi modulus, so unordered input is an error, never silently sorted.
     """
 
-    e1: float
-    e2: float
-    e3: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.e1 == self.e2 or self.e2 == self.e3:
-            raise DegenerateLattice(
-                f"midpoint values collapse: ({self.e1}, {self.e2}, {self.e3})"
-            )
-        if not self.e1 > self.e2 > self.e3:
-            raise DomainError(
-                f"midpoint values must satisfy e1 > e2 > e3, got "
-                f"({self.e1}, {self.e2}, {self.e3})"
-            )
+    def __new__(cls, e1: float, e2: float, e3: float):
+        if e1 == e2 or e2 == e3:
+            raise DegenerateLattice(f"midpoint values collapse: ({e1}, {e2}, {e3})")
+        if not e1 > e2 > e3:
+            raise DomainError(f"midpoint values must satisfy e1 > e2 > e3, got ({e1}, {e2}, {e3})")
+        return super().__new__(cls, e1, e2, e3)
 
     @property
     def spread(self) -> float:
@@ -101,26 +92,23 @@ class MidpointTriple:
         return (self.e2 - self.e3) / (self.e1 - self.e3)
 
 
-@dataclass(frozen=True)
-class HalfPeriodPair:
+class HalfPeriodPair(NamedTuple("HalfPeriodPair", [("omega", float), ("omega_prime", complex)])):
     """Half periods (omega, omega') with omega > 0 and omega' on the positive
     imaginary axis; the fundamental periods are (2 omega, 2 omega')."""
 
-    omega: float
-    omega_prime: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.omega > 0.0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
-        if self.omega_prime.real != 0.0 or not self.omega_prime.imag > 0.0:
+    def __new__(cls, omega: float, omega_prime: complex):
+        if not omega > 0.0:
+            raise DomainError(f"omega must be positive, got {omega}")
+        if omega_prime.real != 0.0 or not omega_prime.imag > 0.0:
             raise DomainError(
-                f"omega' must be purely imaginary with positive imaginary part, "
-                f"got {self.omega_prime}"
+                f"omega' must be purely imaginary with positive imaginary part, got {omega_prime}"
             )
+        return super().__new__(cls, omega, omega_prime)
 
 
-@dataclass(frozen=True)
-class JacobiModulus:
+class JacobiModulus(NamedTuple):
     """Jacobi modulus k with its quarter periods K and K'."""
 
     k: float
@@ -160,8 +148,13 @@ def wp_and_derivative(z: complex, inv: WeierstrassInvariants) -> tuple[complex, 
 
 
 def wp(z: complex, inv: WeierstrassInvariants) -> complex:
-    """Weierstrass function wp(z; g2, g3); see ``wp_and_derivative``."""
-    return wp_and_derivative(z, inv)[0]
+    """Weierstrass function wp(z; g2, g3), with the domain, errors and
+    accuracy of ``wp_and_derivative``.  It forms no derivative: the value
+    is the same expression e3 + (e1-e3)/sn^2, so it equals
+    ``wp_and_derivative(z, inv)[0]`` bitwise."""
+    e3, spread, cell = _lattice(inv.g2, inv.g3)
+    inv_sn = _centred_inv_sn(z, cell)[0]
+    return e3 + spread * (inv_sn * inv_sn)
 
 
 class _Cell(NamedTuple):
@@ -187,8 +180,9 @@ def _centred_inv_sn(z: complex, cell: _Cell) -> tuple:
     if not abs(w) < WP_MAX_MODULUS:
         raise DomainError(f"argument {z} is not finite, or too large to reduce onto the lattice")
     period_re, period_im, r, m, ladder, ladder_comp = cell
-    x = w.real - round(w.real / period_re) * period_re
-    y = w.imag - round(w.imag / period_im) * period_im
+    # Exact: z minus the nearest lattice point, ties to the even multiple.
+    x = math.remainder(w.real, period_re)
+    y = math.remainder(w.imag, period_im)
     if math.hypot(x, y) < POLE_THRESHOLD:
         raise PoleError(f"argument {z} is within {POLE_THRESHOLD} of a lattice point")
     s, c, d = _sncndn(x * r, ladder)
@@ -218,8 +212,11 @@ def _lattice(g2: float, g3: float) -> tuple[float, float, _Cell]:
 def _landen(m_comp: float) -> tuple[tuple[tuple[float, float], ...], float]:
     """Descending Landen ladder of the modulus k with 1 - k^2 = m_comp: the
     rungs (a_i, b_i), last first, and the scale from u to the circular
-    amplitude.  The descent is quadratic: depth <= 12 reaches
-    ``SN_MODULUS_FLOOR`` for any k in (0, 1)."""
+    amplitude.  The descent is quadratic, so it stops on that rate: at
+    |a - b| <= ``SN_MODULUS_FLOOR`` a the next rung would only square a
+    bottom modulus (a-b)/(a+b) <= 7.5e-9 whose O(k^2) effect on sn is
+    already below half an ulp.  Any float 1 - k^2 > 0 needs at most 12
+    rungs; 1 - k^2 >= 2.2e-16 at most 8."""
     rungs: list[tuple[float, float]] = []
     a, b = 1.0, m_comp
     for _ in range(SN_MAX_DEPTH + 1):

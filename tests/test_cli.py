@@ -241,10 +241,12 @@ def test_delta_subcommand_domain_error(capsys):
     ("--kappa", "1.5", "--samples", "3"),
     ("--kappa", "0.6", "--u", "0.4", "--samples", "3"),
     ("--kappa", "0.6"),
+    ("--kappa", "0.6", "--samples", str(sig3.transfer.MAX_GRID_POINTS + 1)),
 ])
 def test_delta_profile_bad_input_exits_two(capsys, args):
     assert main(["delta", *args]) == 2
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
 
 
 def test_delta_profile_runs(capsys):
@@ -316,6 +318,12 @@ def test_closed_pipe_exits_with_the_verdict(extra, verdict):
 
 def test_import_loads_no_numpy():
     code = f"import sys; sys.path.insert(0, {str(SRC)!r}); import sig3; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_import_loads_no_dataclasses():
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import sig3, sig3.cli; "
+            "assert 'dataclasses' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True)
 
 

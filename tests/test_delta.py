@@ -264,18 +264,43 @@ def test_dn3_builds_no_invariants_and_calls_no_wp(monkeypatch):
 
 def test_dn3_builds_one_context_per_modulus(monkeypatch):
     built = []
-    post_init = DeltaContext.__post_init__
+    init = DeltaContext.__init__
 
-    def counting(self):
-        built.append(self.modulus.kappa)
-        post_init(self)
+    def counting(self, modulus):
+        built.append(modulus.kappa)
+        init(self, modulus)
 
-    monkeypatch.setattr(DeltaContext, "__post_init__", counting)
+    monkeypatch.setattr(DeltaContext, "__init__", counting)
     delta_module._context.cache_clear()
     for kappa in (0.3, 0.7):
         for z in (0.3, 0.2 + 0.4j, -5.1 + 33.0j):
             dn3(z, modulus_from_kappa(kappa))
     assert built == [0.3, 0.7]
+
+
+def test_delta_context_is_read_only(ctx06):
+    # dn3 shares one context per modulus.
+    with pytest.raises(AttributeError):
+        ctx06.omega = 1.0
+    with pytest.raises(AttributeError):
+        del ctx06.bridge_a
+    assert not hasattr(ctx06, "__dict__")
+
+
+@pytest.mark.parametrize("kappa", [0.9999, 0.99999])
+def test_reference_delta_keeps_its_digits_near_kappa_one(kappa):
+    # 1/f_half(kappa^2 sin^2 T) forms 1 - kappa^2 sin^2 T and loses up to
+    # 5.6e-13 (kappa = 0.9999) and 4.3e-12 (0.99999) within 1% of T = pi/2;
+    # the kernel's cos^2 T + lambda^2 sin^2 T keeps them (measured 3.6e-16).
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    ctx = DeltaContext(modulus_from_kappa(kappa))
+    third = mpmath.mpf(1) / 3
+    for i in range(999):
+        T = 0.5 * math.pi * (0.99 + 0.02 * i / 998)
+        x = mpmath.mpf(kappa) ** 2 * mpmath.sin(mpmath.mpf(T)) ** 2
+        ref = 1 / mpmath.hyp2f1(third, 2 * third, mpmath.mpf(1) / 2, x)
+        assert abs(delta_module._reference_delta(T, ctx) - ref) <= 1e-15 * ref, T
 
 
 def _mpmath_dn3(kappa, mpmath):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sig3.errors import DomainError
 from sig3.moduli import (
+    ModulusSet,
     invariants,
     midpoints,
     modulus_from_kappa,
@@ -42,6 +43,14 @@ def test_modulus_self_complementary_point():
 def test_modulus_rejects_endpoints(kappa):
     with pytest.raises(DomainError):
         modulus_from_kappa(kappa)
+
+
+def test_modulus_set_checks_its_fields():
+    theta = math.asin(0.6)
+    assert modulus_from_kappa(0.6) == ModulusSet(0.6, 0.8, theta) == (0.6, 0.8, theta)
+    for fields in ((0.6, 0.7, theta), (0.6, 0.8, 0.6), (1.0, 0.0, 0.5 * math.pi)):
+        with pytest.raises(DomainError):
+            ModulusSet(*fields)
 
 
 def test_modulus_at_transfer_half():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sig3.weierstrass
+from sig3.delta import DeltaContext
 from sig3.errors import DegenerateLattice, DomainError, PoleError
 from sig3.moduli import invariants, midpoints, modulus_from_kappa
 from sig3.weierstrass import (
@@ -18,6 +20,7 @@ from sig3.weierstrass import (
     sn,
     wp,
     wp_and_derivative,
+    _lattice,
 )
 from oracles import agm_decimal, hyp2f1_series, jacobi_sn_ode, rel_err, wp_duplication
 
@@ -143,6 +146,31 @@ def test_sn_rejects_bad_modulus():
     for k in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(DomainError):
             sn(0.5, k)
+
+
+@pytest.mark.parametrize("k", [1e-6, 1e-3, 0.3, 0.6, 0.9, 0.99, 0.999999, 1.0 - 1e-12])
+def test_sn_against_40_digit_values_over_a_period(k):
+    # Relative to max(1, |u sn'/sn|): next to a zero of sn, rounding u
+    # alone costs that many ulps.  Measured <= 4.2e-16.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    m = mpmath.mpf(k) ** 2
+    period = float(4 * mpmath.ellipk(m))
+    for i in range(199):
+        u = period * (i + 0.5) / 199
+        ref = mpmath.ellipfun("sn", mpmath.mpf(u), m=m)
+        slope = u * mpmath.sqrt(abs((1 - ref * ref) * (1 - m * ref * ref)))  # |u cn dn|
+        assert abs(sn(u, k) - ref) <= 1e-15 * max(abs(ref), slope), u
+
+
+def test_landen_ladders_of_the_lattice_scan_moduli():
+    # The descent stops on its quadratic rate, so each ladder has a fixed
+    # number of rungs: a change in convergence changes these counts.
+    for kappa, rungs in ((0.05, (2, 6)), (0.6, (3, 5)), (0.95, (4, 4))):
+        mod = modulus_from_kappa(kappa)
+        inv = invariants(mod)
+        for cell in (_lattice(inv.g2, inv.g3)[2], DeltaContext(mod).cell):
+            assert (len(cell.ladder[0]), len(cell.ladder_comp[0])) == rungs, kappa
 
 
 def test_sn_rejects_non_finite_arguments():
@@ -315,8 +343,29 @@ def test_wp_pole_guard_at_a_far_lattice_point(config06):
                                1e300, complex(0.2, 1e300), 1e8])
 def test_wp_rejects_unreducible_arguments(config06, z):
     _, inv, _, _ = config06
-    with pytest.raises(DomainError):
-        wp_and_derivative(z, inv)
+    for evaluate in (wp, wp_and_derivative):
+        with pytest.raises(DomainError):
+            evaluate(z, inv)
+
+
+def test_wp_forms_no_derivative_and_equals_its_value_bitwise(monkeypatch):
+    # Near and far cells of the lattice_scan moduli.
+    rng = random.Random(7)
+    cases = []
+    for kappa in (0.05, 0.6, 0.95):
+        inv = invariants(modulus_from_kappa(kappa))
+        periods = half_periods_from_midpoints(midpoints_from_invariants(inv))
+        for m, n in ((0, 0), (1, -1), (-20, 7), (50, 50)):
+            z = complex(2 * periods.omega * (m + rng.random() - 0.5),
+                        2 * periods.omega_prime.imag * (n + rng.random() - 0.5))
+            cases.append((z, inv, wp_and_derivative(z, inv)[0]))
+
+    def refuse(*args):
+        raise AssertionError("wp must not form the derivative")
+
+    monkeypatch.setattr(sig3.weierstrass, "wp_and_derivative", refuse)
+    for z, inv, expected in cases:
+        assert repr(wp(z, inv)) == repr(expected), z
 
 
 def test_wp_refuses_non_rectangular_lattices():
