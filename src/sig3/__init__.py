@@ -2,11 +2,9 @@
 
 from .errors import (
     ConfigError,
-    DegenerateLattice,
     DomainError,
     NonConvergence,
     PoleError,
-    QuadratureFailure,
     Sig3Error,
 )
 from .hypergeom import (
@@ -15,15 +13,12 @@ from .hypergeom import (
     f2,
     f3,
     f_half,
-    f_half_deriv,
 )
 from .weierstrass import (
     HalfPeriodPair,
-    JacobiModulus,
     MidpointTriple,
     WeierstrassInvariants,
     half_periods_from_midpoints,
-    jacobi_quarter_periods,
     midpoints_from_invariants,
     sn,
     wp,
@@ -32,7 +27,6 @@ from .weierstrass import (
 from .moduli import (
     ModulusSet,
     TransferParams,
-    TrimidiationData,
     invariants,
     midpoints,
     modulus_from_kappa,

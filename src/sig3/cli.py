@@ -98,24 +98,24 @@ def _cmd_eval(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
 
 
 def _cmd_periods(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
-    # A single kappa is the one-point grid kappa:kappa:1.  Every kappa is
-    # checked before the table starts, so a bad grid prints no rows.
+    # A single kappa is the one-point grid kappa:kappa:1.  Every row is
+    # computed before the table starts, so a bad grid prints no rows.
     text = args.kappa if ":" in args.kappa else f"{args.kappa}:{args.kappa}:1"
-    mods = [modulus_from_kappa(kappa) for kappa in grid_points(*_parse_grid(text))]
-    return 0, lambda: _print_periods(mods)
+    lines = [_period_line(modulus_from_kappa(kappa)) for kappa in grid_points(*_parse_grid(text))]
+    header = f"{'kappa':>20} {'p':>22} {'omega':>18} {'-i omega_prime':>18} {'gap_re':>9} {'gap_im':>9}"
+    return 0, lambda: print(header, *lines, sep="\n")
 
 
-def _print_periods(mods: list[ModulusSet]) -> None:
-    print(f"{'kappa':>20} {'p':>22} {'omega':>18} {'-i omega_prime':>18} {'gap_re':>9} {'gap_im':>9}")
-    for mod in mods:
-        third = mod.theta / 3.0
-        p = p_from_s_c(math.sin(third), math.cos(third))
-        sig = half_periods_sig3(mod)
-        gap_re, gap_im = period_route_gap(p)
-        print(
-            f"{mod.kappa!r:>20} {p!r:>22} {sig.omega:18.15f} {sig.omega_prime.imag:18.15f} "
-            f"{gap_re:9.2e} {gap_im:9.2e}"
-        )
+def _period_line(mod: ModulusSet) -> str:
+    """One table row: kappa, p, omega, -i omega' and the two route gaps."""
+    third = mod.theta / 3.0
+    p = p_from_s_c(math.sin(third), math.cos(third))
+    sig = half_periods_sig3(mod)
+    gap_re, gap_im = period_route_gap(p)
+    return (
+        f"{mod.kappa!r:>20} {p!r:>22} {sig.omega:18.15f} {sig.omega_prime.imag:18.15f} "
+        f"{gap_re:9.2e} {gap_im:9.2e}"
+    )
 
 
 def _cmd_delta(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
@@ -140,7 +140,7 @@ def _print_profile(ctx: DeltaContext, samples: int) -> None:
         u = 2.0 * omega * i / (samples - 1)
         d = delta(u, ctx)
         T = delta_phase(u, ctx)
-        inv_gap = abs(_reference_delta(T, ctx) - d)
+        inv_gap = abs(_reference_delta(T, ctx)[0] - d)
         # dn3 refuses the lattice points 0 and 2 omega, the poles of its
         # 1/sn^2 (dn3 itself tends to 1 there)
         near_pole = min(u, abs(2.0 * omega - u)) < 1e-6

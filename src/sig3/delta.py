@@ -44,7 +44,7 @@ peak t = pi/2.  The two routes agree to 1e-13 absolute up to
 kappa = 0.9999 (1e-12 relative up to kappa = 0.999); the Newton stop on
 a step in T limits the reference, not the quadrature.  At
 kappa = 0.999999 the quadrature, which halves its absolute tolerance at
-every split, raises QuadratureFailure rather than return a value short of
+every split, raises NonConvergence rather than return a value short of
 QUAD_TOL.
 
 Both half-period routes live here too: the signature-three route through
@@ -62,7 +62,7 @@ from .errors import DomainError, NonConvergence, PoleError
 from .hypergeom import f2_complement, f3_complement
 from .moduli import ModulusSet, midpoints, params_from_p
 from .quadrature import integrate
-from .weierstrass import HalfPeriodPair, _Cell, _centred_inv_sn, _landen, _sncndn
+from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _Cell, _centred_inv_sn, _landen, _sncndn
 
 __all__ = [
     "DeltaContext",
@@ -81,18 +81,21 @@ ROOT_TOL = 1e-13
 
 
 class DeltaContext:
-    """A modulus kappa in (0, 1) with the constants of the production route.
+    """A modulus kappa with the constants of the production route.
 
     Every field but the modulus is derived once, at construction, from the
     closed-form midpoint values and ``half_periods_sig3``: the real half
-    period omega, the four constants of the Jacobi bridge, e3 and e1 - e3,
+    period omega, the three constants of the Jacobi bridge, e3 and e1 - e3,
     and ``cell``, the lattice of kappa as ``dn3`` reads it (the periods
-    2 omega and 2|omega'|, and the Landen ladders of k and of k').
-    ``delta`` reads the ladder of k there; it is the one ``sn(., k)`` uses.
+    2 omega and 2|omega'|, r, k^2, and the Landen ladders of k and of k').
+    ``delta`` reads the ladder of k there, the one ``sn(., k)`` uses, and
+    r from the slot ``bridge_scale``, faster to read than a tuple field.
     ``dn3`` shares one context per modulus, so no field can be reassigned.
+    Every kappa in (0, 1) from ~7.6e-6 up is accepted; below, e2 - e3 ~
+    0.11 kappa^3 rounds away next to e3 ~ -1/3 and DomainError is raised.
     """
 
-    __slots__ = ("modulus", "omega", "bridge_scale", "jacobi_k", "bridge_a", "bridge_b", "e3", "spread", "cell")
+    __slots__ = ("modulus", "omega", "bridge_scale", "bridge_a", "bridge_b", "e3", "spread", "cell")
 
     def __init__(self, modulus: ModulusSet):
         k2 = modulus.kappa ** 2
@@ -105,7 +108,6 @@ class DeltaContext:
             "modulus": modulus,
             "omega": periods.omega,
             "bridge_scale": r,  # sqrt(e1 - e3)
-            "jacobi_k": k,  # sqrt((e2 - e3)/(e1 - e3))
             "bridge_a": (4.0 / 9.0) * k2 / spread,
             "bridge_b": (1.0 / 3.0 + mids.e3) / spread,
             "e3": mids.e3,
@@ -187,12 +189,21 @@ def _arc_kernel(t: float, kappa: float, lam2: float) -> float:
     return math.cos(math.atan2(kappa * st, cos_z) / 3.0) / cos_z
 
 
-def _reference_delta(T: float, ctx: DeltaContext) -> float:
-    """delta at the phase T = T(u) by the reference route,
-    1/F(1/3, 2/3; 1/2; kappa^2 sin^2 T), from ``_arc_kernel``: near kappa = 1
-    and T = pi/2 it keeps the digits that 1/f_half(kappa^2 sin^2 T) loses."""
+def _reference_delta(T: float, ctx: DeltaContext) -> tuple[float, float]:
+    """delta = 1/F and delta' = -(dF/dT)/F^3 at the phase T = T(u) by the
+    reference route, F = cos(z/3)/cos z as in ``_arc_kernel``; sin z =
+    kappa sin T gives dF/dT = (sin z cos(z/3) - sin(z/3) cos z/3) kappa
+    cos T / cos^3 z.  Near kappa = 1 and T = pi/2 both keep the digits that
+    1 - kappa^2 sin^2 T would lose."""
     kappa = ctx.modulus.kappa
-    return 1.0 / _arc_kernel(T, kappa, (1.0 - kappa) * (1.0 + kappa))
+    st = math.sin(T)
+    ct = math.cos(T)
+    cos_z = math.sqrt(ct * ct + (1.0 - kappa) * (1.0 + kappa) * st * st)
+    sin_z = kappa * st
+    third = math.atan2(sin_z, cos_z) / 3.0
+    f = math.cos(third) / cos_z
+    df = (sin_z * math.cos(third) - math.sin(third) * cos_z / 3.0) * kappa * ct / cos_z ** 3
+    return 1.0 / f, -df / (f * f * f)
 
 
 def delta_integral(T: float, ctx: DeltaContext) -> float:
@@ -257,12 +268,13 @@ def delta(u: float, ctx: DeltaContext) -> float:
     1/F(1/3,2/3;1/2; kappa^2 sin^2 T(u)), which ``delta_phase`` evaluates
     by the reference route.  delta(0) = 1 exactly, delta(-u) = delta(u)
     bitwise, values lie in (0, 1] (b > 0 because e3 > -1/3, so the
-    denominator stays at or above 1) and repeat with period 2 omega.
+    denominator stays at or above 1) and repeat with period 2 omega.  Its
+    domain is that of ``dn3``: a u that is not finite or has
+    |u| >= ``WP_MAX_MODULUS`` (~4.5e7) raises DomainError.
     """
-    x = u * ctx.bridge_scale
-    if not math.isfinite(x):
-        raise DomainError(f"argument {u} is not finite, or too large to scale by sqrt(e1 - e3)")
-    s = _sncndn(x, ctx.cell.ladder)[0]
+    if not abs(u) < WP_MAX_MODULUS:
+        raise DomainError(f"argument {u} is not finite, or too large to reduce onto the period")
+    s = _sncndn(u * ctx.bridge_scale, ctx.cell.ladder)[0]
     s2 = s * s
     return 1.0 - ctx.bridge_a * s2 / (1.0 + ctx.bridge_b * s2)
 

@@ -13,17 +13,9 @@ class ConfigError(Sig3Error, ValueError):
     """Invalid grid or configuration request."""
 
 
-class DegenerateLattice(Sig3Error, ValueError):
-    """Midpoint values collapse; no non-degenerate period lattice exists."""
-
-
 class NonConvergence(Sig3Error, ArithmeticError):
-    """An iteration or series failed to meet its tolerance within budget."""
+    """An iteration or an adaptive quadrature failed to meet its tolerance within budget."""
 
 
 class PoleError(Sig3Error, ArithmeticError):
     """Evaluation point is too close to a pole of the function."""
-
-
-class QuadratureFailure(Sig3Error, ArithmeticError):
-    """Adaptive quadrature could not reach the requested tolerance."""

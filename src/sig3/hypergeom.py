@@ -30,7 +30,6 @@ __all__ = [
     "f2_complement",
     "f3_complement",
     "f_half",
-    "f_half_deriv",
     "agm",
     "agm3",
 ]
@@ -114,38 +113,14 @@ def f3(x: float) -> float:
     return f3_complement(1.0 - x)
 
 
-def _half_angle(x: float) -> tuple[float, float, float]:
-    """sqrt(x), sqrt(1 - x) and z/3 for x = sin^2 z in [0, 1).
-
-    1 - x is exact for x >= 1/2, so the cosine keeps its digits up to the
-    singularity; atan2 needs no clamping where asin would.
-    """
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"f_half argument must lie in [0, 1), got {x}")
-    sin_z = math.sqrt(x)
-    cos_z = math.sqrt(1.0 - x)
-    return sin_z, cos_z, math.atan2(sin_z, cos_z) / 3.0
-
-
 def f_half(x: float) -> float:
     """F(1/3, 2/3; 1/2; x) = cos(z/3)/cos z at x = sin^2 z, for x in [0, 1).
 
     Grows like (1-x)^(-1/2) toward the singularity at x = 1; the closed
-    form keeps full relative accuracy all the way up to it.
+    form keeps full relative accuracy all the way up to it: 1 - x is exact
+    for x >= 1/2, and atan2 needs no clamping where asin would.
     """
-    _, cos_z, third = _half_angle(x)
-    return math.cos(third) / cos_z
-
-
-def f_half_deriv(x: float) -> float:
-    """d/dx F(1/3, 2/3; 1/2; x), by differentiating cos(z/3)/cos z:
-
-        (sin z cos(z/3) - (1/3) sin(z/3) cos z) / (2 sin z cos^3 z),
-
-    with its limit 4/9 at x = 0 returned exactly.
-    """
-    sin_z, cos_z, third = _half_angle(x)
-    if sin_z == 0.0:
-        return 4.0 / 9.0
-    numerator = sin_z * math.cos(third) - math.sin(third) * cos_z / 3.0
-    return numerator / (2.0 * sin_z * (1.0 - x) * cos_z)
+    if not 0.0 <= x < 1.0:
+        raise DomainError(f"f_half argument must lie in [0, 1), got {x}")
+    cos_z = math.sqrt(1.0 - x)
+    return math.cos(math.atan2(math.sqrt(x), cos_z) / 3.0) / cos_z

@@ -34,7 +34,6 @@ from .weierstrass import MidpointTriple, WeierstrassInvariants
 __all__ = [
     "ModulusSet",
     "TransferParams",
-    "TrimidiationData",
     "modulus_from_kappa",
     "params_from_p",
     "p_from_s_c",
@@ -90,17 +89,6 @@ class TransferParams(NamedTuple):
     beta_comp: float
     r2: float
     k2: float
-
-
-class TrimidiationData(NamedTuple):
-    """Invariants (h2, h3) after dividing the imaginary period by three.
-
-    ``trimidiation`` derives them through b = -1/3, the Weierstrass value
-    at two thirds of the imaginary half-period for every modulus.
-    """
-
-    h2: float
-    h3: float
 
 
 def modulus_from_kappa(kappa: float) -> ModulusSet:
@@ -222,8 +210,9 @@ def midpoints(mod: ModulusSet) -> MidpointTriple:
     return MidpointTriple(e1=2.0 * x / 9.0, e2=(gap - x) / 9.0, e3=-(gap + x) / 9.0)
 
 
-def trimidiation(mod: ModulusSet) -> TrimidiationData:
-    """Invariants of the lattice with imaginary period divided by three.
+def trimidiation(mod: ModulusSet) -> WeierstrassInvariants:
+    """Invariants (h2, h3) of the lattice with imaginary period divided by
+    three, as the pair (g2, g3) of that lattice.
 
     Two routes: through b = -1/3 (the Weierstrass value at two thirds of
     the imaginary half-period),
@@ -247,4 +236,4 @@ def trimidiation(mod: ModulusSet) -> TrimidiationData:
             f"trimidiation routes disagree at kappa={mod.kappa}: "
             f"({h2}, {h3}) vs ({h2_b}, {h3_b})"
         )
-    return TrimidiationData(h2=h2, h3=h3)
+    return WeierstrassInvariants(g2=h2, g3=h3)

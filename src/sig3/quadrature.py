@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .errors import QuadratureFailure
+from .errors import NonConvergence
 
 __all__ = ["integrate"]
 
@@ -59,7 +59,7 @@ def _adaptive(f, a, b, tol, depth):
     if abs(whole - split) <= tol:
         return split
     if depth >= MAX_DEPTH:
-        raise QuadratureFailure(
+        raise NonConvergence(
             f"interval [{a}, {b}] not converged to {tol} within depth {MAX_DEPTH}"
         )
     half_tol = 0.5 * tol
@@ -71,7 +71,7 @@ def integrate(f: Callable[[float], float], a: float, b: float, tol: float) -> fl
 
     Each panel is compared against its two halves; disagreeing panels are
     halved with the tolerance split between the children.  Raises
-    QuadratureFailure once the subdivision budget is exhausted.
+    NonConvergence once the subdivision budget is exhausted.
     """
     if a == b:
         return 0.0

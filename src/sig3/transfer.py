@@ -27,9 +27,9 @@ from typing import NamedTuple, Sequence
 
 from .delta import DeltaContext, _reference_delta, _sig3_half_periods, delta_phase, half_periods_jacobi_route
 from .errors import ConfigError
-from .hypergeom import f2_complement, f3_complement, f_half_deriv
+from .hypergeom import f2_complement, f3_complement
 from .moduli import modulus_from_kappa, params_from_p, trimidiation, invariants
-from .weierstrass import WeierstrassInvariants, wp
+from .weierstrass import wp
 
 __all__ = [
     "DEFAULT_TOL",
@@ -133,9 +133,8 @@ def verify_identity58(p: float, tol: float = DEFAULT_TOL) -> IdentityCheck:
 def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> float:
     """Maximum scaled residual of 9 (delta')^2 = 4(1-delta)(delta^3+3delta^2-4lambda^2).
 
-    delta' is evaluated analytically through the chain rule
-    delta' = -delta^3 f_half' kappa^2 sin(2T), with delta = 1/f_half from
-    the reference route's kernel (finite differences would dominate the
+    delta and delta' are evaluated analytically at the phase T(u) by the
+    reference route's arc form (finite differences would dominate the
     residual budget).  Residuals are scaled by 1 + delta^4.
     """
     worst = 0.0
@@ -146,9 +145,7 @@ def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> float:
 
 def _ode_residual(T: float, ctx: DeltaContext) -> float:
     """The scaled residual of ``verify_ode_delta`` at the phase T = T(u)."""
-    k2 = ctx.modulus.kappa ** 2
-    d = _reference_delta(T, ctx)
-    d_prime = -d ** 3 * f_half_deriv(k2 * math.sin(T) ** 2) * k2 * math.sin(2.0 * T)
+    d, d_prime = _reference_delta(T, ctx)
     lhs = 9.0 * d_prime * d_prime
     rhs = 4.0 * (1.0 - d) * (d * d * (d + 3.0) - 4.0 * ctx.modulus.lam ** 2)
     return abs(lhs - rhs) / (1.0 + d ** 4)
@@ -162,8 +159,7 @@ def verify_trimidiation(kappa: float, z_samples: Sequence[complex]) -> float:
     turn; samples must avoid both lattices (PoleError otherwise).
     """
     mod = modulus_from_kappa(kappa)
-    tri = trimidiation(mod)
-    inv_h = WeierstrassInvariants(g2=tri.h2, g3=tri.h3)
+    inv_h = trimidiation(mod)
     inv_lam = invariants(mod.complement)
     rot = math.sqrt(3.0) * 1j
     worst = 0.0

@@ -13,10 +13,11 @@ One private helper does the reduction and the addition formulas, for
 its modulus.
 
 The rest of the dictionary lives here too: Jacobi sn by the descending
-Landen recursion (one cached ladder per modulus), quarter periods K and K'
-through the AGM, and the map between midpoint values e1 > e2 > e3, the
-Jacobi modulus k^2 = (e2-e3)/(e1-e3), and the Weierstrass half-periods
-omega = K/sqrt(e1-e3), omega' = iK'/sqrt(e1-e3).
+Landen recursion (one cached ladder per modulus), and the map between
+midpoint values e1 > e2 > e3, the Jacobi modulus k^2 = (e2-e3)/(e1-e3),
+and the Weierstrass half-periods omega = K/sqrt(e1-e3),
+omega' = iK'/sqrt(e1-e3), with the quarter periods K and K' through the
+AGM.
 """
 
 from __future__ import annotations
@@ -26,18 +27,16 @@ import sys
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import DegenerateLattice, DomainError, NonConvergence, PoleError
+from .errors import DomainError, NonConvergence, PoleError
 from .hypergeom import f2_complement
 
 __all__ = [
     "WeierstrassInvariants",
     "MidpointTriple",
     "HalfPeriodPair",
-    "JacobiModulus",
     "wp",
     "wp_and_derivative",
     "sn",
-    "jacobi_quarter_periods",
     "half_periods_from_midpoints",
     "midpoints_from_invariants",
 ]
@@ -76,7 +75,7 @@ class MidpointTriple(NamedTuple("MidpointTriple", [("e1", float), ("e2", float),
 
     def __new__(cls, e1: float, e2: float, e3: float):
         if e1 == e2 or e2 == e3:
-            raise DegenerateLattice(f"midpoint values collapse: ({e1}, {e2}, {e3})")
+            raise DomainError(f"midpoint values collapse: ({e1}, {e2}, {e3})")
         if not e1 > e2 > e3:
             raise DomainError(f"midpoint values must satisfy e1 > e2 > e3, got ({e1}, {e2}, {e3})")
         return super().__new__(cls, e1, e2, e3)
@@ -108,14 +107,6 @@ class HalfPeriodPair(NamedTuple("HalfPeriodPair", [("omega", float), ("omega_pri
         return super().__new__(cls, omega, omega_prime)
 
 
-class JacobiModulus(NamedTuple):
-    """Jacobi modulus k with its quarter periods K and K'."""
-
-    k: float
-    K: float
-    K_prime: float
-
-
 def wp_and_derivative(z: complex, inv: WeierstrassInvariants) -> tuple[complex, complex]:
     """Weierstrass function and its derivative at z for invariants (g2, g3).
 
@@ -130,7 +121,7 @@ def wp_and_derivative(z: complex, inv: WeierstrassInvariants) -> tuple[complex, 
         dn = (d c1 d1 - i k^2 s c s1)/D,   D = c1^2 + k^2 s^2 s1^2.
 
     Only rectangular lattices (positive discriminant) are served; others
-    raise DegenerateLattice.  Raises PoleError within ``POLE_THRESHOLD`` of
+    raise DomainError.  Raises PoleError within ``POLE_THRESHOLD`` of
     a lattice point, and DomainError for a z that is not finite or has
     |z| >= ``WP_MAX_MODULUS``.
 
@@ -265,33 +256,30 @@ def sn(u: float, k: float) -> float:
     return _sncndn(u, _landen((1.0 - k) * (1.0 + k)))[0]
 
 
-def jacobi_quarter_periods(k: float) -> JacobiModulus:
-    """Quarter periods K = (pi/2) F(1/2,1/2;1;k^2), K' likewise at 1 - k^2,
-    each from the complement of its argument ((1-k)(1+k) keeps K accurate as k -> 1)."""
-    if not 0.0 < k < 1.0:
-        raise DomainError(f"modulus must lie in (0, 1), got {k}")
-    half_pi = 0.5 * math.pi
-    K = half_pi * f2_complement((1.0 - k) * (1.0 + k))
-    return JacobiModulus(k=k, K=K, K_prime=half_pi * f2_complement(k * k))
-
-
 def half_periods_from_midpoints(mids: MidpointTriple) -> HalfPeriodPair:
     """Half periods of the Weierstrass function with midpoint values ``mids``.
 
     omega = K/sqrt(e1-e3) and omega' = iK'/sqrt(e1-e3), with the Jacobi
-    modulus read off the midpoint spread.  Raises DegenerateLattice when a
-    spread underflows the tolerance and no lattice survives.
+    modulus k read off the midpoint spread and the quarter periods
+    K = (pi/2) F(1/2,1/2;1;k^2), K' likewise at 1 - k^2, each from the
+    complement of its argument ((1-k)(1+k) keeps K accurate as k -> 1).
+    Raises DomainError when a spread underflows the tolerance and no
+    lattice survives.
     """
     spread = mids.spread
     gap = mids.e2 - mids.e3
     scale = max(abs(mids.e1), abs(mids.e3))
     if spread <= 1e-14 * scale or gap <= 1e-14 * spread:
-        raise DegenerateLattice(
+        raise DomainError(
             f"midpoint spreads ({spread}, {gap}) too small for a period lattice"
         )
-    quarter = jacobi_quarter_periods(math.sqrt(mids.jacobi_m))
+    k = math.sqrt(mids.jacobi_m)
+    half_pi = 0.5 * math.pi
     r = math.sqrt(spread)
-    return HalfPeriodPair(omega=quarter.K / r, omega_prime=1j * (quarter.K_prime / r))
+    return HalfPeriodPair(
+        omega=half_pi * f2_complement((1.0 - k) * (1.0 + k)) / r,
+        omega_prime=1j * (half_pi * f2_complement(k * k) / r),
+    )
 
 
 def midpoints_from_invariants(inv: WeierstrassInvariants) -> MidpointTriple:
@@ -299,10 +287,10 @@ def midpoints_from_invariants(inv: WeierstrassInvariants) -> MidpointTriple:
 
     Uses the trigonometric form of the cubic, valid exactly when the
     discriminant is positive (rectangular lattice); otherwise raises
-    DegenerateLattice.
+    DomainError.
     """
     if inv.g2 <= 0.0 or inv.discriminant <= 0.0:
-        raise DegenerateLattice(
+        raise DomainError(
             f"invariants ({inv.g2}, {inv.g3}) do not give three real midpoints"
         )
     m = math.sqrt(inv.g2 / 3.0)

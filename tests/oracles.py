@@ -98,13 +98,6 @@ def jacobi_sn_ode(u: float, k: float, steps: int = 20_000) -> float:
     return state[0]
 
 
-def richardson_diff(f, x: float, h: float = 1e-6) -> float:
-    """Richardson-extrapolated central difference of f at x."""
-    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
-    d2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
 def rel_err(value: float, reference: float) -> float:
     return abs(value - reference) / abs(reference)
 

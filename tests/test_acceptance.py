@@ -109,12 +109,12 @@ def test_criterion_7_trimidiation():
         inv = invariants(mod)
         tri = trimidiation(mod)
         b = -1.0 / 3.0
-        ok = ok and abs(tri.h2 - (120.0 * b * b - 9.0 * inv.g2)) <= 1e-14 * tri.h2
+        ok = ok and abs(tri.g2 - (120.0 * b * b - 9.0 * inv.g2)) <= 1e-14 * tri.g2
         h3_b = 280.0 * b ** 3 - 42.0 * b * inv.g2 - 27.0 * inv.g3
-        ok = ok and abs(tri.h3 - h3_b) <= 1e-14 * max(1.0, abs(tri.h3))
+        ok = ok and abs(tri.g3 - h3_b) <= 1e-14 * max(1.0, abs(tri.g3))
         inv_lam = invariants(mod.complement)
-        ok = ok and abs(tri.h2 - 9.0 * inv_lam.g2) <= 1e-14 * tri.h2
-        ok = ok and abs(tri.h3 + 27.0 * inv_lam.g3) <= 1e-14 * abs(tri.h3)
+        ok = ok and abs(tri.g2 - 9.0 * inv_lam.g2) <= 1e-14 * tri.g2
+        ok = ok and abs(tri.g3 + 27.0 * inv_lam.g3) <= 1e-14 * abs(tri.g3)
     report(7, "trimidiation identity and invariants", ok)
 
 

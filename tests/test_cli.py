@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import sig3
 import sig3.cli
 import sig3.transfer
 from sig3.cli import CSV_HEADER, emit_csv, main
@@ -215,7 +217,9 @@ def test_periods_domain_error(capsys):
     assert main(["periods", "--kappa", "1.2"]) == 2
 
 
-@pytest.mark.parametrize("grid", ["0.1:0.9:0", "0.1:nan:0.1", "0.1:0.9", "0.5:1.0:0.5"])
+# 1e-300: the half period needs F3 at kappa^2 = 0, so the row fails; every
+# row is computed before the header is written.
+@pytest.mark.parametrize("grid", ["0.1:0.9:0", "0.1:nan:0.1", "0.1:0.9", "0.5:1.0:0.5", "1e-300"])
 def test_periods_bad_grid_exits_two(capsys, grid):
     assert main(["periods", "--kappa", grid]) == 2
     out, err = capsys.readouterr()
@@ -242,6 +246,8 @@ def test_delta_subcommand_domain_error(capsys):
     ("--kappa", "0.6", "--u", "0.4", "--samples", "3"),
     ("--kappa", "0.6"),
     ("--kappa", "0.6", "--samples", str(sig3.transfer.MAX_GRID_POINTS + 1)),
+    ("--kappa", "0.6", "--u", "1e300"),  # the rounding of u alone exceeds the period
+    ("--kappa", "1e-10", "--u", "1"),  # e2 and e3 round together: no lattice
 ])
 def test_delta_profile_bad_input_exits_two(capsys, args):
     assert main(["delta", *args]) == 2
@@ -325,6 +331,26 @@ def test_import_loads_no_dataclasses():
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import sig3, sig3.cli; "
             "assert 'dataclasses' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_public_names_are_pinned():
+    # A name is exported only if the CLI, another module or a certificate
+    # calls it; a new one has to be added here on purpose.
+    names = {name for name, value in vars(sig3).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert names == {
+        "ConfigError", "DomainError", "NonConvergence", "PoleError", "Sig3Error",
+        "agm", "agm3", "f2", "f3", "f_half",
+        "HalfPeriodPair", "MidpointTriple", "WeierstrassInvariants",
+        "half_periods_from_midpoints", "midpoints_from_invariants", "sn", "wp", "wp_and_derivative",
+        "ModulusSet", "TransferParams", "invariants", "midpoints", "modulus_from_kappa",
+        "p_from_s_c", "params_from_p", "trimidiation",
+        "DeltaContext", "delta", "delta_integral", "delta_phase", "dn3",
+        "half_periods_jacobi_route", "half_periods_sig3",
+        "DEFAULT_TOL", "IdentityCheck", "VerificationReport", "VerificationRow", "grid_report",
+        "period_route_gap", "verify_identity56", "verify_identity57", "verify_identity58",
+        "verify_ode_delta", "verify_trimidiation",
+    }
 
 
 def test_module_entry_point_runs():

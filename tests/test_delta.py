@@ -16,12 +16,12 @@ from sig3.delta import (
     half_periods_jacobi_route,
     half_periods_sig3,
 )
-from sig3.errors import DomainError, PoleError, QuadratureFailure
+from sig3.errors import DomainError, NonConvergence, PoleError
 from sig3.hypergeom import f_half
 from sig3.moduli import modulus_from_kappa, params_from_p, trimidiation
 from sig3.quadrature import GAUSS_NODES, GAUSS_WEIGHTS, integrate
 from sig3.weierstrass import (
-    WeierstrassInvariants,
+    WP_MAX_MODULUS,
     half_periods_from_midpoints,
     midpoints_from_invariants,
     sn,
@@ -124,7 +124,7 @@ def test_arc_integral_odd_in_t(ctx06):
 
 def test_quadrature_budget_failure():
     # An endpoint singularity keeps every refinement level disagreeing.
-    with pytest.raises(QuadratureFailure):
+    with pytest.raises(NonConvergence):
         integrate(lambda t: t ** -0.5, 0.0, 1.0, 1e-13)
 
 
@@ -211,13 +211,26 @@ def test_delta_is_the_bridge_through_sn_bitwise():
         ctx = DeltaContext(modulus_from_kappa(kappa))
         for i in range(-40, 41):
             u = 0.137 * i * ctx.omega
-            s2 = sn(u * ctx.bridge_scale, ctx.jacobi_k) ** 2
+            s2 = sn(u * ctx.bridge_scale, math.sqrt(ctx.cell.m)) ** 2
             assert delta(u, ctx) == 1.0 - ctx.bridge_a * s2 / (1.0 + ctx.bridge_b * s2), (kappa, u)
 
 
 def test_delta_rejects_non_finite(ctx06):
     with pytest.raises(DomainError):
         delta(math.inf, ctx06)
+
+
+def test_delta_has_the_domain_of_dn3(ctx06):
+    # |u| >= WP_MAX_MODULUS (~4.5036e7) is refused, as by dn3: beyond it the
+    # rounding of u alone exceeds the lattice's pole threshold.
+    mod = ctx06.modulus
+    for u in (1e300, -1e300, 4.6e7, WP_MAX_MODULUS, math.nan):
+        with pytest.raises(DomainError):
+            delta(u, ctx06)
+        with pytest.raises(DomainError):
+            dn3(u, mod)
+    for u in (4e7, -4e7, math.nextafter(WP_MAX_MODULUS, 0.0)):
+        assert 0.0 < delta(u, ctx06) <= 1.0
 
 
 # --------------------------------------------------------- dn3 ----
@@ -262,20 +275,13 @@ def test_dn3_builds_no_invariants_and_calls_no_wp(monkeypatch):
         dn3(z, mod)
 
 
-def test_dn3_builds_one_context_per_modulus(monkeypatch):
-    built = []
-    init = DeltaContext.__init__
-
-    def counting(self, modulus):
-        built.append(modulus.kappa)
-        init(self, modulus)
-
-    monkeypatch.setattr(DeltaContext, "__init__", counting)
+def test_dn3_builds_one_context_per_modulus():
     delta_module._context.cache_clear()
     for kappa in (0.3, 0.7):
         for z in (0.3, 0.2 + 0.4j, -5.1 + 33.0j):
             dn3(z, modulus_from_kappa(kappa))
-    assert built == [0.3, 0.7]
+    info = delta_module._context.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
 
 
 def test_delta_context_is_read_only(ctx06):
@@ -300,7 +306,28 @@ def test_reference_delta_keeps_its_digits_near_kappa_one(kappa):
         T = 0.5 * math.pi * (0.99 + 0.02 * i / 998)
         x = mpmath.mpf(kappa) ** 2 * mpmath.sin(mpmath.mpf(T)) ** 2
         ref = 1 / mpmath.hyp2f1(third, 2 * third, mpmath.mpf(1) / 2, x)
-        assert abs(delta_module._reference_delta(T, ctx) - ref) <= 1e-15 * ref, T
+        assert abs(delta_module._reference_delta(T, ctx)[0] - ref) <= 1e-15 * ref, T
+
+
+@pytest.mark.parametrize("kappa", [0.9999, 0.99999])
+def test_reference_delta_derivative_keeps_its_digits_near_kappa_one(kappa):
+    # delta' = d/dT(1/F)/F at F = F(1/3, 2/3; 1/2; kappa^2 sin^2 T), on 999
+    # T within 1% of pi/2 (pi/2 itself, where delta' = 0, left out).  The
+    # arc form measures <= 7.1e-16; differentiating F in x = kappa^2 sin^2 T
+    # divides by 1 - x and loses up to 1.6e-12 (kappa = 0.9999) and 1.2e-11.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    ctx = DeltaContext(modulus_from_kappa(kappa))
+    third = mpmath.mpf(1) / 3
+    k2 = mpmath.mpf(kappa) ** 2
+    for i in range(1, 1000):
+        T = 0.5 * math.pi * (0.99 + 0.02 * i / 999)
+        t = mpmath.mpf(T)
+        x = k2 * mpmath.sin(t) ** 2
+        F = mpmath.hyp2f1(third, 2 * third, mpmath.mpf(1) / 2, x)
+        dF = mpmath.mpf(4) / 9 * mpmath.hyp2f1(4 * third, 5 * third, mpmath.mpf(3) / 2, x) * k2 * mpmath.sin(2 * t)
+        ref = -dF / F ** 3
+        assert abs(delta_module._reference_delta(T, ctx)[1] - ref) <= 1e-15 * abs(ref), T
 
 
 def _mpmath_dn3(kappa, mpmath):
@@ -355,8 +382,7 @@ def test_dn3_against_40_digit_values(kappa):
 
 def test_trimidiated_lattice_periodicity():
     mod = modulus_from_kappa(0.7)
-    tri = trimidiation(mod)
-    inv_h = WeierstrassInvariants(tri.h2, tri.h3)
+    inv_h = trimidiation(mod)
     periods_h = half_periods_from_midpoints(midpoints_from_invariants(inv_h))
     z = 0.31 + 0.17j
     a = wp(z, inv_h)
@@ -367,10 +393,7 @@ def test_trimidiated_lattice_periodicity():
 def test_trimidiation_divides_the_imaginary_period_by_three():
     for kappa in (0.4, 0.7):
         mod = modulus_from_kappa(kappa)
-        tri = trimidiation(mod)
         periods = half_periods_sig3(mod)
-        periods_h = half_periods_from_midpoints(
-            midpoints_from_invariants(WeierstrassInvariants(tri.h2, tri.h3))
-        )
+        periods_h = half_periods_from_midpoints(midpoints_from_invariants(trimidiation(mod)))
         assert rel_err(periods_h.omega_prime.imag, periods.omega_prime.imag / 3.0) < 1e-9
         assert rel_err(periods_h.omega, periods.omega) < 1e-9

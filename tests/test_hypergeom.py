@@ -16,7 +16,6 @@ from sig3.hypergeom import (
     f3,
     f3_complement,
     f_half,
-    f_half_deriv,
 )
 from oracles import (
     HALF,
@@ -27,14 +26,12 @@ from oracles import (
     hyp2f1_exact,
     hyp2f1_series,
     rel_err,
-    richardson_diff,
 )
 
 # Parameter triples (a, b, c) of the float series oracle.
 F2_PARAMS = (0.5, 0.5, 1.0)
 F3_PARAMS = (1.0 / 3.0, 2.0 / 3.0, 1.0)
 F_HALF_PARAMS = (1.0 / 3.0, 2.0 / 3.0, 0.5)
-F_HALF_DERIV_PARAMS = (4.0 / 3.0, 5.0 / 3.0, 1.5)  # d/dx F_half = (4/9) F(4/3, 5/3; 3/2; x)
 
 # Frozen from the exact-rational series oracle (hyp2f1_exact); the oracle is
 # re-run below so a broken freeze cannot hide.
@@ -43,13 +40,11 @@ F2_AT_5_32 = 1.0429193183237468
 F3_AT_243_343 = 1.2905468138800527
 F3_AT_7_8 = 1.505254038857066
 F_HALF_AT_9_25 = 1.2213535839028458
-F_HALF_DERIV_AT_1_4 = 0.680928393883536
 AGM_1_INV_SQRT2 = 0.847213084793979  # 50-digit decimal AGM iteration
-# F(1/3, 2/3; 1/2; x) and its derivative next to the singularity, from
-# 40-digit mpmath hyp2f1.
+# F(1/3, 2/3; 1/2; x) next to the singularity, from 40-digit mpmath hyp2f1.
 F_HALF_NEAR_ONE = {
-    0.9999: (86.76872837354368, 433015.08305876044),
-    1.0 - 2.0 ** -30: (28378.087096406896, 15235280023354.584),
+    0.9999: 86.76872837354368,
+    1.0 - 2.0 ** -30: 28378.087096406896,
 }
 
 
@@ -145,40 +140,18 @@ def test_f_half_spot_value():
 
 
 def test_f_half_matches_the_series_oracle():
-    # Closed form against the Gauss series, kernel and derivative, up to
-    # x = 0.98 (kappa = 0.99), where the series still converges.
+    # Closed form against the Gauss series, up to x = 0.98 (kappa = 0.99),
+    # where the series still converges.
     for x in [i / 100.0 for i in range(98)] + [0.9801]:
         assert rel_err(f_half(x), hyp2f1_series(*F_HALF_PARAMS, x)) < 1e-13
-        deriv = (4.0 / 9.0) * hyp2f1_series(*F_HALF_DERIV_PARAMS, x)
-        assert rel_err(f_half_deriv(x), deriv) < 1e-13
 
 
 def test_f_half_near_singularity_against_40_digit_values():
-    for x, (value, deriv) in F_HALF_NEAR_ONE.items():
+    for x, value in F_HALF_NEAR_ONE.items():
         assert rel_err(f_half(x), value) <= 1e-15
-        assert rel_err(f_half_deriv(x), deriv) <= 1e-15
     for x in (1.0, -0.1):
         with pytest.raises(DomainError):
             f_half(x)
-        with pytest.raises(DomainError):
-            f_half_deriv(x)
-
-
-def test_f_half_deriv_leading_coefficient():
-    assert f_half_deriv(0.0) == 4.0 / 9.0
-
-
-def test_f_half_deriv_frozen_value():
-    value = f_half_deriv(0.25)
-    assert rel_err(value, F_HALF_DERIV_AT_1_4) < 1e-14
-    oracle = Fraction(4, 9) * hyp2f1_exact(Fraction(4, 3), Fraction(5, 3), Fraction(3, 2), Fraction(1, 4))
-    assert rel_err(value, float(oracle)) < 1e-14
-
-
-@pytest.mark.parametrize("x", [0.1, 0.3, 0.5])
-def test_f_half_deriv_matches_finite_differences(x):
-    fd = richardson_diff(f_half, x)
-    assert rel_err(f_half_deriv(x), fd) < 1e-8
 
 
 def test_agm_fixed_point_is_exact():

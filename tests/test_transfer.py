@@ -21,11 +21,7 @@ from sig3.transfer import (
     verify_ode_delta,
     verify_trimidiation,
 )
-from sig3.weierstrass import (
-    WeierstrassInvariants,
-    half_periods_from_midpoints,
-    midpoints_from_invariants,
-)
+from sig3.weierstrass import half_periods_from_midpoints, midpoints_from_invariants
 from oracles import HALF, ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err
 
 DEFAULT_GRID = (0.05, 0.95, 0.05)
@@ -133,10 +129,7 @@ def test_trimidiation_identity(kappa):
 def test_trimidiation_identity_cells_out(kappa):
     # Both sides reduce their arguments onto their own lattices: the left
     # on the (h2, h3) lattice, whose periods come only from its invariants.
-    tri = trimidiation(modulus_from_kappa(kappa))
-    periods = half_periods_from_midpoints(
-        midpoints_from_invariants(WeierstrassInvariants(tri.h2, tri.h3))
-    )
+    periods = half_periods_from_midpoints(midpoints_from_invariants(trimidiation(modulus_from_kappa(kappa))))
     shift = 2.0 * (7.0 * periods.omega + 5.0 * periods.omega_prime)
     assert verify_trimidiation(kappa, [z + shift for z in TRIMID_SAMPLES]) <= 1e-10
 

@@ -7,15 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sig3.weierstrass
+from sig3.hypergeom import f2_complement
 from sig3.delta import DeltaContext
-from sig3.errors import DegenerateLattice, DomainError, PoleError
+from sig3.errors import DomainError, PoleError
 from sig3.moduli import invariants, midpoints, modulus_from_kappa
 from sig3.weierstrass import (
     HalfPeriodPair,
     MidpointTriple,
     WeierstrassInvariants,
     half_periods_from_midpoints,
-    jacobi_quarter_periods,
     midpoints_from_invariants,
     sn,
     wp,
@@ -104,7 +104,7 @@ def test_wp_derivative_against_finite_differences(config06):
 def test_sn_at_zero_and_quarter_period():
     assert sn(0.0, 0.3) == 0.0
     for k in (0.2, 0.5, 0.9):
-        K = jacobi_quarter_periods(k).K
+        K = _quarter_periods(k)[0]
         assert abs(sn(K, k) - 1.0) < 1e-12
 
 
@@ -116,7 +116,7 @@ def test_sn_frozen_value_against_ode_oracle():
 
 def test_sn_periodicity_and_sign_reversal():
     k = 0.45
-    K = jacobi_quarter_periods(k).K
+    K = _quarter_periods(k)[0]
     for u in (0.3, 1.1, 2.6):
         assert abs(sn(u + 4.0 * K, k) - sn(u, k)) < 1e-9
         assert abs(sn(u + 2.0 * K, k) + sn(u, k)) < 1e-9
@@ -183,20 +183,30 @@ def test_sn_rejects_non_finite_arguments():
 # ---------------------------------------------- quarter periods ----
 
 
+def _quarter_periods(k):
+    """K and K' of the modulus k, read off the unit-spread triple (1, k^2, 0):
+    there omega = K and omega' = iK', and sqrt(k*k) returns k exactly."""
+    periods = half_periods_from_midpoints(MidpointTriple(1.0, k * k, 0.0))
+    return periods.omega, periods.omega_prime.imag
+
+
 def test_quarter_periods_small_modulus_limit():
-    K = jacobi_quarter_periods(1e-8).K
+    # e2 - e3 = 1e-16 is below the lattice tolerance of the triple, so K
+    # comes from the same expression taken directly.
+    k = 1e-8
+    K = 0.5 * math.pi * f2_complement((1.0 - k) * (1.0 + k))
     assert abs(K - 0.5 * math.pi) < 1e-14
 
 
 def test_quarter_periods_self_complementary():
-    jm = jacobi_quarter_periods(1.0 / math.sqrt(2.0))
-    assert rel_err(jm.K, jm.K_prime) < 1e-14
+    K, K_prime = _quarter_periods(1.0 / math.sqrt(2.0))
+    assert rel_err(K, K_prime) < 1e-14
 
 
 def test_quarter_periods_frozen_transfer_point():
-    jm = jacobi_quarter_periods(math.sqrt(5.0 / 32.0))
-    assert rel_err(jm.K, K_AT_5_32) < 1e-13
-    assert rel_err(jm.K_prime, KPRIME_AT_5_32) < 1e-13
+    K, K_prime = _quarter_periods(math.sqrt(5.0 / 32.0))
+    assert rel_err(K, K_AT_5_32) < 1e-13
+    assert rel_err(K_prime, KPRIME_AT_5_32) < 1e-13
 
 
 @pytest.mark.parametrize("k", [0.999999, 1.0 - 1e-9])
@@ -207,14 +217,16 @@ def test_quarter_periods_near_unit_modulus_against_agm_oracle(k):
     getcontext().prec = 50
     kd = Decimal(k)
     k_comp = ((1 - kd) * (1 + kd)).sqrt()
-    K_over_half_pi = jacobi_quarter_periods(k).K / (0.5 * math.pi)
+    K_over_half_pi = _quarter_periods(k)[0] / (0.5 * math.pi)
     assert rel_err(K_over_half_pi, float(1 / agm_decimal(Decimal(1), k_comp))) <= 1e-15
 
 
-@pytest.mark.parametrize("k", [0.0, 1.0, -0.1, 2.0])
-def test_quarter_periods_domain(k):
+@pytest.mark.parametrize("m", [0.0, 1.0, -0.1, 2.0])
+def test_quarter_periods_domain(m):
+    # The unit-spread triple (1, m, 0) has a lattice exactly when the
+    # squared modulus m lies in (0, 1).
     with pytest.raises(DomainError):
-        jacobi_quarter_periods(k)
+        half_periods_from_midpoints(MidpointTriple(1.0, m, 0.0))
 
 
 # ------------------------------------------- midpoints / periods ----
@@ -238,7 +250,7 @@ def test_half_periods_scaling(config06):
 
 
 def test_midpoint_triple_validation():
-    with pytest.raises(DegenerateLattice):
+    with pytest.raises(DomainError):
         MidpointTriple(1.0, -0.5, -0.5)
     with pytest.raises(DomainError):
         MidpointTriple(-0.5, 1.0, -0.5)
@@ -246,7 +258,7 @@ def test_midpoint_triple_validation():
 
 def test_half_periods_degenerate_spread():
     barely = MidpointTriple(1.0, -0.4999999999999999, -0.5)
-    with pytest.raises(DegenerateLattice):
+    with pytest.raises(DomainError):
         half_periods_from_midpoints(barely)
 
 
@@ -267,7 +279,7 @@ def test_midpoints_from_invariants_round_trip(config06):
 
 
 def test_midpoints_from_invariants_rejects_negative_discriminant():
-    with pytest.raises(DegenerateLattice):
+    with pytest.raises(DomainError):
         midpoints_from_invariants(WeierstrassInvariants(1.0, 1.0))
 
 
@@ -369,7 +381,7 @@ def test_wp_forms_no_derivative_and_equals_its_value_bitwise(monkeypatch):
 
 
 def test_wp_refuses_non_rectangular_lattices():
-    with pytest.raises(DegenerateLattice):
+    with pytest.raises(DomainError):
         wp(0.3 + 0.1j, WeierstrassInvariants(1.0, 1.0))
 
 
