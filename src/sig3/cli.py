@@ -124,17 +124,20 @@ def _cmd_delta(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
         return 0, lambda: print(repr(delta(args.u, ctx)))
     if not 2 <= args.samples <= MAX_GRID_POINTS:
         raise ConfigError(f"--samples must lie in [2, {MAX_GRID_POINTS}], got {args.samples}")
-    return 0, lambda: _print_profile(ctx, args.samples)
+    lines = _profile_lines(ctx, args.samples)  # all rows first: a failure prints none
+    return 0, lambda: print(*lines, sep="\n")
 
 
-def _print_profile(ctx: DeltaContext, samples: int) -> None:
+def _profile_lines(ctx: DeltaContext, samples: int) -> list[str]:
     """delta on a uniform grid over [0, 2 omega], its gaps to the
     integral-inversion route and to dn3, and the ODE residual; one
     inversion of the arc integral per point serves both references."""
     mod = ctx.modulus
     omega = ctx.omega
-    print(f"kappa = {mod.kappa}   omega = {omega!r}   period = {2 * omega!r}")
-    print(f"{'u':>10} {'delta(u)':>20} {'|delta - inv|':>14} {'|delta - dn3|':>14}")
+    lines = [
+        f"kappa = {mod.kappa}   omega = {omega!r}   period = {2 * omega!r}",
+        f"{'u':>10} {'delta(u)':>20} {'|delta - inv|':>14} {'|delta - dn3|':>14}",
+    ]
     worst = 0.0
     for i in range(samples):
         u = 2.0 * omega * i / (samples - 1)
@@ -147,8 +150,9 @@ def _print_profile(ctx: DeltaContext, samples: int) -> None:
         dn3_gap = float("nan") if near_pole else abs(dn3(u, mod) - d)
         if not near_pole:
             worst = max(worst, _ode_residual(T, ctx))
-        print(f"{u:10.5f} {d:20.15f} {inv_gap:14.3e} {dn3_gap:14.3e}")
-    print(f"\nmax scaled ODE residual over the interior grid: {worst:.3e}")
+        lines.append(f"{u:10.5f} {d:20.15f} {inv_gap:14.3e} {dn3_gap:14.3e}")
+    lines.append(f"\nmax scaled ODE residual over the interior grid: {worst:.3e}")
+    return lines
 
 
 def _build_parser() -> argparse.ArgumentParser:

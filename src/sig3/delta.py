@@ -19,21 +19,21 @@ delta extends to the doubly periodic function
 coperiodic with the Weierstrass function of the configuration.  The
 Jacobi bridge wp(z) = e3 + (e1 - e3)/sn^2(z sqrt(e1 - e3), k),
 k^2 = (e2 - e3)/(e1 - e3) (DLMF 23.6(i)), with the closed-form midpoint
-values of ``moduli.midpoints``, turns this into
+values of the configuration, turns this into
 
     dn3(z) = 1 - a / (b + 1/sn^2(z sqrt(e1 - e3), k)),
     a = (4/9) kappa^2 / (e1 - e3),     b = (1/3 + e3) / (e1 - e3),
 
-and on the real axis, with S = sn^2(u sqrt(e1 - e3), k), into
+the same expression on the real axis giving delta(u).
 
-    delta(u) = 1 - a S / (1 + b S).
-
-``DeltaContext`` holds these constants for one modulus.  ``delta`` is one
-Landen-descent sn per point, for every kappa in (0, 1).  ``dn3`` evaluates
-the same bridge at complex z on the lattice of kappa itself, whose periods
-are the signature-three half periods below: z is reduced into the centred
-cell and sn taken by the addition formulas (DLMF 22.6), through the helper
-that ``weierstrass.wp`` uses.  Neither calls ``wp`` or builds invariants.
+``DeltaContext`` holds these constants for one modulus, from the closed
+forms e2 - e3 = (16 sqrt3/9) s^3 c, e1 - e2 = (4 sqrt3/9) sin(2 phi/3)
+(1 + cos(2 phi/3)) and 1/3 + e3 = (4/9) s^2 (3 - 2 s^2 - 2 sqrt3 s c),
+with s, c = sin, cos(theta/3) and phi = atan2(lambda, kappa): no midpoint
+is subtracted from another.  ``delta`` at real u and ``dn3`` at complex z,
+reduced into the centred cell of the lattice of kappa itself, take
+v = 1/sn from the Gauss recursion ``weierstrass._inv_sn`` on the context's
+ladder.  Neither calls ``wp`` or builds invariants.
 
 The reference route is the paper's own construction, inverting G by
 Newton steps over adaptive quadrature of the closed-form kernel
@@ -42,8 +42,8 @@ check the production route against it.  The kernel is formed from
 cos z = sqrt(cos^2 t + lambda^2 sin^2 t), so it keeps its digits at the
 peak t = pi/2.  The two routes agree to 1e-13 absolute up to
 kappa = 0.9999 (1e-12 relative up to kappa = 0.999); the Newton stop on
-a step in T limits the reference, not the quadrature.  At
-kappa = 0.999999 the quadrature, which halves its absolute tolerance at
+a step in T limits the reference, not the quadrature.  From
+kappa = 0.99999 up the quadrature, which halves its absolute tolerance at
 every split, raises NonConvergence rather than return a value short of
 QUAD_TOL.
 
@@ -55,14 +55,16 @@ transfer identities certify.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from functools import lru_cache
 
 from .errors import DomainError, NonConvergence, PoleError
 from .hypergeom import f2_complement, f3_complement
-from .moduli import ModulusSet, midpoints, params_from_p
+from .moduli import SQRT3, ModulusSet, params_from_p
 from .quadrature import integrate
-from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _Cell, _centred_inv_sn, _landen, _sncndn
+from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_sn
 
 __all__ = [
     "DeltaContext",
@@ -84,38 +86,36 @@ class DeltaContext:
     """A modulus kappa with the constants of the production route.
 
     Every field but the modulus is derived once, at construction, from the
-    closed-form midpoint values and ``half_periods_sig3``: the real half
-    period omega, the three constants of the Jacobi bridge, e3 and e1 - e3,
-    and ``cell``, the lattice of kappa as ``dn3`` reads it (the periods
-    2 omega and 2|omega'|, r, k^2, and the Landen ladders of k and of k').
-    ``delta`` reads the ladder of k there, the one ``sn(., k)`` uses, and
-    r from the slot ``bridge_scale``, faster to read than a tuple field.
-    ``dn3`` shares one context per modulus, so no field can be reassigned.
-    Every kappa in (0, 1) from ~7.6e-6 up is accepted; below, e2 - e3 ~
-    0.11 kappa^3 rounds away next to e3 ~ -1/3 and DomainError is raised.
+    closed forms of the module docstring and ``half_periods_sig3``: omega,
+    the bridge constants a and b, and ``cell``, the lattice of
+    kappa with the Gauss ladder of k (``weierstrass._Cell``).  ``delta``
+    reads the ladder's scale from the slot ``bridge_scale``, faster to read
+    than a tuple field.  ``dn3`` shares one context per modulus, so no field
+    can be reassigned.  Every kappa in (0, 1) from ~5.8e-103 up is accepted;
+    below, e2 - e3 ~ 0.11 kappa^3 is not a normal float: DomainError.
     """
 
-    __slots__ = ("modulus", "omega", "bridge_scale", "bridge_a", "bridge_b", "e3", "spread", "cell")
+    __slots__ = ("modulus", "omega", "bridge_scale", "bridge_a", "bridge_b", "cell")
 
     def __init__(self, modulus: ModulusSet):
-        k2 = modulus.kappa ** 2
-        mids = midpoints(modulus)
-        spread = mids.spread
+        kappa, lam, theta = modulus
+        s, c = math.sin(theta / 3.0), math.cos(theta / 3.0)
+        phi = 2.0 * math.atan2(lam, kappa) / 3.0
+        gap_low = (16.0 * SQRT3 / 9.0) * s * s * s * c  # e2 - e3
+        if gap_low < sys.float_info.min:
+            raise DomainError(f"modulus {kappa} is too small: e2 - e3 ~ 0.11 kappa^3 underflows")
+        gap_high = (4.0 * SQRT3 / 9.0) * math.sin(phi) * (1.0 + math.cos(phi))  # e1 - e2
+        spread = gap_low + gap_high  # e1 - e3
+        shift = (4.0 / 9.0) * s * s * (3.0 - 2.0 * s * s - 2.0 * SQRT3 * s * c)  # 1/3 + e3
         periods = half_periods_sig3(modulus)
-        r = math.sqrt(spread)
-        k = math.sqrt(mids.jacobi_m)
+        cell = _cell(periods, math.sqrt(spread), gap_low / spread, gap_high / spread)
         fields = {
             "modulus": modulus,
             "omega": periods.omega,
-            "bridge_scale": r,  # sqrt(e1 - e3)
-            "bridge_a": (4.0 / 9.0) * k2 / spread,
-            "bridge_b": (1.0 / 3.0 + mids.e3) / spread,
-            "e3": mids.e3,
-            "spread": spread,  # e1 - e3
-            "cell": _Cell(
-                2.0 * periods.omega, 2.0 * periods.omega_prime.imag, r, k * k,
-                _landen((1.0 - k) * (1.0 + k)), _landen(k * k),
-            ),
+            "bridge_scale": cell.scale,
+            "bridge_a": (4.0 / 9.0) * kappa * kappa / spread,
+            "bridge_b": shift / spread,
+            "cell": cell,
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -262,43 +262,44 @@ def delta_phase(u: float, ctx: DeltaContext) -> float:
 def delta(u: float, ctx: DeltaContext) -> float:
     """The delta function, by the production route: the Jacobi bridge
 
-        delta(u) = 1 - a S / (1 + b S),    S = sn^2(u sqrt(e1 - e3), k),
+        delta(u) = 1 - a / (b + v^2),    v = 1/sn(u sqrt(e1 - e3), k),
 
     with a, b and k as in the module docstring.  It equals the paper's
     1/F(1/3,2/3;1/2; kappa^2 sin^2 T(u)), which ``delta_phase`` evaluates
     by the reference route.  delta(0) = 1 exactly, delta(-u) = delta(u)
-    bitwise, values lie in (0, 1] (b > 0 because e3 > -1/3, so the
-    denominator stays at or above 1) and repeat with period 2 omega.  Its
-    domain is that of ``dn3``: a u that is not finite or has
-    |u| >= ``WP_MAX_MODULUS`` (~4.5e7) raises DomainError.
+    bitwise, values lie in (0, 1] (b > 0 because e3 > -1/3, and v^2 >= 1)
+    and repeat with period 2 omega.  Its domain is that of ``dn3``: a u
+    that is not finite or has |u| >= ``WP_MAX_MODULUS`` (~4.5e7) raises
+    DomainError.
     """
     if not abs(u) < WP_MAX_MODULUS:
         raise DomainError(f"argument {u} is not finite, or too large to reduce onto the period")
-    s = _sncndn(u * ctx.bridge_scale, ctx.cell.ladder)[0]
-    s2 = s * s
-    return 1.0 - ctx.bridge_a * s2 / (1.0 + ctx.bridge_b * s2)
+    phi = u * ctx.bridge_scale
+    if not phi:
+        return 1.0
+    v = _inv_sn(phi, ctx.cell.rungs)
+    return 1.0 - ctx.bridge_a / (ctx.bridge_b + v * v)
 
 
 def dn3(z: complex, mod: ModulusSet) -> complex:
     """The elliptic extension of delta, at complex z:
 
         dn3(z) = 1 - (4/9) kappa^2 / (1/3 + wp(z))
-               = 1 - a / (b + 1/sn^2(z sqrt(e1 - e3), k)),
+               = 1 - a / (b + v^2),    v = 1/sn(z sqrt(e1 - e3), k),
 
     the Jacobi bridge of ``delta`` on the lattice of kappa itself, with the
     constants of a ``DeltaContext`` cached per modulus.  z is reduced into
-    the centred cell and sn taken at complex argument as in
-    ``weierstrass.wp_and_derivative``.  Agrees with ``delta`` on the real
-    axis.  Poles of the quotient sit where wp = -1/3 (for instance two
-    thirds of the way up the imaginary half-period); those raise PoleError,
-    as do lattice points.
+    the centred cell and v taken at complex argument as in
+    ``weierstrass.wp``.  Agrees with ``delta`` on the real axis.  Poles of
+    the quotient sit where wp = -1/3 (for instance two thirds of the way up
+    the imaginary half-period); PoleError is raised at lattice points and
+    where |1/3 + wp| <= 1e-8 (1/3 + e3), a margin that shrinks with
+    1/3 + e3 ~ (4/27) kappa^2, the size of 1/3 + wp near omega'.
     """
     ctx = _context(mod)
-    inv_sn = _centred_inv_sn(z, ctx.cell)[0]
-    inv_sn2 = inv_sn * inv_sn
-    shifted = ctx.bridge_b + inv_sn2  # (1/3 + wp)/(e1 - e3)
-    spread = ctx.spread
-    wp_value = ctx.e3 + spread * inv_sn2
-    if spread * abs(shifted) <= 1e-8 * max(1.0, abs(wp_value)):
-        raise PoleError(f"dn3 pole: wp({z}) = {wp_value} is too close to -1/3")
+    cell = ctx.cell
+    v = _inv_sn(_centred(z, cell), cell.rungs, cmath.sin)
+    shifted = ctx.bridge_b + v * v  # (1/3 + wp)/(e1 - e3)
+    if abs(shifted) <= 1e-8 * ctx.bridge_b:
+        raise PoleError(f"dn3 pole: 1/3 + wp({z}) is within 1e-8 (1/3 + e3) of 0")
     return 1.0 - ctx.bridge_a / shifted

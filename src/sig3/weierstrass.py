@@ -4,24 +4,27 @@ The central evaluator is ``wp``: the Weierstrass function from its
 invariants (g2, g3) on a rectangular lattice.  The argument is reduced
 into the centred period cell, and the classical Jacobi bridge
 
-    wp(z) = e3 + (e1 - e3)/sn^2(z sqrt(e1 - e3), k)
+    wp(z) = e3 + (e1 - e3) v^2,    v = 1/sn(z sqrt(e1 - e3), k),
 
-is evaluated there at complex argument, sn(x + iy) coming from the real
-sn, cn and dn of x at k and of y at k' through the addition formulas.
-One private helper does the reduction and the addition formulas, for
-``wp`` on the lattice of (g2, g3) and for ``delta.dn3`` on the lattice of
-its modulus.
+is evaluated there at complex argument.  v comes from the descending
+Landen (Gauss) transformation (DLMF 22.7.1) read for the reciprocal,
 
-The rest of the dictionary lives here too: Jacobi sn by the descending
-Landen recursion (one cached ladder per modulus), and the map between
-midpoint values e1 > e2 > e3, the Jacobi modulus k^2 = (e2-e3)/(e1-e3),
-and the Weierstrass half-periods omega = K/sqrt(e1-e3),
-omega' = iK'/sqrt(e1-e3), with the quarter periods K and K' through the
-AGM.
+    1/sn(w, k) = (v1 + k1/v1)/(1 + k1),   v1 = 1/sn(w/(1 + k1), k1),
+
+on one cached ladder k > k1 > k2 > ... per modulus: v starts as 1/sin at
+the foot and climbs the rungs, at real or complex w alike.  ``wp`` runs it
+on the lattice of (g2, g3), ``delta.dn3`` and ``delta.delta`` on the
+lattice of their modulus, ``sn`` on the real axis.
+
+The rest of the dictionary lives here too: the map between midpoint values
+e1 > e2 > e3, the Jacobi modulus k^2 = (e2-e3)/(e1-e3), and the Weierstrass
+half-periods omega = K/sqrt(e1-e3), omega' = iK'/sqrt(e1-e3), with the
+quarter periods K and K' through the AGM.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from functools import lru_cache
@@ -42,7 +45,7 @@ __all__ = [
 ]
 
 POLE_THRESHOLD = 1e-8  # |z| below this: 1/z^2 noise exceeds 1e16
-SN_MODULUS_FLOOR = 2.0 ** -26  # stop the Landen descent at |a - b| <= this * a
+SN_MODULUS_FLOOR = 2.0 ** -27  # stop the Landen descent at k_N cosh(Y) <= this
 SN_MAX_DEPTH = 12
 # Beyond this modulus (~4.5e7) the rounding of z alone, |z| eps, exceeds
 # POLE_THRESHOLD: no lattice point can be told apart from its neighbourhood.
@@ -110,15 +113,10 @@ class HalfPeriodPair(NamedTuple("HalfPeriodPair", [("omega", float), ("omega_pri
 def wp_and_derivative(z: complex, inv: WeierstrassInvariants) -> tuple[complex, complex]:
     """Weierstrass function and its derivative at z for invariants (g2, g3).
 
-    z = x + iy is reduced into the centred cell |x| <= omega,
-    |y| <= |omega'|, where the complex Jacobi bridge gives
-    wp = e3 + (e1-e3)/sn^2 and wp' = -2 (e1-e3)^(3/2) cn dn/sn^3 at
-    z sqrt(e1-e3).  With s, c, d = sn, cn, dn(x sqrt(e1-e3), k) and s1, c1,
-    d1 those of y sqrt(e1-e3) at k' (DLMF 22.6.1), the addition formulas
-    (A&S 16.21.1-4) read
-
-        sn = (s d1 + i c d s1 c1)/D,   cn = (c c1 - i s d s1 d1)/D,
-        dn = (d c1 d1 - i k^2 s c s1)/D,   D = c1^2 + k^2 s^2 s1^2.
+    z = x + iy is reduced into the centred cell |x| <= omega, |y| <= |omega'|,
+    where wp = e3 + (e1-e3) v^2, v = 1/sn(z sqrt(e1-e3), k) by ``_inv_sn``,
+    and wp' = 2 (e1-e3) v dv/dz: dv/dz = -scale cos(phi) v^2 at the foot,
+    times (1 - k_n/v^2)/(1 + k_n) per rung.
 
     Only rectangular lattices (positive discriminant) are served; others
     raise DomainError.  Raises PoleError within ``POLE_THRESHOLD`` of
@@ -132,128 +130,125 @@ def wp_and_derivative(z: complex, inv: WeierstrassInvariants) -> tuple[complex, 
     to ~6e-13.
     """
     e3, spread, cell = _lattice(inv.g2, inv.g3)
-    inv_sn, denom, s, c, d, s1, c1, d1 = _centred_inv_sn(z, cell)
-    cn_dn = complex(c * c1, -s * d * s1 * d1) * complex(d * c1 * d1, -cell.m * s * c * s1)
-    inv_sn2 = inv_sn * inv_sn
-    return e3 + spread * inv_sn2, (-2.0 * spread * cell.r / (denom * denom)) * cn_dn * inv_sn2 * inv_sn
+    phi = _centred(z, cell)
+    v = 1.0 / cmath.sin(phi)
+    dv = -cell.scale * cmath.cos(phi) * (v * v)
+    for k, k_up in cell.rungs:
+        dv *= (1.0 - k / (v * v)) / k_up
+        v = (v + k / v) / k_up
+    return e3 + spread * (v * v), 2.0 * spread * v * dv
 
 
 def wp(z: complex, inv: WeierstrassInvariants) -> complex:
     """Weierstrass function wp(z; g2, g3), with the domain, errors and
     accuracy of ``wp_and_derivative``.  It forms no derivative: the value
-    is the same expression e3 + (e1-e3)/sn^2, so it equals
-    ``wp_and_derivative(z, inv)[0]`` bitwise."""
+    is the same expression e3 + (e1-e3) v^2 from the same recursion, so it
+    equals ``wp_and_derivative(z, inv)[0]`` bitwise."""
     e3, spread, cell = _lattice(inv.g2, inv.g3)
-    inv_sn = _centred_inv_sn(z, cell)[0]
-    return e3 + spread * (inv_sn * inv_sn)
+    v = _inv_sn(_centred(z, cell), cell.rungs, cmath.sin)
+    return e3 + spread * (v * v)
 
 
 class _Cell(NamedTuple):
     """A rectangular lattice as the Jacobi bridge sees it: the periods
-    2 omega and 2|omega'|, r = sqrt(e1 - e3), k^2, and the ``_landen``
-    ladders of k and of k'."""
+    2 omega and 2|omega'|, the scale sqrt(e1 - e3)/prod(1 + k_n) from z to
+    the circular argument at the foot of its ``_ladder``, and the rungs."""
 
     period_re: float
     period_im: float
-    r: float
-    m: float
-    ladder: tuple
-    ladder_comp: tuple
+    scale: float
+    rungs: tuple[tuple[float, float], ...]
 
 
-def _centred_inv_sn(z: complex, cell: _Cell) -> tuple:
-    """1/sn(z r, k) after reducing z into the centred cell of ``cell``,
-    followed by the pieces wp' needs: D, s, c, d, s1, c1 and d1 in the
-    notation of ``wp_and_derivative``.  Raises DomainError for a z that is
-    not finite or has |z| >= ``WP_MAX_MODULUS``, PoleError within
+def _cell(periods: HalfPeriodPair, r: float, m: float, m_comp: float) -> _Cell:
+    """The ``_Cell`` of ``periods``, r = sqrt(e1 - e3), m = k^2 and
+    m_comp = 1 - k^2, its ladder good up to |Im z r| = |omega'| r = K'."""
+    height = periods.omega_prime.imag
+    rungs, scale = _ladder(m, m_comp, r * height)
+    return _Cell(2.0 * periods.omega, 2.0 * height, r * scale, rungs)
+
+
+def _centred(z: complex, cell: _Cell) -> complex:
+    """The circular argument scale (z - P) at the foot of ``cell``'s ladder,
+    P the lattice point nearest z.  Raises DomainError for a z that is not
+    finite or has |z| >= ``WP_MAX_MODULUS``, PoleError within
     ``POLE_THRESHOLD`` of a lattice point."""
     w = complex(z)
     if not abs(w) < WP_MAX_MODULUS:
         raise DomainError(f"argument {z} is not finite, or too large to reduce onto the lattice")
-    period_re, period_im, r, m, ladder, ladder_comp = cell
+    period_re, period_im, scale, _ = cell
     # Exact: z minus the nearest lattice point, ties to the even multiple.
     x = math.remainder(w.real, period_re)
     y = math.remainder(w.imag, period_im)
     if math.hypot(x, y) < POLE_THRESHOLD:
         raise PoleError(f"argument {z} is within {POLE_THRESHOLD} of a lattice point")
-    s, c, d = _sncndn(x * r, ladder)
-    s1, c1, d1 = _sncndn(y * r, ladder_comp)
-    denom = c1 * c1 + m * (s * s1) ** 2
-    return denom / complex(s * d1, c * d * s1 * c1), denom, s, c, d, s1, c1, d1
+    return complex(x * scale, y * scale)
 
 
 @lru_cache(maxsize=64)
 def _lattice(g2: float, g3: float) -> tuple[float, float, _Cell]:
-    """e3, e1 - e3 and the ``_Cell`` of ``wp`` for (g2, g3).  The ladders
-    of k and of k' are built from their exact complementary parameters,
-    (e1-e2)/(e1-e3) and k^2: forming 1 - k'^2 from k' would lose digits on
-    small-modulus lattices."""
+    """e3, e1 - e3 and the ``_Cell`` of ``wp`` for (g2, g3), with k^2 and
+    1 - k^2 each from its own midpoint gap."""
     mids = midpoints_from_invariants(WeierstrassInvariants(g2, g3))
-    periods = half_periods_from_midpoints(mids)
     spread = mids.spread
-    m = mids.jacobi_m
-    cell = _Cell(
-        2.0 * periods.omega, 2.0 * periods.omega_prime.imag, math.sqrt(spread), m,
-        _landen((mids.e1 - mids.e2) / spread), _landen(m),
-    )
+    cell = _cell(half_periods_from_midpoints(mids), math.sqrt(spread), mids.jacobi_m,
+                 (mids.e1 - mids.e2) / spread)
     return mids.e3, spread, cell
 
 
 @lru_cache(maxsize=64)
-def _landen(m_comp: float) -> tuple[tuple[tuple[float, float], ...], float]:
-    """Descending Landen ladder of the modulus k with 1 - k^2 = m_comp: the
-    rungs (a_i, b_i), last first, and the scale from u to the circular
-    amplitude.  The descent is quadratic, so it stops on that rate: at
-    |a - b| <= ``SN_MODULUS_FLOOR`` a the next rung would only square a
-    bottom modulus (a-b)/(a+b) <= 7.5e-9 whose O(k^2) effect on sn is
-    already below half an ulp.  Any float 1 - k^2 > 0 needs at most 12
-    rungs; 1 - k^2 >= 2.2e-16 at most 8."""
+def _ladder(m: float, m_comp: float, height: float) -> tuple[tuple[tuple[float, float], ...], float]:
+    """Descending Landen (Gauss) ladder of k, k^2 = m, k'^2 = m_comp
+    (DLMF 22.7.1): the rungs (k_n, 1 + k_n), foot first, and the scale
+    1/prod(1 + k_n) from w to the circular argument phi at the foot.  Rungs
+    come from k_n = k_{n-1}^2/(1 + k'_{n-1})^2, k'_n = 2 sqrt(k'_{n-1})/(1 +
+    k'_{n-1}): 1 - k' and 1 - k_n, which cancel for small k, are never formed.
+
+    Stop rule for |Re w| <= K, |Im w| <= height (K' for the centred cell, 0
+    on the real axis): sin in place of sn(., k_N) at the foot drops
+    (k_N^2/4)(phi cot phi - cos^2 phi) relative to 1/sin phi (DLMF 22.10.4),
+    at most k_N^2 cosh^2(Y) for |Im phi| <= Y = scale height.  The descent
+    stops at k_N cosh(Y) <= ``SN_MODULUS_FLOOR`` = 2^-27, the bound then
+    2^-54.  Y stays near pi K'/(2K) while k_N falls like q^(2^(N-1)), so
+    the top edge of the cell costs at most one rung over the real axis, and
+    no float 0 < k < 1 needs more than 12."""
     rungs: list[tuple[float, float]] = []
-    a, b = 1.0, m_comp
-    for _ in range(SN_MAX_DEPTH + 1):
-        b = math.sqrt(b)
-        rungs.append((a, b))
-        scale = 0.5 * (a + b)
-        if abs(a - b) <= SN_MODULUS_FLOOR * a:
+    k2, k_comp, scale = m, math.sqrt(m_comp), 1.0
+    for _ in range(SN_MAX_DEPTH):
+        k = k2 / ((1.0 + k_comp) * (1.0 + k_comp))
+        k_comp = 2.0 * math.sqrt(k_comp) / (1.0 + k_comp)
+        rungs.append((k, 1.0 + k))
+        scale /= 1.0 + k
+        if k * math.cosh(scale * height) <= SN_MODULUS_FLOOR:
             return tuple(reversed(rungs)), scale
-        b *= a
-        a = scale
-    raise NonConvergence(f"Landen descent for 1 - k^2 = {m_comp} exceeded depth {SN_MAX_DEPTH}")
+        k2 = k * k
+    raise NonConvergence(f"Landen descent for k^2 = {m} exceeded depth {SN_MAX_DEPTH}")
 
 
-def _sncndn(u: float, ladder: tuple[tuple[tuple[float, float], ...], float]) -> tuple[float, float, float]:
-    """sn, cn and dn of real u on a ``_landen`` ladder: the circular limit
-    sin and cos at the bottom, the amplitude back-substituted up the rungs."""
-    rungs, scale = ladder
-    phi = scale * u
-    if abs(phi) < 1e-100:
-        # sn(u) = u - (1+k^2) u^3/6 + ... collapses to u; the cotangent
-        # ladder below would overflow on such arguments.
-        return u, 1.0, 1.0
-    s, c, d = math.sin(phi), math.cos(phi), 1.0
-    ratio = c / s
-    cot = scale * ratio
-    for a_i, b_i in rungs:
-        ratio *= cot
-        cot *= d
-        d = (b_i + ratio) / (a_i + ratio)
-        ratio = cot / a_i
-    val = 1.0 / math.sqrt(cot * cot + 1.0)
-    if s < 0.0:
-        val = -val
-    return val, cot * val, d
+def _inv_sn(phi, rungs: tuple[tuple[float, float], ...], sin=math.sin):
+    """1/sn(w, k) from the circular argument phi = scale w at the foot of a
+    ``_ladder``: v = 1/sin(phi), then v <- (v + k_n/v)/(1 + k_n) up the rungs
+    (DLMF 22.7.1 for the reciprocal).  Real phi takes ``math.sin``, complex
+    phi ``cmath.sin``; phi = 0 raises ZeroDivisionError."""
+    v = 1.0 / sin(phi)
+    for k, k_up in rungs:
+        v = (v + k / v) / k_up
+    return v
 
 
 def sn(u: float, k: float) -> float:
     """Jacobi sn(u, k) for real u and modulus 0 < k < 1, by the descending
-    Landen transformation on the cached ladder of k.  Periodicity
+    Landen transformation on the cached real-axis ladder of k.  Periodicity
     sn(u + 4K) = sn(u) is inherited exactly from the sine.  A u that is not
     finite raises DomainError."""
     if not 0.0 < k < 1.0:
         raise DomainError(f"modulus must lie in (0, 1), got {k}")
     if not math.isfinite(u):
         raise DomainError(f"argument must be finite, got {u}")
-    return _sncndn(u, _landen((1.0 - k) * (1.0 + k)))[0]
+    if abs(u) < 1e-100:
+        return u  # sn(u) = u - (1+k^2) u^3/6 + ... to the last bit; 1/sin would overflow
+    rungs, scale = _ladder(k * k, (1.0 - k) * (1.0 + k), 0.0)
+    return 1.0 / _inv_sn(scale * u, rungs)
 
 
 def half_periods_from_midpoints(mids: MidpointTriple) -> HalfPeriodPair:

@@ -247,7 +247,7 @@ def test_delta_subcommand_domain_error(capsys):
     ("--kappa", "0.6"),
     ("--kappa", "0.6", "--samples", str(sig3.transfer.MAX_GRID_POINTS + 1)),
     ("--kappa", "0.6", "--u", "1e300"),  # the rounding of u alone exceeds the period
-    ("--kappa", "1e-10", "--u", "1"),  # e2 and e3 round together: no lattice
+    ("--kappa", "1e-200", "--u", "1"),  # e2 - e3 ~ 0.11 kappa^3 underflows: no lattice
 ])
 def test_delta_profile_bad_input_exits_two(capsys, args):
     assert main(["delta", *args]) == 2
@@ -264,11 +264,20 @@ def test_delta_profile_runs(capsys):
 
 
 def test_delta_profile_reports_the_reference_route_limit(capsys):
-    # At kappa = 0.999999 the quadrature of the integral inversion halves
-    # its absolute tolerance below what any panel can meet; the profile
-    # says so and exits 1.
+    # At kappa = 0.999999 (and from 0.99999 up) the quadrature of the
+    # integral inversion halves its absolute tolerance below what any panel
+    # can meet; the profile says so and exits 1.
     assert main(["delta", "--kappa", "0.999999", "--samples", "3"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_delta_profile_that_fails_prints_no_rows(capsys):
+    # From kappa = 0.99999 up the reference route raises NonConvergence
+    # part-way through the grid.  Every row is computed before the table
+    # starts, so standard output stays empty.
+    assert main(["delta", "--kappa", "0.99999", "--samples", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
 
 
 def test_delta_profile_reaches_kappa_0_9999(capsys):

@@ -24,8 +24,8 @@ from sig3.weierstrass import (
     WP_MAX_MODULUS,
     half_periods_from_midpoints,
     midpoints_from_invariants,
-    sn,
     wp,
+    _inv_sn,
 )
 from oracles import ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err
 
@@ -205,14 +205,22 @@ def test_delta_context_validation():
 
 
 def test_delta_is_the_bridge_through_sn_bitwise():
-    # delta reads the Landen ladder cached in its context; it is the one
-    # sn(., k) uses, so the value is the sn-based formula to the last bit.
+    # delta climbs the Gauss ladder cached in its context with the one
+    # recursion for v = 1/sn that sn, wp and dn3 use, so the value is the
+    # bridge 1 - a/(b + v^2) to the last bit.  Inside the centred cell the
+    # reduction leaves u as it is, and dn3 climbs the same ladder at
+    # complex argument with zero imaginary parts: the same value bitwise.
     for kappa in (0.05, 0.3, 0.6, 0.9, 0.99, 0.999999):
         ctx = DeltaContext(modulus_from_kappa(kappa))
         for i in range(-40, 41):
             u = 0.137 * i * ctx.omega
-            s2 = sn(u * ctx.bridge_scale, math.sqrt(ctx.cell.m)) ** 2
-            assert delta(u, ctx) == 1.0 - ctx.bridge_a * s2 / (1.0 + ctx.bridge_b * s2), (kappa, u)
+            if i == 0:
+                assert delta(u, ctx) == 1.0
+                continue
+            v = _inv_sn(u * ctx.bridge_scale, ctx.cell.rungs)
+            assert delta(u, ctx) == 1.0 - ctx.bridge_a / (ctx.bridge_b + v * v), (kappa, u)
+            if abs(u) < ctx.omega:
+                assert dn3(u, ctx.modulus) == delta(u, ctx), (kappa, u)
 
 
 def test_delta_rejects_non_finite(ctx06):
@@ -375,6 +383,98 @@ def test_dn3_against_40_digit_values(kappa):
             condition = float(abs(z) * ref_deriv / abs(ref_value))
             err = float(abs(dn3(z, mod) - ref_value) / abs(ref_value))
             assert err <= 1e-11 * max(1.0, condition), (z, err, condition)
+
+
+def _cell_edges_and_pole(omega, omega_im):
+    """The worst places for the complex descent in the centred cell: the
+    top and bottom edges |Im z| = |omega'|, where |Im phi| at the foot of
+    the ladder is largest, the right and left edges Re z = +-omega, and
+    points within 1% of the sn pole at omega' (omega' itself included)."""
+    steps = [i / 10 - 1.0 for i in range(21)]
+    points = [complex(a * omega, b * omega_im) for a in steps for b in (-1.0, 1.0)]
+    points += [complex(a * omega, b * omega_im) for a in (-1.0, 1.0) for b in steps if abs(b) > 0.05]
+    points.append(complex(0.0, omega_im))
+    for radius in (1e-2, 1e-3, 1e-4):
+        for j in range(12):
+            angle = 2.0 * math.pi * j / 12
+            points.append(complex(radius * omega_im * math.cos(angle),
+                                  omega_im * (1.0 + radius * math.sin(angle))))
+    return points
+
+
+def _mpmath_wp_on_float_midpoints(inv, mpmath):
+    """wp and wp' in 40 digits on the lattice of the float midpoints that
+    ``wp`` itself holds, so that only the descent is measured: the cubic
+    solve of the midpoints is exact here."""
+    e1, e2, e3 = (mpmath.mpf(e) for e in midpoints_from_invariants(inv))
+    m = (e2 - e3) / (e1 - e3)
+    r = mpmath.sqrt(e1 - e3)
+
+    def wp_and_deriv(z):
+        u = mpmath.mpc(z.real, z.imag) * r
+        sn_, cn, dn = (mpmath.ellipfun(kind, u, m=m) for kind in ("sn", "cn", "dn"))
+        return e3 + (e1 - e3) / sn_ ** 2, -2 * (e1 - e3) * r * cn * dn / sn_ ** 3
+
+    return wp_and_deriv
+
+
+@pytest.mark.parametrize("kappa", [1e-5, 0.05, 0.6, 0.95, 0.9999])
+def test_complex_descent_at_its_worst_places(kappa):
+    # Relative to max(1, |z f'/f|), the rounding of z, for wp and dn3.
+    # dn3 = 1 - a/(b + v^2) also cancels next to its zeros, by the factor
+    # |1 - dn3|/|dn3|, which joins the condition: at the corners
+    # +-omega +- omega', where dn3' = 0, it reaches 62 at kappa = 0.9999
+    # (a bridge without that cancellation is ROADMAP item 1).  Measured
+    # <= 8.9e-16 for wp and <= 3.2e-15 for dn3 over these points, apart
+    # from dn3 at those corners: 2.4e-14, or 5.1e-16 of its condition.  At
+    # kappa = 1e-5 the float invariants have no positive discriminant, so
+    # wp refuses them.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    mod = modulus_from_kappa(kappa)
+    periods = half_periods_sig3(mod)
+    reference = _mpmath_dn3(kappa, mpmath)
+    for z in _cell_edges_and_pole(periods.omega, periods.omega_prime.imag):
+        ref_value, ref_deriv = reference(z)
+        condition = max(1.0, float(abs(z) * ref_deriv / abs(ref_value)),
+                        float(abs(1 - ref_value) / abs(ref_value)))
+        err = float(abs(dn3(z, mod) - ref_value) / abs(ref_value))
+        assert err <= 1e-14 * condition, (z, err, condition)
+    inv = sig3.moduli.invariants(mod)
+    if kappa < 1e-4:
+        with pytest.raises(DomainError):
+            wp(0.3, inv)
+        return
+    periods = half_periods_from_midpoints(midpoints_from_invariants(inv))
+    reference = _mpmath_wp_on_float_midpoints(inv, mpmath)
+    for z in _cell_edges_and_pole(periods.omega, periods.omega_prime.imag):
+        ref_value, ref_deriv = reference(z)
+        condition = max(1.0, float(abs(mpmath.mpc(z) * ref_deriv / ref_value)))
+        err = float(abs(wp(z, inv) - ref_value) / abs(ref_value))
+        assert err <= 1e-14 * condition, (z, err, condition)
+
+
+@pytest.mark.parametrize("kappa", [1e-6, 1e-8])
+def test_delta_at_small_modulus_against_40_digit_values(kappa):
+    # k^2 and 1 - k^2 come from the closed-form gaps, so no midpoint is
+    # subtracted from another and e2 - e3 ~ 0.11 kappa^3 keeps its digits
+    # (measured <= 5.5e-17).  The addition-formula route refused both.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    ctx = DeltaContext(modulus_from_kappa(kappa))
+    reference = _mpmath_dn3(kappa, mpmath)
+    for i in range(1, 40):
+        u = 2.0 * ctx.omega * (i + 0.37) / 40
+        ref = reference(complex(u))[0]
+        assert abs(delta(u, ctx) - ref) <= 1e-15 * ref, u
+
+
+def test_delta_context_accepts_kappa_down_to_underflow():
+    # Below ~5.8e-103 e2 - e3 ~ 0.11 kappa^3 is no longer a normal float.
+    ctx = DeltaContext(modulus_from_kappa(1e-100))
+    assert delta(ctx.omega, ctx) == 1.0
+    with pytest.raises(DomainError):
+        DeltaContext(modulus_from_kappa(1e-103))
 
 
 # ------------------------------------- trimidiated lattice checks ----
