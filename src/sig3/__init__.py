@@ -15,7 +15,6 @@ from .hypergeom import (
     f_half,
 )
 from .weierstrass import (
-    HalfPeriodPair,
     MidpointTriple,
     WeierstrassInvariants,
     half_periods_from_midpoints,
@@ -26,7 +25,6 @@ from .weierstrass import (
 )
 from .moduli import (
     ModulusSet,
-    TransferParams,
     invariants,
     midpoints,
     modulus_from_kappa,
@@ -45,9 +43,6 @@ from .delta import (
 )
 from .transfer import (
     DEFAULT_TOL,
-    IdentityCheck,
-    VerificationReport,
-    VerificationRow,
     grid_report,
     period_route_gap,
     verify_identity56,

@@ -33,8 +33,6 @@ from .transfer import (
     _ode_residual,
 )
 
-__all__ = ["main", "run", "emit_csv"]
-
 # CSV columns are the VerificationRow fields: the floats, then from pass56
 # on the verdicts.
 CSV_HEADER = ",".join(VerificationRow._fields)

@@ -27,13 +27,11 @@ values of the configuration, turns this into
 the same expression on the real axis giving delta(u).
 
 ``DeltaContext`` holds these constants for one modulus, from the closed
-forms e2 - e3 = (16 sqrt3/9) s^3 c, e1 - e2 = (4 sqrt3/9) sin(2 phi/3)
-(1 + cos(2 phi/3)) and 1/3 + e3 = (4/9) s^2 (3 - 2 s^2 - 2 sqrt3 s c),
-with s, c = sin, cos(theta/3) and phi = atan2(lambda, kappa): no midpoint
-is subtracted from another.  ``delta`` at real u and ``dn3`` at complex z,
-reduced into the centred cell of the lattice of kappa itself, take
-v = 1/sn from the Gauss recursion ``weierstrass._inv_sn`` on the context's
-ladder.  Neither calls ``wp`` or builds invariants.
+forms of e2 - e3, e1 - e2 and 1/3 + e3 in ``moduli.midpoint_gaps``: no
+midpoint is subtracted from another.  ``delta`` at real u and ``dn3`` at
+complex z, reduced into the centred cell of the lattice of kappa itself,
+take v = 1/sn from the Gauss recursion ``weierstrass._inv_sn`` on the
+context's ladder.  Neither calls ``wp`` or builds invariants.
 
 The reference route is the paper's own construction, inverting G by
 Newton steps over adaptive quadrature of the closed-form kernel
@@ -57,24 +55,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from functools import lru_cache
 
 from .errors import DomainError, NonConvergence, PoleError
-from .hypergeom import f2_complement, f3_complement
-from .moduli import SQRT3, ModulusSet, params_from_p
+from .hypergeom import f3_complement
+from .moduli import ModulusSet, midpoint_gaps, params_from_p
 from .quadrature import integrate
-from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_sn
-
-__all__ = [
-    "DeltaContext",
-    "half_periods_sig3",
-    "half_periods_jacobi_route",
-    "delta_integral",
-    "delta_phase",
-    "delta",
-    "dn3",
-]
+from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_sn, _jacobi_half_periods
 
 # Tolerances of the reference route: absolute quadrature tolerance of G,
 # and the Newton stopping step of its inversion, measured in T.
@@ -86,7 +73,7 @@ class DeltaContext:
     """A modulus kappa with the constants of the production route.
 
     Every field but the modulus is derived once, at construction, from the
-    closed forms of the module docstring and ``half_periods_sig3``: omega,
+    closed forms of ``moduli.midpoint_gaps`` and ``half_periods_sig3``: omega,
     the bridge constants a and b, and ``cell``, the lattice of
     kappa with the Gauss ladder of k (``weierstrass._Cell``).  ``delta``
     reads the ladder's scale from the slot ``bridge_scale``, faster to read
@@ -98,22 +85,15 @@ class DeltaContext:
     __slots__ = ("modulus", "omega", "bridge_scale", "bridge_a", "bridge_b", "cell")
 
     def __init__(self, modulus: ModulusSet):
-        kappa, lam, theta = modulus
-        s, c = math.sin(theta / 3.0), math.cos(theta / 3.0)
-        phi = 2.0 * math.atan2(lam, kappa) / 3.0
-        gap_low = (16.0 * SQRT3 / 9.0) * s * s * s * c  # e2 - e3
-        if gap_low < sys.float_info.min:
-            raise DomainError(f"modulus {kappa} is too small: e2 - e3 ~ 0.11 kappa^3 underflows")
-        gap_high = (4.0 * SQRT3 / 9.0) * math.sin(phi) * (1.0 + math.cos(phi))  # e1 - e2
-        spread = gap_low + gap_high  # e1 - e3
-        shift = (4.0 / 9.0) * s * s * (3.0 - 2.0 * s * s - 2.0 * SQRT3 * s * c)  # 1/3 + e3
+        low, high, shift = midpoint_gaps(modulus)
+        spread = low + high  # e1 - e3
         periods = half_periods_sig3(modulus)
-        cell = _cell(periods, math.sqrt(spread), gap_low / spread, gap_high / spread)
+        cell = _cell(periods, math.sqrt(spread), low / spread, high / spread)
         fields = {
             "modulus": modulus,
             "omega": periods.omega,
             "bridge_scale": cell.scale,
-            "bridge_a": (4.0 / 9.0) * kappa * kappa / spread,
+            "bridge_a": (4.0 / 9.0) * modulus.kappa * modulus.kappa / spread,
             "bridge_b": shift / spread,
             "cell": cell,
         }
@@ -167,12 +147,7 @@ def half_periods_jacobi_route(p: float) -> HalfPeriodPair:
     is exactly the pair of transfer identities.
     """
     params = params_from_p(p)
-    r = math.sqrt(params.r2)
-    half_pi = 0.5 * math.pi
-    return HalfPeriodPair(
-        omega=half_pi * f2_complement(params.alpha_comp) / r,
-        omega_prime=1j * (half_pi * f2_complement(params.alpha) / r),
-    )
+    return _jacobi_half_periods(params.alpha, params.alpha_comp, math.sqrt(params.r2))
 
 
 def _arc_kernel(t: float, kappa: float, lam2: float) -> float:

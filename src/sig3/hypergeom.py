@@ -24,16 +24,6 @@ import math
 
 from .errors import DomainError, NonConvergence
 
-__all__ = [
-    "f2",
-    "f3",
-    "f2_complement",
-    "f3_complement",
-    "f_half",
-    "agm",
-    "agm3",
-]
-
 AGM_REL_TOL = 1e-15
 AGM_MAX_ITERS = 64
 

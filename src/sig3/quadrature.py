@@ -7,8 +7,6 @@ from typing import Callable
 
 from .errors import NonConvergence
 
-__all__ = ["integrate"]
-
 MAX_DEPTH = 40
 
 

@@ -25,27 +25,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .delta import DeltaContext, _reference_delta, _sig3_half_periods, delta_phase, half_periods_jacobi_route
+from .delta import DeltaContext, _reference_delta, _sig3_half_periods, delta_phase
 from .errors import ConfigError
 from .hypergeom import f2_complement, f3_complement
 from .moduli import modulus_from_kappa, params_from_p, trimidiation, invariants
-from .weierstrass import wp
-
-__all__ = [
-    "DEFAULT_TOL",
-    "MAX_GRID_POINTS",
-    "IdentityCheck",
-    "VerificationRow",
-    "VerificationReport",
-    "verify_identity56",
-    "verify_identity57",
-    "verify_identity58",
-    "verify_ode_delta",
-    "verify_trimidiation",
-    "period_route_gap",
-    "grid_points",
-    "grid_report",
-]
+from .weierstrass import _jacobi_half_periods, wp
 
 DEFAULT_TOL = 1e-10
 RELERR_FLOOR = 1e-300  # division guard; every in-range rhs is >= 1
@@ -179,7 +163,7 @@ def period_route_gap(p: float) -> tuple[float, float]:
     """
     params = params_from_p(p)
     sig = _sig3_half_periods(params.beta, params.beta_comp)
-    jac = half_periods_jacobi_route(p)
+    jac = _jacobi_half_periods(params.alpha, params.alpha_comp, math.sqrt(params.r2))
     gap_re = abs(sig.omega - jac.omega) / sig.omega
     gap_im = abs(sig.omega_prime.imag - jac.omega_prime.imag) / sig.omega_prime.imag
     return gap_re, gap_im

@@ -33,17 +33,6 @@ from typing import NamedTuple
 from .errors import DomainError, NonConvergence, PoleError
 from .hypergeom import f2_complement
 
-__all__ = [
-    "WeierstrassInvariants",
-    "MidpointTriple",
-    "HalfPeriodPair",
-    "wp",
-    "wp_and_derivative",
-    "sn",
-    "half_periods_from_midpoints",
-    "midpoints_from_invariants",
-]
-
 POLE_THRESHOLD = 1e-8  # |z| below this: 1/z^2 noise exceeds 1e16
 SN_MODULUS_FLOOR = 2.0 ** -27  # stop the Landen descent at k_N cosh(Y) <= this
 SN_MAX_DEPTH = 12
@@ -254,12 +243,11 @@ def sn(u: float, k: float) -> float:
 def half_periods_from_midpoints(mids: MidpointTriple) -> HalfPeriodPair:
     """Half periods of the Weierstrass function with midpoint values ``mids``.
 
-    omega = K/sqrt(e1-e3) and omega' = iK'/sqrt(e1-e3), with the Jacobi
-    modulus k read off the midpoint spread and the quarter periods
-    K = (pi/2) F(1/2,1/2;1;k^2), K' likewise at 1 - k^2, each from the
-    complement of its argument ((1-k)(1+k) keeps K accurate as k -> 1).
-    Raises DomainError when a spread underflows the tolerance and no
-    lattice survives.
+    omega = K/sqrt(e1-e3) and omega' = iK'/sqrt(e1-e3) by
+    ``_jacobi_half_periods``, with the Jacobi modulus k read off the
+    midpoint spread and 1 - k^2 taken as (1-k)(1+k), which keeps K
+    accurate as k -> 1.  Raises DomainError when a spread underflows the
+    tolerance and no lattice survives.
     """
     spread = mids.spread
     gap = mids.e2 - mids.e3
@@ -269,11 +257,16 @@ def half_periods_from_midpoints(mids: MidpointTriple) -> HalfPeriodPair:
             f"midpoint spreads ({spread}, {gap}) too small for a period lattice"
         )
     k = math.sqrt(mids.jacobi_m)
+    return _jacobi_half_periods(k * k, (1.0 - k) * (1.0 + k), math.sqrt(spread))
+
+
+def _jacobi_half_periods(m: float, m_comp: float, r: float) -> HalfPeriodPair:
+    """omega = K/r and omega' = iK'/r, K = (pi/2) F(1/2,1/2;1;m) and K' at
+    m_comp = 1 - m, each from ``f2_complement`` of the other argument."""
     half_pi = 0.5 * math.pi
-    r = math.sqrt(spread)
     return HalfPeriodPair(
-        omega=half_pi * f2_complement((1.0 - k) * (1.0 + k)) / r,
-        omega_prime=1j * (half_pi * f2_complement(k * k) / r),
+        omega=half_pi * f2_complement(m_comp) / r,
+        omega_prime=1j * (half_pi * f2_complement(m) / r),
     )
 
 

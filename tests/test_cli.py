@@ -79,10 +79,12 @@ def test_sabotaged_tolerance_exits_one(tmp_path):
 
 
 def test_malformed_grid_exits_two(tmp_path, capsys):
-    for grid in ("1.5:2:0.1", "abc", "0.1:0.9", "0.9:0.1:0.05"):
+    for grid in ("1.5:2:0.1", "abc", "0.1:0.9", "0.9:0.1:0.05", "a:b:c"):
         code = main(["verify", "--grid", grid, "--out", str(tmp_path / "x.csv")])
         assert code == 2, grid
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "grid must be three numbers, got 'a:b:c'" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
@@ -350,13 +352,13 @@ def test_public_names_are_pinned():
     assert names == {
         "ConfigError", "DomainError", "NonConvergence", "PoleError", "Sig3Error",
         "agm", "agm3", "f2", "f3", "f_half",
-        "HalfPeriodPair", "MidpointTriple", "WeierstrassInvariants",
+        "MidpointTriple", "WeierstrassInvariants",
         "half_periods_from_midpoints", "midpoints_from_invariants", "sn", "wp", "wp_and_derivative",
-        "ModulusSet", "TransferParams", "invariants", "midpoints", "modulus_from_kappa",
+        "ModulusSet", "invariants", "midpoints", "modulus_from_kappa",
         "p_from_s_c", "params_from_p", "trimidiation",
         "DeltaContext", "delta", "delta_integral", "delta_phase", "dn3",
         "half_periods_jacobi_route", "half_periods_sig3",
-        "DEFAULT_TOL", "IdentityCheck", "VerificationReport", "VerificationRow", "grid_report",
+        "DEFAULT_TOL", "grid_report",
         "period_route_gap", "verify_identity56", "verify_identity57", "verify_identity58",
         "verify_ode_delta", "verify_trimidiation",
     }

@@ -226,6 +226,9 @@ def test_delta_is_the_bridge_through_sn_bitwise():
 def test_delta_rejects_non_finite(ctx06):
     with pytest.raises(DomainError):
         delta(math.inf, ctx06)
+    for u in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            delta_phase(u, ctx06)
 
 
 def test_delta_has_the_domain_of_dn3(ctx06):
@@ -418,7 +421,7 @@ def _mpmath_wp_on_float_midpoints(inv, mpmath):
     return wp_and_deriv
 
 
-@pytest.mark.parametrize("kappa", [1e-5, 0.05, 0.6, 0.95, 0.9999])
+@pytest.mark.parametrize("kappa", [1e-5, 1e-3, 0.05, 0.6, 0.95, 0.9999])
 def test_complex_descent_at_its_worst_places(kappa):
     # Relative to max(1, |z f'/f|), the rounding of z, for wp and dn3.
     # dn3 = 1 - a/(b + v^2) also cancels next to its zeros, by the factor
@@ -427,8 +430,9 @@ def test_complex_descent_at_its_worst_places(kappa):
     # (a bridge without that cancellation is ROADMAP item 1).  Measured
     # <= 8.9e-16 for wp and <= 3.2e-15 for dn3 over these points, apart
     # from dn3 at those corners: 2.4e-14, or 5.1e-16 of its condition.  At
-    # kappa = 1e-5 the float invariants have no positive discriminant, so
-    # wp refuses them.
+    # kappa = 1e-5 the float invariants have no positive discriminant, and
+    # at 1e-3 their e2 - e3 rounds below 1e-14 of the spread: wp refuses
+    # both with DomainError (ROADMAP item 1), while dn3 serves them.
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     mod = modulus_from_kappa(kappa)
@@ -441,7 +445,7 @@ def test_complex_descent_at_its_worst_places(kappa):
         err = float(abs(dn3(z, mod) - ref_value) / abs(ref_value))
         assert err <= 1e-14 * condition, (z, err, condition)
     inv = sig3.moduli.invariants(mod)
-    if kappa < 1e-4:
+    if kappa <= 1e-3:
         with pytest.raises(DomainError):
             wp(0.3, inv)
         return

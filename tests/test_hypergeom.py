@@ -172,10 +172,11 @@ def test_agm_handles_extreme_ratio():
 
 
 def test_agm_rejects_nonpositive_input():
-    with pytest.raises(DomainError):
-        agm(0.0, 1.0)
-    with pytest.raises(DomainError):
-        agm(1.0, -2.0)
+    for mean in (agm, agm3):
+        with pytest.raises(DomainError):
+            mean(0.0, 1.0)
+        with pytest.raises(DomainError):
+            mean(1.0, -2.0)
 
 
 def test_agm_nonconvergence_budget(monkeypatch):

@@ -220,6 +220,34 @@ def test_midpoints_collapse_toward_zero_modulus():
     assert abs(mids.e2 + 1.0 / 3.0) < 1e-8
     assert abs(mids.e3 + 1.0 / 3.0) < 1e-8
     assert mids.e2 > mids.e3  # the gap closes but never crosses
+    # e2 = e3 + (e2 - e3) with e2 - e3 ~ 0.11 kappa^3: below half an ulp of
+    # e3 ~ -1/3 it rounds onto e3.  The float boundary was measured between
+    # 6.243459525868651e-06 (refused) and the next float (accepted).
+    mids = midpoints(modulus_from_kappa(6.24346e-6))
+    assert mids.e2 > mids.e3
+    with pytest.raises(DomainError, match="collapse"):
+        midpoints(modulus_from_kappa(6.24345e-6))
+
+
+def test_midpoints_against_40_digit_values():
+    # From the closed-form gaps; measured <= 1.52e-16 absolute on this grid.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    kappas = [10.0 ** (-7.0 + 7.0 * i / 200) for i in range(200)]
+    kappas += [1.0 - 10.0 ** -j for j in range(1, 16)] + [math.nextafter(1.0, 0.0)]
+    for kappa in kappas:
+        mod = modulus_from_kappa(kappa)
+        if kappa <= 6.24345e-6:
+            with pytest.raises(DomainError):
+                midpoints(mod)
+            continue
+        third = mpmath.asin(mpmath.mpf(kappa)) / 3
+        s, c = mpmath.sin(third), mpmath.cos(third)
+        x = (8 * s * s - 12) * s * s + 3
+        gap = 8 * mpmath.sqrt(3) * s ** 3 * c
+        exact = (2 * x / 9, (gap - x) / 9, -(gap + x) / 9)
+        for got, want in zip(midpoints(mod), exact):
+            assert abs(got - want) <= 2.5e-16, (kappa, got)
 
 
 @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])

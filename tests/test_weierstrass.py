@@ -279,6 +279,12 @@ def test_midpoints_from_invariants_round_trip(config06):
         assert abs(got - want) < 1e-13
 
 
+def test_invariants_must_be_finite():
+    for g2, g3 in ((math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(DomainError):
+            WeierstrassInvariants(g2, g3)
+
+
 def test_midpoints_from_invariants_rejects_negative_discriminant():
     with pytest.raises(DomainError):
         midpoints_from_invariants(WeierstrassInvariants(1.0, 1.0))
