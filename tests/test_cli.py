@@ -219,13 +219,15 @@ def test_periods_domain_error(capsys):
     assert main(["periods", "--kappa", "1.2"]) == 2
 
 
-# 1e-300: the half period needs F3 at kappa^2 = 0, so the row fails; every
-# row is computed before the header is written.
+# 1e-300: kappa^2 underflows to 0, so half_periods_sig3 refuses the modulus;
+# every row is computed before the header is written.
 @pytest.mark.parametrize("grid", ["0.1:0.9:0", "0.1:nan:0.1", "0.1:0.9", "0.5:1.0:0.5", "1e-300"])
 def test_periods_bad_grid_exits_two(capsys, grid):
     assert main(["periods", "--kappa", grid]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error:" in err
+    if grid == "1e-300":
+        assert "modulus kappa = 1e-300 is too small: kappa^2 underflows to 0" in err
 
 
 def test_delta_subcommand(capsys):

@@ -6,6 +6,7 @@ import importlib
 import pytest
 
 import sig3.moduli
+import sig3.quadrature
 import sig3.weierstrass
 from sig3.delta import (
     DeltaContext,
@@ -126,6 +127,28 @@ def test_quadrature_budget_failure():
     # An endpoint singularity keeps every refinement level disagreeing.
     with pytest.raises(NonConvergence):
         integrate(lambda t: t ** -0.5, 0.0, 1.0, 1e-13)
+
+
+def test_quadrature_evaluates_each_panel_once(monkeypatch):
+    # A node takes its own panel from its parent: 3 panels when the root is
+    # accepted, 2 more per split.  The 15-point rule is exact for t^2; it
+    # misses the kink of |t| on [-1, 1], which is exact on either half, so
+    # that tree splits exactly once (7 panels, where re-evaluating each
+    # child's panel made 9).
+    calls = []
+    panel = sig3.quadrature._panel
+
+    def counted(f, a, b):
+        calls.append((a, b))
+        return panel(f, a, b)
+
+    monkeypatch.setattr(sig3.quadrature, "_panel", counted)
+    assert abs(integrate(lambda t: t * t, 0.0, 1.0, 1e-12) - 1.0 / 3.0) <= 1e-15
+    assert calls == [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)]
+    calls.clear()
+    assert abs(integrate(abs, -1.0, 1.0, 1e-12) - 1.0) <= 1e-15
+    assert len(calls) == 7 and len(set(calls)) == 7
+    assert calls[:3] == [(-1.0, 1.0), (-1.0, 0.0), (0.0, 1.0)]
 
 
 def test_gauss_legendre_rule_matches_numpy():
@@ -293,6 +316,10 @@ def test_dn3_builds_one_context_per_modulus():
             dn3(z, modulus_from_kappa(kappa))
     info = delta_module._context.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+
+
+def test_delta_context_repr_names_its_modulus(ctx06):
+    assert repr(ctx06) == f"DeltaContext({modulus_from_kappa(0.6)!r})"
 
 
 def test_delta_context_is_read_only(ctx06):

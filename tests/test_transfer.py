@@ -219,7 +219,24 @@ def test_grid_report_holds_to_roundoff_on_the_fine_grid():
     report = grid_report(0.001, 0.999, 0.001)
     assert len(report.rows) == 999
     assert report.all_pass
-    assert all(report.max_relerr[key] <= 4e-15 for key in ("56", "57", "58"))
+    assert all(report.max_relerr[key] <= 1e-15 for key in ("56", "57", "58"))
+
+
+def test_identities_hold_to_roundoff_toward_both_ends_of_the_domain():
+    # 10,002 p: log-spaced toward 0 from just above the underflow floor of
+    # params_from_p (~3.25e-103), and toward 1 with 1 - p down to 2^-53.
+    # The module docstring bounds every residual by 1e-15 on (0, 1), and
+    # each rhs stays well clear of 0 (rhs58 is smallest, 0.0815 at
+    # p = 1 - 2^-53), so a residual is divided by rhs with no guard.
+    n = 5000
+    lo, lo1, hi = math.log(3.3e-103), math.log(2.0 ** -53), math.log(0.5)
+    points = [math.exp(lo + (hi - lo) * i / n) for i in range(n + 1)]
+    points += [1.0 - math.exp(lo1 + (hi - lo1) * i / n) for i in range(n + 1)]
+    assert points[n + 1] == 1.0 - 2.0 ** -53
+    for p in points:
+        row = sig3.transfer._transfer_row(p, sig3.transfer.DEFAULT_TOL)
+        assert max(row.relerr56, row.relerr57, row.relerr58) <= 1e-15, p
+        assert min(row.rhs56, row.rhs57, row.rhs58) >= 0.08, p
 
 
 def test_grid_report_sabotaged_tolerance_fails():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import sig3.weierstrass
 from sig3.hypergeom import f2_complement
 from sig3.delta import DeltaContext
-from sig3.errors import DomainError, PoleError
+from sig3.errors import DomainError, NonConvergence, PoleError
 from sig3.moduli import invariants, midpoints, modulus_from_kappa
 from sig3.weierstrass import (
     HalfPeriodPair,
@@ -172,6 +172,14 @@ def test_landen_ladders_of_the_lattice_scan_moduli():
         inv = invariants(mod)
         for cell in (_lattice(inv.g2, inv.g3)[2], DeltaContext(mod).cell):
             assert len(cell.rungs) == rungs, kappa
+
+
+def test_landen_descent_raises_past_its_depth_budget(monkeypatch):
+    # Ladders are cached per modulus, so this k must not have been used
+    # before; it needs more than one rung.
+    monkeypatch.setattr(sig3.weierstrass, "SN_MAX_DEPTH", 1)
+    with pytest.raises(NonConvergence, match="exceeded depth 1"):
+        sn(0.5, 0.987654321)
 
 
 def test_sn_rejects_non_finite_arguments():
