@@ -15,10 +15,7 @@ from .hypergeom import (
     f_half,
 )
 from .weierstrass import (
-    MidpointTriple,
     WeierstrassInvariants,
-    half_periods_from_midpoints,
-    midpoints_from_invariants,
     sn,
     wp,
     wp_and_derivative,
@@ -26,7 +23,6 @@ from .weierstrass import (
 from .moduli import (
     ModulusSet,
     invariants,
-    midpoints,
     modulus_from_kappa,
     p_from_s_c,
     params_from_p,
@@ -38,7 +34,6 @@ from .delta import (
     delta_integral,
     delta_phase,
     dn3,
-    half_periods_jacobi_route,
     half_periods_sig3,
 )
 from .transfer import (

@@ -48,10 +48,10 @@ kappa = 0.99999 up the quadrature, which halves its absolute tolerance at
 every split, raises NonConvergence rather than return a value short of
 QUAD_TOL.
 
-Both half-period routes live here too: the signature-three route through
-F(1/3, 2/3; 1; .) and the classical route through F(1/2, 1/2; 1; .) at the
-transfer arguments; their agreement is the analytic content that the
-transfer identities certify.
+The signature-three half periods through F(1/3, 2/3; 1; .) live here
+too; ``transfer.period_route_gap`` holds them against the classical route
+through F(1/2, 1/2; 1; .) at the transfer arguments, an agreement that is
+the analytic content of the transfer identities.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ from functools import lru_cache
 
 from .errors import DomainError, NonConvergence, PoleError
 from .hypergeom import f3_complement
-from .moduli import ModulusSet, midpoint_gaps, params_from_p
+from .moduli import ModulusSet, midpoint_gaps
 from .quadrature import integrate
-from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_sn, _jacobi_half_periods
+from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_sn
 
 # Tolerances of the reference route: absolute quadrature tolerance of G,
 # and the Newton stopping step of its inversion, measured in T.
@@ -143,20 +143,6 @@ def _sig3_half_periods(k2: float, k2_comp: float) -> HalfPeriodPair:
     )
 
 
-def half_periods_jacobi_route(p: float) -> HalfPeriodPair:
-    """Half periods through the classical basis at transfer parameter p:
-
-        r omega  = (pi/2) F(1/2, 1/2; 1; alpha),
-        r omega' = i (pi/2) F(1/2, 1/2; 1; 1 - alpha),
-
-    with r = sqrt(e1 - e3) and alpha the squared Jacobi modulus.  Must
-    agree with ``half_periods_sig3`` at the matching kappa; that equality
-    is exactly the pair of transfer identities.
-    """
-    params = params_from_p(p)
-    return _jacobi_half_periods(params.alpha, params.alpha_comp, math.sqrt(params.r2))
-
-
 def _arc_kernel(t: float, kappa: float, lam2: float) -> float:
     """F(1/3, 2/3; 1/2; kappa^2 sin^2 t) = cos(z/3)/cos z, sin z = kappa sin t.
 
@@ -225,9 +211,11 @@ def delta_phase(u: float, ctx: DeltaContext) -> float:
     u is reduced modulo the period 2 omega and reflected into [0, omega],
     where the inversion runs on a single monotone branch; the ambient
     branch is restored afterwards, making T a global increasing bijection.
+    Its domain is that of ``delta``: a u that is not finite or has
+    |u| >= ``WP_MAX_MODULUS`` raises DomainError.
     """
-    if not math.isfinite(u):
-        raise DomainError(f"argument must be finite, got {u}")
+    if not abs(u) < WP_MAX_MODULUS:
+        raise DomainError(f"argument {u} is not finite, or too large to reduce onto the period")
     omega = ctx.omega
     period = 2.0 * omega
     cells = math.floor(u / period)

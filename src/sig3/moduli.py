@@ -14,8 +14,9 @@ transfer arguments
     beta  = (27/4) p^2 (1+p)^2 / (1+p+p^2)^3   (= kappa^2)
 
 become rational in p.  This module owns those maps plus the invariant pair
-(g2, g3), the closed-form midpoint gaps and values, and the trimidiation data
-(h2, h3) of the lattice whose imaginary period is one third the original.
+(g2, g3), the closed-form midpoint gaps e2 - e3, e1 - e2 and 1/3 + e3, and
+the trimidiation data (h2, h3) of the lattice whose imaginary period is one
+third the original.
 
 ``params_from_p``, ``invariants`` and ``trimidiation`` compute each value
 by two independent routes, cross-check them and refuse to return
@@ -30,7 +31,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError
-from .weierstrass import MidpointTriple, WeierstrassInvariants
+from .weierstrass import WeierstrassInvariants
 
 SQRT3 = math.sqrt(3.0)
 # Consistency level for redundant closed-form routes, in units of the
@@ -203,23 +204,6 @@ def midpoint_gaps(mod: ModulusSet) -> tuple[float, float, float]:
     high = (4.0 * SQRT3 / 9.0) * math.sin(phi) * (1.0 + math.cos(phi))
     shift = (4.0 / 9.0) * s * s * (3.0 - 2.0 * s * s - 2.0 * SQRT3 * s * c)
     return low, high, shift
-
-
-def midpoints(mod: ModulusSet) -> MidpointTriple:
-    """Midpoint values of the configuration from ``midpoint_gaps``:
-
-        e3 = (1/3 + e3) - 1/3,   e2 = e3 + (e2 - e3),   e1 = -(2 e3 + (e2 - e3)).
-
-    Measured within 1.6e-16 of 40-digit values.  Where e2 - e3 ~
-    0.11 kappa^3 falls below half an ulp of e3 ~ -1/3, e2 rounds onto e3
-    and ``MidpointTriple`` raises DomainError ("collapse"): kappa up to
-    6.24345e-6 is refused, from 6.24346e-6 on accepted.
-    ``delta.DeltaContext`` reads the gaps themselves and goes down to
-    ~5.8e-103.
-    """
-    low, _, shift = midpoint_gaps(mod)
-    e3 = shift - 1.0 / 3.0
-    return MidpointTriple(e1=-(2.0 * e3 + low), e2=e3 + low, e3=e3)
 
 
 def trimidiation(mod: ModulusSet) -> WeierstrassInvariants:

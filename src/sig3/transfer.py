@@ -121,8 +121,11 @@ def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> float:
 
     delta and delta' are evaluated analytically at the phase T(u) by the
     reference route's arc form (finite differences would dominate the
-    residual budget).  Residuals are scaled by 1 + delta^4.
+    residual budget).  Residuals are scaled by 1 + delta^4.  An empty
+    ``u_grid`` raises ConfigError: a maximum over no point certifies nothing.
     """
+    if not u_grid:
+        raise ConfigError("verify_ode_delta needs at least one u; u_grid is empty")
     worst = 0.0
     for u in u_grid:
         worst = max(worst, _ode_residual(delta_phase(u, ctx), ctx))
@@ -140,10 +143,17 @@ def _ode_residual(T: float, ctx: DeltaContext) -> float:
 def verify_trimidiation(kappa: float, z_samples: Sequence[complex]) -> float:
     """Maximum relative residual of wp(z; h2, h3) = -3 wp(sqrt3 i z; g2(lam), g3(lam)).
 
-    The left side lives on the lattice with imaginary period divided by
-    three, the right on the complementary-modulus lattice turned a quarter
-    turn; samples must avoid both lattices (PoleError otherwise).
+    The left side lives on the lattice of (h2, h3), the right on the
+    complementary-modulus lattice turned a quarter turn; samples must avoid
+    both lattices (PoleError otherwise).  h2 = 9 g2(lam) and h3 = -27 g3(lam)
+    hold exactly, so the check is the homogeneity wp(cz; c^-4 g2, c^-6 g3) =
+    c^-2 wp(z; g2, g3) at c = sqrt3 i, which holds on any lattice.  It tests
+    the reduction and the bridge of ``wp`` on two lattices; it does not
+    check that the lattice of (h2, h3) is kappa's with omega'/3.  An empty
+    ``z_samples`` raises ConfigError.
     """
+    if not z_samples:
+        raise ConfigError("verify_trimidiation needs at least one z; z_samples is empty")
     mod = modulus_from_kappa(kappa)
     inv_h = trimidiation(mod)
     inv_lam = invariants(mod.complement)

@@ -16,10 +16,13 @@ the foot and climbs the rungs, at real or complex w alike.  ``wp`` runs it
 on the lattice of (g2, g3), ``delta.dn3`` and ``delta.delta`` on the
 lattice of their modulus, ``sn`` on the real axis.
 
-The rest of the dictionary lives here too: the map between midpoint values
-e1 > e2 > e3, the Jacobi modulus k^2 = (e2-e3)/(e1-e3), and the Weierstrass
-half-periods omega = K/sqrt(e1-e3), omega' = iK'/sqrt(e1-e3), with the
-quarter periods K and K' through the AGM.
+The lattice of (g2, g3) has one private home, ``_lattice``: it solves
+4t^3 - g2 t - g3 = 0 for the midpoint values e1 > e2 > e3, reads the
+Jacobi modulus k^2 = (e2-e3)/(e1-e3) off them, and builds the cell from the
+half periods omega = K/sqrt(e1-e3), omega' = iK'/sqrt(e1-e3), with the
+quarter periods K and K' through the AGM (``_jacobi_half_periods``, which
+``delta`` and ``transfer`` share).  The lattice of a modulus kappa needs no
+cubic: ``delta.DeltaContext`` builds it from the closed-form midpoint gaps.
 """
 
 from __future__ import annotations
@@ -50,37 +53,6 @@ class WeierstrassInvariants(NamedTuple("WeierstrassInvariants", [("g2", float), 
         if not (math.isfinite(g2) and math.isfinite(g3)):
             raise DomainError(f"invariants must be finite, got ({g2}, {g3})")
         return super().__new__(cls, g2, g3)
-
-    @property
-    def discriminant(self) -> float:
-        return self.g2 ** 3 - 27.0 * self.g3 ** 2
-
-
-class MidpointTriple(NamedTuple("MidpointTriple", [("e1", float), ("e2", float), ("e3", float)])):
-    """Midpoint values e1 > e2 > e3 of a real-lattice Weierstrass function.
-
-    The strict ordering is validated at construction: the labels fix the
-    Jacobi modulus, so unordered input is an error, never silently sorted.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, e1: float, e2: float, e3: float):
-        if e1 == e2 or e2 == e3:
-            raise DomainError(f"midpoint values collapse: ({e1}, {e2}, {e3})")
-        if not e1 > e2 > e3:
-            raise DomainError(f"midpoint values must satisfy e1 > e2 > e3, got ({e1}, {e2}, {e3})")
-        return super().__new__(cls, e1, e2, e3)
-
-    @property
-    def spread(self) -> float:
-        """e1 - e3, the squared scaling factor r^2 between the two theories."""
-        return self.e1 - self.e3
-
-    @property
-    def jacobi_m(self) -> float:
-        """Squared Jacobi modulus k^2 = (e2 - e3)/(e1 - e3)."""
-        return (self.e2 - self.e3) / (self.e1 - self.e3)
 
 
 class HalfPeriodPair(NamedTuple("HalfPeriodPair", [("omega", float), ("omega_prime", complex)])):
@@ -176,13 +148,32 @@ def _centred(z: complex, cell: _Cell) -> complex:
 
 @lru_cache(maxsize=64)
 def _lattice(g2: float, g3: float) -> tuple[float, float, _Cell]:
-    """e3, e1 - e3 and the ``_Cell`` of ``wp`` for (g2, g3), with k^2 and
-    1 - k^2 each from its own midpoint gap."""
-    mids = midpoints_from_invariants(WeierstrassInvariants(g2, g3))
-    spread = mids.spread
-    cell = _cell(half_periods_from_midpoints(mids), math.sqrt(spread), mids.jacobi_m,
-                 (mids.e1 - mids.e2) / spread)
-    return mids.e3, spread, cell
+    """e3, e1 - e3 and the ``_Cell`` of ``wp`` for (g2, g3).
+
+    The midpoints e1 > e2 > e3 are the roots of 4t^3 - g2 t - g3, solved in
+    trigonometric form, which is valid exactly when the discriminant
+    g2^3 - 27 g3^2 is positive (a rectangular lattice); otherwise
+    DomainError.  Rounded roots with e1 <= e2, a spread e1 - e3 below 1e-14
+    of the midpoints or e2 - e3 below 1e-14 of the spread leave no period
+    lattice: DomainError too.
+    The half periods come from ``_jacobi_half_periods`` with 1 - k^2 taken
+    as (1-k)(1+k), which keeps K accurate as k -> 1; the ladder takes k^2
+    and 1 - k^2 each from its own midpoint gap."""
+    if g2 <= 0.0 or g2 ** 3 - 27.0 * g3 ** 2 <= 0.0:
+        raise DomainError(f"invariants ({g2}, {g3}) do not give three real midpoints")
+    m = math.sqrt(g2 / 3.0)
+    # cos(3 phi) = g3 (3/g2)^(3/2); |.| <= 1 follows from the discriminant.
+    arg = min(1.0, max(-1.0, g3 / (m * m * m)))
+    phi = math.acos(arg) / 3.0
+    third = 2.0 * math.pi / 3.0
+    e1, e2, e3 = m * math.cos(phi), m * math.cos(phi - third), m * math.cos(phi - 2.0 * third)
+    spread = e1 - e3
+    gap = e2 - e3
+    if not e1 > e2 or spread <= 1e-14 * max(abs(e1), abs(e3)) or gap <= 1e-14 * spread:
+        raise DomainError(f"midpoint spreads ({spread}, {gap}) too small for a period lattice")
+    k = math.sqrt(gap / spread)
+    periods = _jacobi_half_periods(k * k, (1.0 - k) * (1.0 + k), math.sqrt(spread))
+    return e3, spread, _cell(periods, math.sqrt(spread), gap / spread, (e1 - e2) / spread)
 
 
 @lru_cache(maxsize=64)
@@ -229,35 +220,16 @@ def sn(u: float, k: float) -> float:
     """Jacobi sn(u, k) for real u and modulus 0 < k < 1, by the descending
     Landen transformation on the cached real-axis ladder of k.  Periodicity
     sn(u + 4K) = sn(u) is inherited exactly from the sine.  A u that is not
-    finite raises DomainError."""
+    finite or has |u| >= ``WP_MAX_MODULUS`` (~4.5e7), where the rounding of
+    u alone leaves few correct digits, raises DomainError."""
     if not 0.0 < k < 1.0:
         raise DomainError(f"modulus must lie in (0, 1), got {k}")
-    if not math.isfinite(u):
-        raise DomainError(f"argument must be finite, got {u}")
+    if not abs(u) < WP_MAX_MODULUS:
+        raise DomainError(f"argument {u} is not finite, or too large to reduce onto the period")
     if abs(u) < 1e-100:
         return u  # sn(u) = u - (1+k^2) u^3/6 + ... to the last bit; 1/sin would overflow
     rungs, scale = _ladder(k * k, (1.0 - k) * (1.0 + k), 0.0)
     return 1.0 / _inv_sn(scale * u, rungs)
-
-
-def half_periods_from_midpoints(mids: MidpointTriple) -> HalfPeriodPair:
-    """Half periods of the Weierstrass function with midpoint values ``mids``.
-
-    omega = K/sqrt(e1-e3) and omega' = iK'/sqrt(e1-e3) by
-    ``_jacobi_half_periods``, with the Jacobi modulus k read off the
-    midpoint spread and 1 - k^2 taken as (1-k)(1+k), which keeps K
-    accurate as k -> 1.  Raises DomainError when a spread underflows the
-    tolerance and no lattice survives.
-    """
-    spread = mids.spread
-    gap = mids.e2 - mids.e3
-    scale = max(abs(mids.e1), abs(mids.e3))
-    if spread <= 1e-14 * scale or gap <= 1e-14 * spread:
-        raise DomainError(
-            f"midpoint spreads ({spread}, {gap}) too small for a period lattice"
-        )
-    k = math.sqrt(mids.jacobi_m)
-    return _jacobi_half_periods(k * k, (1.0 - k) * (1.0 + k), math.sqrt(spread))
 
 
 def _jacobi_half_periods(m: float, m_comp: float, r: float) -> HalfPeriodPair:
@@ -268,27 +240,3 @@ def _jacobi_half_periods(m: float, m_comp: float, r: float) -> HalfPeriodPair:
         omega=half_pi * f2_complement(m_comp) / r,
         omega_prime=1j * (half_pi * f2_complement(m) / r),
     )
-
-
-def midpoints_from_invariants(inv: WeierstrassInvariants) -> MidpointTriple:
-    """Solve 4t^3 - g2 t - g3 = 0 for the three real midpoint values.
-
-    Uses the trigonometric form of the cubic, valid exactly when the
-    discriminant is positive (rectangular lattice); otherwise raises
-    DomainError.
-    """
-    if inv.g2 <= 0.0 or inv.discriminant <= 0.0:
-        raise DomainError(
-            f"invariants ({inv.g2}, {inv.g3}) do not give three real midpoints"
-        )
-    m = math.sqrt(inv.g2 / 3.0)
-    # cos(3 phi) = g3 (3/g2)^(3/2); |.| <= 1 follows from the discriminant.
-    arg = min(1.0, max(-1.0, inv.g3 / (m * m * m)))
-    phi = math.acos(arg) / 3.0
-    third = 2.0 * math.pi / 3.0
-    return MidpointTriple(
-        e1=m * math.cos(phi),
-        e2=m * math.cos(phi - third),
-        e3=m * math.cos(phi - 2.0 * third),
-    )
-

@@ -8,7 +8,7 @@ import time
 from sig3.cli import CSV_HEADER, main
 from sig3.delta import DeltaContext, delta, delta_integral, dn3, half_periods_sig3
 from sig3.hypergeom import f2, f3
-from sig3.moduli import invariants, midpoints, modulus_from_kappa, params_from_p, trimidiation
+from sig3.moduli import invariants, midpoint_gaps, modulus_from_kappa, params_from_p, trimidiation
 from sig3.transfer import (
     grid_points,
     grid_report,
@@ -16,7 +16,7 @@ from sig3.transfer import (
     verify_ode_delta,
     verify_trimidiation,
 )
-from sig3.weierstrass import half_periods_from_midpoints, wp
+from sig3.weierstrass import wp
 from oracles import hyp2f1_series, wp_duplication
 
 GRID = (0.05, 0.95, 0.05)
@@ -63,13 +63,16 @@ def test_criterion_4_invariant_structure():
     for kappa in KAPPAS:
         mod = modulus_from_kappa(kappa)
         inv = invariants(mod)
-        mids = midpoints(mod)
-        for e in (mids.e1, mids.e2, mids.e3):
+        low, high, shift = midpoint_gaps(mod)
+        e3 = shift - 1.0 / 3.0
+        e2 = e3 + low
+        e1 = e2 + high
+        for e in (e1, e2, e3):
             ok = ok and abs(4.0 * e ** 3 - inv.g2 * e - inv.g3) <= 1e-13
-        ok = ok and abs(mids.e1 + mids.e2 + mids.e3) <= 1e-14
-        periods = half_periods_from_midpoints(mids)
+        ok = ok and abs(e1 + e2 + e3) <= 1e-14
+        periods = half_periods_sig3(mod)
         om, omp = periods.omega, periods.omega_prime
-        for z, e in ((om, mids.e1), (om + omp, mids.e2), (omp, mids.e3)):
+        for z, e in ((om, e1), (om + omp, e2), (omp, e3)):
             ok = ok and abs(wp(z, inv).real - e) <= 1e-10 * abs(e)
     report(4, "midpoint values and lattice structure", ok)
 
@@ -77,7 +80,7 @@ def test_criterion_4_invariant_structure():
 def test_criterion_5_jacobi_bridge():
     mod = modulus_from_kappa(0.6)
     inv = invariants(mod)
-    periods = half_periods_from_midpoints(midpoints(mod))
+    periods = half_periods_sig3(mod)
     omega, omega_im = periods.omega, periods.omega_prime.imag
     ok = True
     for frac in (0.2, 0.5, 0.9, 1.3, 1.8):
@@ -120,12 +123,12 @@ def test_criterion_7_trimidiation():
 
 def test_criterion_8_exact_rational_spot_values():
     params = params_from_p(0.5)
-    mids = midpoints(modulus_from_kappa(math.sqrt(params.beta)))
+    low, high, shift = midpoint_gaps(modulus_from_kappa(math.sqrt(params.beta)))
     ok = (
         abs(params.alpha - 5.0 / 32.0) <= 1e-14
         and abs(params.beta - 243.0 / 343.0) <= 1e-14
         and abs(params.r2 - 32.0 / 49.0) <= 1e-14
-        and abs(mids.e1 - 59.0 / 147.0) <= 1e-14
+        and abs(shift + low + high - 1.0 / 3.0 - 59.0 / 147.0) <= 1e-14
     )
     report(8, "exact rational spot values", ok)
 

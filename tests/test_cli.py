@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -354,16 +355,28 @@ def test_public_names_are_pinned():
     assert names == {
         "ConfigError", "DomainError", "NonConvergence", "PoleError", "Sig3Error",
         "agm", "agm3", "f2", "f3", "f_half",
-        "MidpointTriple", "WeierstrassInvariants",
-        "half_periods_from_midpoints", "midpoints_from_invariants", "sn", "wp", "wp_and_derivative",
-        "ModulusSet", "invariants", "midpoints", "modulus_from_kappa",
+        "WeierstrassInvariants", "sn", "wp", "wp_and_derivative",
+        "ModulusSet", "invariants", "modulus_from_kappa",
         "p_from_s_c", "params_from_p", "trimidiation",
         "DeltaContext", "delta", "delta_integral", "delta_phase", "dn3",
-        "half_periods_jacobi_route", "half_periods_sig3",
+        "half_periods_sig3",
         "DEFAULT_TOL", "grid_report",
         "period_route_gap", "verify_identity56", "verify_identity57", "verify_identity58",
         "verify_ode_delta", "verify_trimidiation",
     }
+
+
+def test_traced_names_resolve_to_functions():
+    # The benchmark's traced run wraps these by name; a name that no longer
+    # resolves would break only that run.
+    spec = importlib.util.spec_from_file_location("tracing", SRC.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    keys = [f"{module}.{fn}" for module, names in tracing.TRACED.items() for fn in names]
+    assert set(tracing.SAMPLED) <= set(keys)
+    for key in keys:
+        module, fn = key.split(".")
+        assert callable(getattr(importlib.import_module(f"sig3.{module}"), fn, None)), key
 
 
 def test_module_entry_point_runs():

@@ -14,20 +14,13 @@ from sig3.delta import (
     delta_integral,
     delta_phase,
     dn3,
-    half_periods_jacobi_route,
     half_periods_sig3,
 )
 from sig3.errors import DomainError, NonConvergence, PoleError
 from sig3.hypergeom import f_half
 from sig3.moduli import modulus_from_kappa, params_from_p, trimidiation
 from sig3.quadrature import GAUSS_NODES, GAUSS_WEIGHTS, integrate
-from sig3.weierstrass import (
-    WP_MAX_MODULUS,
-    half_periods_from_midpoints,
-    midpoints_from_invariants,
-    wp,
-    _inv_sn,
-)
+from sig3.weierstrass import WP_MAX_MODULUS, wp, _inv_sn, _jacobi_half_periods, _lattice
 from oracles import ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err
 
 # The package namespace exports the function delta under the module's name.
@@ -73,8 +66,17 @@ def test_half_periods_at_transfer_modulus():
     assert rel_err(periods.omega, oracle) < 1e-12
 
 
+def _jacobi_route(p):
+    """Half periods through the classical basis at transfer parameter p:
+    r omega = (pi/2) F(1/2, 1/2; 1; alpha), r omega' = i (pi/2) F(1/2, 1/2;
+    1; 1 - alpha), r = sqrt(e1 - e3), as ``transfer.period_route_gap`` takes
+    them."""
+    params = params_from_p(p)
+    return _jacobi_half_periods(params.alpha, params.alpha_comp, math.sqrt(params.r2))
+
+
 def test_jacobi_route_small_p_limit():
-    periods = half_periods_jacobi_route(1e-3)
+    periods = _jacobi_route(1e-3)
     assert abs(periods.omega - 0.5 * math.pi) < 1e-4
 
 
@@ -82,14 +84,14 @@ def test_jacobi_route_matches_sig3_route():
     for p in (0.1, 0.5, 0.9):
         params = params_from_p(p)
         sig = half_periods_sig3(modulus_from_kappa(math.sqrt(params.beta)))
-        jac = half_periods_jacobi_route(p)
+        jac = _jacobi_route(p)
         assert rel_err(jac.omega, sig.omega) < 1e-10
         assert rel_err(jac.omega_prime.imag, sig.omega_prime.imag) < 1e-10
 
 
 def test_jacobi_route_imaginary_part_against_series():
     # -i omega'(p=1/2) = (sqrt3/2) pi F(1/3,2/3;1;100/343).
-    periods = half_periods_jacobi_route(0.5)
+    periods = _jacobi_route(0.5)
     oracle = 0.5 * math.sqrt(3.0) * math.pi * float(
         hyp2f1_exact(THIRD, TWO_THIRDS, ONE, Fraction(100, 343))
     )
@@ -256,13 +258,16 @@ def test_delta_rejects_non_finite(ctx06):
 
 def test_delta_has_the_domain_of_dn3(ctx06):
     # |u| >= WP_MAX_MODULUS (~4.5036e7) is refused, as by dn3: beyond it the
-    # rounding of u alone exceeds the lattice's pole threshold.
+    # rounding of u alone exceeds the lattice's pole threshold.  The
+    # reference route's delta_phase refuses the same u.
     mod = ctx06.modulus
     for u in (1e300, -1e300, 4.6e7, WP_MAX_MODULUS, math.nan):
         with pytest.raises(DomainError):
             delta(u, ctx06)
         with pytest.raises(DomainError):
             dn3(u, mod)
+        with pytest.raises(DomainError):
+            delta_phase(u, ctx06)
     for u in (4e7, -4e7, math.nextafter(WP_MAX_MODULUS, 0.0)):
         assert 0.0 < delta(u, ctx06) <= 1.0
 
@@ -301,7 +306,7 @@ def test_dn3_builds_no_invariants_and_calls_no_wp(monkeypatch):
         raise AssertionError("dn3 must not take this route")
 
     monkeypatch.setattr(sig3.moduli, "invariants", refuse)
-    monkeypatch.setattr(sig3.weierstrass, "midpoints_from_invariants", refuse)
+    monkeypatch.setattr(sig3.weierstrass, "_lattice", refuse)
     monkeypatch.setattr(sig3.weierstrass, "wp_and_derivative", refuse)
     delta_module._context.cache_clear()
     mod = modulus_from_kappa(0.6)
@@ -432,11 +437,23 @@ def _cell_edges_and_pole(omega, omega_im):
     return points
 
 
+def _float_midpoints(inv):
+    """The float e1, e2, e3 that ``wp`` holds for ``inv``: the trigonometric
+    cubic solve of ``weierstrass._lattice``, repeated here and tied to it
+    bitwise through the e3 and e1 - e3 it returns."""
+    m = math.sqrt(inv.g2 / 3.0)
+    phi = math.acos(min(1.0, max(-1.0, inv.g3 / (m * m * m)))) / 3.0
+    third = 2.0 * math.pi / 3.0
+    e1, e2, e3 = (m * math.cos(phi - j * third) for j in range(3))
+    assert _lattice(*inv)[:2] == (e3, e1 - e3)
+    return e1, e2, e3
+
+
 def _mpmath_wp_on_float_midpoints(inv, mpmath):
     """wp and wp' in 40 digits on the lattice of the float midpoints that
     ``wp`` itself holds, so that only the descent is measured: the cubic
     solve of the midpoints is exact here."""
-    e1, e2, e3 = (mpmath.mpf(e) for e in midpoints_from_invariants(inv))
+    e1, e2, e3 = (mpmath.mpf(e) for e in _float_midpoints(inv))
     m = (e2 - e3) / (e1 - e3)
     r = mpmath.sqrt(e1 - e3)
 
@@ -476,9 +493,9 @@ def test_complex_descent_at_its_worst_places(kappa):
         with pytest.raises(DomainError):
             wp(0.3, inv)
         return
-    periods = half_periods_from_midpoints(midpoints_from_invariants(inv))
+    cell = _lattice(*inv)[2]
     reference = _mpmath_wp_on_float_midpoints(inv, mpmath)
-    for z in _cell_edges_and_pole(periods.omega, periods.omega_prime.imag):
+    for z in _cell_edges_and_pole(cell.period_re / 2, cell.period_im / 2):
         ref_value, ref_deriv = reference(z)
         condition = max(1.0, float(abs(mpmath.mpc(z) * ref_deriv / ref_value)))
         err = float(abs(wp(z, inv) - ref_value) / abs(ref_value))
@@ -514,10 +531,10 @@ def test_delta_context_accepts_kappa_down_to_underflow():
 def test_trimidiated_lattice_periodicity():
     mod = modulus_from_kappa(0.7)
     inv_h = trimidiation(mod)
-    periods_h = half_periods_from_midpoints(midpoints_from_invariants(inv_h))
+    period_h = _lattice(*inv_h)[2].period_re
     z = 0.31 + 0.17j
     a = wp(z, inv_h)
-    b = wp(z + 2.0 * periods_h.omega, inv_h)
+    b = wp(z + period_h, inv_h)
     assert abs(a - b) <= 1e-9 * abs(a)
 
 
@@ -525,6 +542,6 @@ def test_trimidiation_divides_the_imaginary_period_by_three():
     for kappa in (0.4, 0.7):
         mod = modulus_from_kappa(kappa)
         periods = half_periods_sig3(mod)
-        periods_h = half_periods_from_midpoints(midpoints_from_invariants(trimidiation(mod)))
-        assert rel_err(periods_h.omega_prime.imag, periods.omega_prime.imag / 3.0) < 1e-9
-        assert rel_err(periods_h.omega, periods.omega) < 1e-9
+        cell_h = _lattice(*trimidiation(mod))[2]
+        assert rel_err(cell_h.period_im / 2, periods.omega_prime.imag / 3.0) < 1e-9
+        assert rel_err(cell_h.period_re / 2, periods.omega) < 1e-9

@@ -9,13 +9,13 @@ from sig3.errors import DomainError
 from sig3.moduli import (
     ModulusSet,
     invariants,
-    midpoints,
+    midpoint_gaps,
     modulus_from_kappa,
     p_from_s_c,
     params_from_p,
     trimidiation,
 )
-from sig3.weierstrass import half_periods_from_midpoints, midpoints_from_invariants, wp
+from sig3.weierstrass import wp, _lattice
 from oracles import rel_err
 
 SQRT3 = math.sqrt(3.0)
@@ -201,63 +201,53 @@ def test_invariants_are_built_once_per_modulus():
 def test_discriminant_positive_inside_the_family():
     for kappa in (0.05, 0.3, 0.6, 0.9, 0.99):
         inv = invariants(modulus_from_kappa(kappa))
-        assert inv.discriminant > 0.0
+        assert inv.g2 ** 3 - 27.0 * inv.g3 ** 2 > 0.0
 
 
 # ------------------------------------------------------- midpoints ----
 
 
 def test_midpoints_at_transfer_half():
+    # At p = 1/2 the midpoints are 59/147, -22/147 and -37/147.
     params = params_from_p(0.5)
-    mod = modulus_from_kappa(math.sqrt(params.beta))
-    mids = midpoints(mod)
-    assert rel_err(mids.e1, 59.0 / 147.0) < 1e-14
+    gaps = midpoint_gaps(modulus_from_kappa(math.sqrt(params.beta)))
+    for got, want in zip(gaps, (5.0 / 49.0, 27.0 / 49.0, 4.0 / 49.0)):
+        assert rel_err(got, want) < 1e-14
 
 
-def test_midpoints_collapse_toward_zero_modulus():
-    mids = midpoints(modulus_from_kappa(1e-4))
-    assert abs(mids.e1 - 2.0 / 3.0) < 1e-8
-    assert abs(mids.e2 + 1.0 / 3.0) < 1e-8
-    assert abs(mids.e3 + 1.0 / 3.0) < 1e-8
-    assert mids.e2 > mids.e3  # the gap closes but never crosses
-    # e2 = e3 + (e2 - e3) with e2 - e3 ~ 0.11 kappa^3: below half an ulp of
-    # e3 ~ -1/3 it rounds onto e3.  The float boundary was measured between
-    # 6.243459525868651e-06 (refused) and the next float (accepted).
-    mids = midpoints(modulus_from_kappa(6.24346e-6))
-    assert mids.e2 > mids.e3
-    with pytest.raises(DomainError, match="collapse"):
-        midpoints(modulus_from_kappa(6.24345e-6))
-
-
-def test_midpoints_against_40_digit_values():
-    # From the closed-form gaps; measured <= 1.52e-16 absolute on this grid.
+def test_midpoint_gaps_against_400_digit_values():
+    # Each gap relative to its own size; measured <= 7.1e-16 for e2 - e3,
+    # 3.5e-16 for e1 - e2 and 6.0e-16 for 1/3 + e3.  The exact values
+    # subtract midpoints, and 1/3 + e3 ~ (4/27) kappa^2 at kappa = 1e-100
+    # needs the 400 digits.
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
     kappas = [10.0 ** (-7.0 + 7.0 * i / 200) for i in range(200)]
     kappas += [1.0 - 10.0 ** -j for j in range(1, 16)] + [math.nextafter(1.0, 0.0)]
-    for kappa in kappas:
-        mod = modulus_from_kappa(kappa)
-        if kappa <= 6.24345e-6:
-            with pytest.raises(DomainError):
-                midpoints(mod)
-            continue
-        third = mpmath.asin(mpmath.mpf(kappa)) / 3
-        s, c = mpmath.sin(third), mpmath.cos(third)
-        x = (8 * s * s - 12) * s * s + 3
-        gap = 8 * mpmath.sqrt(3) * s ** 3 * c
-        exact = (2 * x / 9, (gap - x) / 9, -(gap + x) / 9)
-        for got, want in zip(midpoints(mod), exact):
-            assert abs(got - want) <= 2.5e-16, (kappa, got)
+    kappas += [1e-100, 1e-50, 1e-20, 1e-10]
+    with mpmath.workdps(400):
+        for kappa in kappas:
+            third = mpmath.asin(mpmath.mpf(kappa)) / 3
+            s, c = mpmath.sin(third), mpmath.cos(third)
+            x = (8 * s * s - 12) * s * s + 3
+            gap = 8 * mpmath.sqrt(3) * s ** 3 * c
+            e1, e2, e3 = 2 * x / 9, (gap - x) / 9, -(gap + x) / 9
+            exact = (e2 - e3, e1 - e2, mpmath.mpf(1) / 3 + e3)
+            for got, want in zip(midpoint_gaps(modulus_from_kappa(kappa)), exact):
+                assert abs(got - want) <= 1e-15 * want, (kappa, got)
 
 
 @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
 def test_midpoints_are_cubic_roots(kappa):
+    # e1 > e2 > e3 summed from the gaps, each gap added once: their sum
+    # ties the three closed forms together.
     mod = modulus_from_kappa(kappa)
     inv = invariants(mod)
-    mids = midpoints(mod)
-    for e in (mids.e1, mids.e2, mids.e3):
+    low, high, shift = midpoint_gaps(mod)
+    e3 = shift - 1.0 / 3.0
+    mids = (e3 + low + high, e3 + low, e3)
+    for e in mids:
         assert abs(4.0 * e ** 3 - inv.g2 * e - inv.g3) <= 1e-13 * max(1.0, abs(inv.g3))
-    assert abs(mids.e1 + mids.e2 + mids.e3) <= 1e-14
+    assert abs(sum(mids)) <= 1e-14
 
 
 # Above p ~ 0.95 the arcsin route through kappa = sqrt(beta) -> 1 amplifies
@@ -266,8 +256,8 @@ def test_midpoints_are_cubic_roots(kappa):
 @settings(max_examples=60, deadline=None)
 def test_midpoint_spread_matches_parametrization(p):
     params = params_from_p(p)
-    mids = midpoints(modulus_from_kappa(math.sqrt(params.beta)))
-    assert abs(mids.spread - params.r2) <= 1e-14
+    low, high, _ = midpoint_gaps(modulus_from_kappa(math.sqrt(params.beta)))
+    assert abs(low + high - params.r2) <= 1e-14
 
 
 # ---------------------------------------------------- trimidiation ----
@@ -279,7 +269,7 @@ def test_midpoint_spread_matches_parametrization(p):
 @pytest.mark.parametrize("kappa", [0.35, 0.6, 0.9, 0.99])
 def test_wp_at_two_thirds_of_the_imaginary_half_period_is_minus_a_third(kappa):
     inv = invariants(modulus_from_kappa(kappa))
-    omega_prime = half_periods_from_midpoints(midpoints_from_invariants(inv)).omega_prime
+    omega_prime = 0.5j * _lattice(*inv)[2].period_im
     assert abs(wp(2.0 * omega_prime / 3.0, inv) + 1.0 / 3.0) <= 1e-13
 
 

@@ -21,7 +21,7 @@ from sig3.transfer import (
     verify_ode_delta,
     verify_trimidiation,
 )
-from sig3.weierstrass import half_periods_from_midpoints, midpoints_from_invariants
+from sig3.weierstrass import _lattice
 from oracles import HALF, ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err
 
 DEFAULT_GRID = (0.05, 0.95, 0.05)
@@ -117,6 +117,12 @@ def test_delta_ode_residual_vanishes_at_zero():
     assert verify_ode_delta(DeltaContext(modulus_from_kappa(0.6)), (0.0,)) < 1e-14
 
 
+def test_delta_ode_refuses_an_empty_sample():
+    # A maximum over no point would read 0.0, a pass that checked nothing.
+    with pytest.raises(ConfigError, match="u_grid is empty"):
+        verify_ode_delta(DeltaContext(modulus_from_kappa(0.6)), [])
+
+
 # ---------------------------------------------- trimidiation ----
 
 
@@ -129,9 +135,14 @@ def test_trimidiation_identity(kappa):
 def test_trimidiation_identity_cells_out(kappa):
     # Both sides reduce their arguments onto their own lattices: the left
     # on the (h2, h3) lattice, whose periods come only from its invariants.
-    periods = half_periods_from_midpoints(midpoints_from_invariants(trimidiation(modulus_from_kappa(kappa))))
-    shift = 2.0 * (7.0 * periods.omega + 5.0 * periods.omega_prime)
+    cell = _lattice(*trimidiation(modulus_from_kappa(kappa)))[2]
+    shift = complex(7.0 * cell.period_re, 5.0 * cell.period_im)
     assert verify_trimidiation(kappa, [z + shift for z in TRIMID_SAMPLES]) <= 1e-10
+
+
+def test_trimidiation_refuses_an_empty_sample():
+    with pytest.raises(ConfigError, match="z_samples is empty"):
+        verify_trimidiation(0.4, [])
 
 
 def test_trimidiation_is_even_in_z():

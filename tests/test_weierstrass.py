@@ -7,19 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sig3.weierstrass
-from sig3.hypergeom import f2_complement
 from sig3.delta import DeltaContext
 from sig3.errors import DomainError, NonConvergence, PoleError
-from sig3.moduli import invariants, midpoints, modulus_from_kappa
+from sig3.moduli import invariants, midpoint_gaps, modulus_from_kappa
 from sig3.weierstrass import (
     HalfPeriodPair,
-    MidpointTriple,
     WeierstrassInvariants,
-    half_periods_from_midpoints,
-    midpoints_from_invariants,
     sn,
     wp,
     wp_and_derivative,
+    _jacobi_half_periods,
     _lattice,
 )
 from oracles import agm_decimal, hyp2f1_series, jacobi_sn_ode, rel_err, wp_duplication
@@ -31,11 +28,20 @@ K_AT_5_32 = 1.638213834366379
 KPRIME_AT_5_32 = 2.3701853442961056
 
 
+def _periods(inv):
+    """omega and omega' of the lattice that ``wp`` holds for ``inv``."""
+    cell = _lattice(*inv)[2]
+    return HalfPeriodPair(cell.period_re / 2, 1j * (cell.period_im / 2))
+
+
 @pytest.fixture(scope="module")
 def config06():
+    # e1 > e2 > e3 summed from the closed-form gaps, each gap added once.
     mod = modulus_from_kappa(0.6)
-    mids = midpoints(mod)
-    return mod, invariants(mod), mids, half_periods_from_midpoints(mids)
+    low, high, shift = midpoint_gaps(mod)
+    e3 = shift - 1.0 / 3.0
+    inv = invariants(mod)
+    return mod, inv, (e3 + low + high, e3 + low, e3), _periods(inv)
 
 
 # ---------------------------------------------------------------- wp ----
@@ -74,11 +80,11 @@ def test_wp_satisfies_its_differential_equation(config06):
 
 
 def test_wp_reproduces_midpoint_values(config06):
-    _, inv, mids, periods = config06
+    _, inv, (e1, e2, e3), periods = config06
     om, omp = periods.omega, periods.omega_prime
-    assert rel_err(wp(om, inv).real, mids.e1) < 1e-10
-    assert rel_err(wp(om + omp, inv).real, mids.e2) < 1e-10
-    assert rel_err(wp(omp, inv).real, mids.e3) < 1e-10
+    assert rel_err(wp(om, inv).real, e1) < 1e-10
+    assert rel_err(wp(om + omp, inv).real, e2) < 1e-10
+    assert rel_err(wp(omp, inv).real, e3) < 1e-10
 
 
 def test_wp_pole_guard(config06):
@@ -170,7 +176,7 @@ def test_landen_ladders_of_the_lattice_scan_moduli():
     for kappa, rungs in ((0.05, 2), (0.6, 3), (0.95, 4)):
         mod = modulus_from_kappa(kappa)
         inv = invariants(mod)
-        for cell in (_lattice(inv.g2, inv.g3)[2], DeltaContext(mod).cell):
+        for cell in (_lattice(*inv)[2], DeltaContext(mod).cell):
             assert len(cell.rungs) == rungs, kappa
 
 
@@ -186,24 +192,25 @@ def test_sn_rejects_non_finite_arguments():
     for u in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             sn(u, 0.5)
-    assert abs(sn(1e15, 0.5)) <= 1.0
+    # From WP_MAX_MODULUS (~4.5e7) on, the rounding of u alone leaves few
+    # correct digits, as for dn3 and delta.
+    for u in (1e15, -1e300, 4.6e7):
+        with pytest.raises(DomainError, match="too large"):
+            sn(u, 0.5)
 
 
 # ---------------------------------------------- quarter periods ----
 
 
 def _quarter_periods(k):
-    """K and K' of the modulus k, read off the unit-spread triple (1, k^2, 0):
-    there omega = K and omega' = iK', and sqrt(k*k) returns k exactly."""
-    periods = half_periods_from_midpoints(MidpointTriple(1.0, k * k, 0.0))
+    """K and K' of the modulus k: the half periods at unit spread, with
+    1 - k^2 taken as (1-k)(1+k)."""
+    periods = _jacobi_half_periods(k * k, (1.0 - k) * (1.0 + k), 1.0)
     return periods.omega, periods.omega_prime.imag
 
 
 def test_quarter_periods_small_modulus_limit():
-    # e2 - e3 = 1e-16 is below the lattice tolerance of the triple, so K
-    # comes from the same expression taken directly.
-    k = 1e-8
-    K = 0.5 * math.pi * f2_complement((1.0 - k) * (1.0 + k))
+    K = _quarter_periods(1e-8)[0]
     assert abs(K - 0.5 * math.pi) < 1e-14
 
 
@@ -232,10 +239,9 @@ def test_quarter_periods_near_unit_modulus_against_agm_oracle(k):
 
 @pytest.mark.parametrize("m", [0.0, 1.0, -0.1, 2.0])
 def test_quarter_periods_domain(m):
-    # The unit-spread triple (1, m, 0) has a lattice exactly when the
-    # squared modulus m lies in (0, 1).
+    # K and K' exist exactly when the squared modulus m lies in (0, 1).
     with pytest.raises(DomainError):
-        half_periods_from_midpoints(MidpointTriple(1.0, m, 0.0))
+        _jacobi_half_periods(m, 1.0 - m, 1.0)
 
 
 # ------------------------------------------- midpoints / periods ----
@@ -249,26 +255,24 @@ def test_half_periods_match_cubic_kernel(config06):
 
 
 def test_half_periods_scaling(config06):
-    # e_i -> t^2 e_i sends omega -> omega/t (lattice homogeneity).
-    _, _, mids, periods = config06
+    # (g2, g3) -> (t^4 g2, t^6 g3), that is e_i -> t^2 e_i, sends
+    # omega -> omega/t (lattice homogeneity).
+    _, inv, _, periods = config06
     t = 4.0
-    scaled = MidpointTriple(t * t * mids.e1, t * t * mids.e2, t * t * mids.e3)
-    scaled_periods = half_periods_from_midpoints(scaled)
+    scaled_periods = _periods(WeierstrassInvariants(t ** 4 * inv.g2, t ** 6 * inv.g3))
     assert rel_err(scaled_periods.omega, periods.omega / t) < 1e-14
     assert rel_err(scaled_periods.omega_prime.imag, periods.omega_prime.imag / t) < 1e-14
 
 
-def test_midpoint_triple_validation():
-    with pytest.raises(DomainError):
-        MidpointTriple(1.0, -0.5, -0.5)
-    with pytest.raises(DomainError):
-        MidpointTriple(-0.5, 1.0, -0.5)
-
-
 def test_half_periods_degenerate_spread():
-    barely = MidpointTriple(1.0, -0.4999999999999999, -0.5)
-    with pytest.raises(DomainError):
-        half_periods_from_midpoints(barely)
+    # At kappa = 1e-3 the cubic solve of the float invariants leaves e2 - e3
+    # below 1e-14 of the spread: no lattice survives.
+    inv = invariants(modulus_from_kappa(1e-3))
+    with pytest.raises(DomainError, match="too small for a period lattice"):
+        _lattice(*inv)
+    # A float discriminant just above 0 whose rounded roots give e1 == e2.
+    with pytest.raises(DomainError, match="too small for a period lattice"):
+        _lattice(2.9999999999999996, -0.9999999999999997)
 
 
 def test_half_period_pair_validation():
@@ -281,10 +285,11 @@ def test_half_period_pair_validation():
 
 
 def test_midpoints_from_invariants_round_trip(config06):
-    _, inv, mids, _ = config06
-    recovered = midpoints_from_invariants(inv)
-    for got, want in zip((recovered.e1, recovered.e2, recovered.e3), (mids.e1, mids.e2, mids.e3)):
-        assert abs(got - want) < 1e-13
+    # The cubic solve of the lattice recovers e3 and e1 - e3 of the gaps.
+    _, inv, (e1, _, e3), _ = config06
+    e3_solved, spread, _ = _lattice(*inv)
+    assert abs(e3_solved - e3) < 1e-13
+    assert abs(spread - (e1 - e3)) < 1e-13
 
 
 def test_invariants_must_be_finite():
@@ -294,16 +299,16 @@ def test_invariants_must_be_finite():
 
 
 def test_midpoints_from_invariants_rejects_negative_discriminant():
-    with pytest.raises(DomainError):
-        midpoints_from_invariants(WeierstrassInvariants(1.0, 1.0))
+    with pytest.raises(DomainError, match="do not give three real midpoints"):
+        _lattice(1.0, 1.0)
 
 
 # ------------------------------------------------------- bridge ----
 
 
 def test_wp_at_real_half_period(config06):
-    _, inv, mids, periods = config06
-    assert rel_err(wp(periods.omega, inv).real, mids.e1) < 1e-12
+    _, inv, (e1, _, _), periods = config06
+    assert rel_err(wp(periods.omega, inv).real, e1) < 1e-12
 
 
 def test_wp_agrees_with_the_duplication_reference(config06):
@@ -350,7 +355,7 @@ def test_wp_is_periodic_out_to_a_thousand_cells(kappa, a, b, m, n):
     # Scaled by max(1, |wp|): next to a zero of wp, rounding the shifted
     # argument alone moves wp by |wp'| ulp(z), a few 1e-13 this far out.
     inv = invariants(modulus_from_kappa(kappa))
-    periods = half_periods_from_midpoints(midpoints_from_invariants(inv))
+    periods = _periods(inv)
     z = complex(a * periods.omega, b * periods.omega_prime.imag)
     assume(abs(z) >= 0.05 * periods.omega)
     near = wp(z, inv)
@@ -381,7 +386,7 @@ def test_wp_forms_no_derivative_and_equals_its_value_bitwise(monkeypatch):
     cases = []
     for kappa in (0.05, 0.6, 0.95):
         inv = invariants(modulus_from_kappa(kappa))
-        periods = half_periods_from_midpoints(midpoints_from_invariants(inv))
+        periods = _periods(inv)
         for m, n in ((0, 0), (1, -1), (-20, 7), (50, 50)):
             z = complex(2 * periods.omega * (m + rng.random() - 0.5),
                         2 * periods.omega_prime.imag * (n + rng.random() - 0.5))
@@ -432,7 +437,7 @@ def test_wp_against_40_digit_jacobi_values(kappa, bound):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     inv = invariants(modulus_from_kappa(kappa))
-    periods = half_periods_from_midpoints(midpoints_from_invariants(inv))
+    periods = _periods(inv)
     reference = _mpmath_bridge(inv, mpmath)
     for a in (-1.0, -0.55, -0.1, 0.35, 0.8):
         for b in (-1.0, -0.7, -0.25, 0.2, 0.65, 0.95):
