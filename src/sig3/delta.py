@@ -34,19 +34,22 @@ take v = 1/sn from the Gauss recursion ``weierstrass._inv_sn`` on the
 context's ladder.  Neither calls ``wp`` or builds invariants.
 
 The reference route is the paper's own construction, inverting G by
-Newton steps over adaptive quadrature of the closed-form kernel
+Halley steps over adaptive quadrature of the closed-form kernel
 (``delta_integral``, ``delta_phase``); the tests and ``verify_ode_delta``
-check the production route against it.  ``quadrature.integrate`` splits
-each 15-point Gauss-Legendre panel that disagrees with the sum of its
-halves, and hands the halves down as the children's panels, so no panel
-is evaluated twice.  The kernel is formed from
+check the production route against it.  ``quadrature.integrate`` holds
+one error budget per integral: it splits the 15-point Gauss-Legendre
+interval whose panel disagrees most with the sum of its halves until the
+estimates sum to QUAD_TOL, and no panel is evaluated twice.  The
+inversion integrates [0, T] once, then only each step, and stops once
+|G(T) - u| <= QUAD_TOL.  The kernel is formed from
 cos z = sqrt(cos^2 t + lambda^2 sin^2 t), so it keeps its digits at the
-peak t = pi/2.  The two routes agree to 1e-13 absolute up to
-kappa = 0.9999 (1e-12 relative up to kappa = 0.999); the Newton stop on
-a step in T limits the reference, not the quadrature.  From
-kappa = 0.99999 up the quadrature, which halves its absolute tolerance at
-every split, raises NonConvergence rather than return a value short of
-QUAD_TOL.
+peak t = pi/2.  The two routes agree to 1e-14 relative up to
+kappa = 0.999 and to 1.9e-13 up to kappa = 0.999999.  There the gap is
+the conditioning of delta near u = omega, where one ulp of T moves delta
+by ~8e-14 relative, and both routes are that close to 30-digit values.
+Near kappa = 1 - 1e-10 a one-ulp step in T moves G by more than QUAD_TOL,
+and the inversion raises NonConvergence rather than return a T short of
+it.
 
 The signature-three half periods through F(1/3, 2/3; 1; .) live here
 too; ``transfer.period_route_gap`` holds them against the classical route
@@ -66,10 +69,9 @@ from .moduli import ModulusSet, midpoint_gaps
 from .quadrature import integrate
 from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_sn
 
-# Tolerances of the reference route: absolute quadrature tolerance of G,
-# and the Newton stopping step of its inversion, measured in T.
+# The tolerance of the reference route: absolute, on each quadrature of G
+# and on the residual G(T) - u of its inversion.
 QUAD_TOL = 1e-12
-ROOT_TOL = 1e-13
 
 
 class DeltaContext:
@@ -143,66 +145,77 @@ def _sig3_half_periods(k2: float, k2_comp: float) -> HalfPeriodPair:
     )
 
 
-def _arc_kernel(t: float, kappa: float, lam2: float) -> float:
-    """F(1/3, 2/3; 1/2; kappa^2 sin^2 t) = cos(z/3)/cos z, sin z = kappa sin t.
+def _arc(kappa: float):
+    """The reference route's kernel t -> F(1/3, 2/3; 1/2; kappa^2 sin^2 t).
 
-    cos z = sqrt(cos^2 t + lambda^2 sin^2 t), with lam2 = (1 - kappa)(1 + kappa),
+    F = cos(z/3)/cos z with sin z = kappa sin t, and cos z =
+    sqrt(cos^2 t + lambda^2 sin^2 t), lambda^2 = (1 - kappa)(1 + kappa),
     never forms 1 - kappa^2 sin^2 t: near kappa = 1 and t = pi/2 that
     difference keeps only a few digits, and its rounding noise is more than
-    the adaptive quadrature can integrate away.
+    the adaptive quadrature can integrate away.  ``kernel(t, True)``
+    returns (F, z/3, sin z, cos z, cos t), the terms of dF/dt as well.
     """
-    st = math.sin(t)
-    ct = math.cos(t)
-    cos_z = math.sqrt(ct * ct + lam2 * st * st)
-    return math.cos(math.atan2(kappa * st, cos_z) / 3.0) / cos_z
+    lam2 = (1.0 - kappa) * (1.0 + kappa)
+
+    def kernel(t: float, terms: bool = False):
+        st = math.sin(t)
+        ct = math.cos(t)
+        cos_z = math.sqrt(ct * ct + lam2 * st * st)
+        sin_z = kappa * st
+        third = math.atan2(sin_z, cos_z) / 3.0
+        f = math.cos(third) / cos_z
+        return (f, third, sin_z, cos_z, ct) if terms else f
+
+    return kernel
 
 
 def _reference_delta(T: float, ctx: DeltaContext) -> tuple[float, float]:
     """delta = 1/F and delta' = -(dF/dT)/F^3 at the phase T = T(u) by the
-    reference route, F = cos(z/3)/cos z as in ``_arc_kernel``; sin z =
-    kappa sin T gives dF/dT = (sin z cos(z/3) - sin(z/3) cos z/3) kappa
-    cos T / cos^3 z.  Near kappa = 1 and T = pi/2 both keep the digits that
+    reference route, F = cos(z/3)/cos z as in ``_arc``; sin z = kappa sin T
+    gives dF/dT = (sin z cos(z/3) - sin(z/3) cos z/3) kappa cos T / cos^3 z.
+    Near kappa = 1 and T = pi/2 both keep the digits that
     1 - kappa^2 sin^2 T would lose."""
     kappa = ctx.modulus.kappa
-    st = math.sin(T)
-    ct = math.cos(T)
-    cos_z = math.sqrt(ct * ct + (1.0 - kappa) * (1.0 + kappa) * st * st)
-    sin_z = kappa * st
-    third = math.atan2(sin_z, cos_z) / 3.0
-    f = math.cos(third) / cos_z
+    f, third, sin_z, cos_z, ct = _arc(kappa)(T, True)
     df = (sin_z * math.cos(third) - math.sin(third) * cos_z / 3.0) * kappa * ct / cos_z ** 3
     return 1.0 / f, -df / (f * f * f)
 
 
 def delta_integral(T: float, ctx: DeltaContext) -> float:
     """G(T): the arc integral of F(1/3, 2/3; 1/2; kappa^2 sin^2 t) up to T (odd in T)."""
-    kappa = ctx.modulus.kappa
-    lam2 = (1.0 - kappa) * (1.0 + kappa)
-    return integrate(lambda t: _arc_kernel(t, kappa, lam2), 0.0, T, QUAD_TOL)
+    return integrate(_arc(ctx.modulus.kappa), 0.0, T, QUAD_TOL)
 
 
 def _invert_in_quarter(u: float, ctx: DeltaContext) -> float:
-    """Solve G(T) = u for T, for u in [0, omega]; Newton with a bisection
-    bracket (G' = kernel >= 1 keeps the problem well conditioned)."""
-    if u == 0.0:
-        return 0.0
-    kappa = ctx.modulus.kappa
-    lam2 = (1.0 - kappa) * (1.0 + kappa)
+    """Solve G(T) = u for T, for u in [0, omega], by Halley's method (Newton's
+    with G'' = F' from ``_reference_delta``) within a bisection bracket;
+    G' = F >= 1 keeps the problem well conditioned.
+
+    G is carried as a running sum: one integral up to the first guess, then
+    one over each step.  The iteration stops once |G(T) - u| <= QUAD_TOL
+    and returns the step from there, whose error is of the order of the
+    cube of that residual.
+    """
+    kernel = _arc(ctx.modulus.kappa)
+    T = u / ctx.omega * (0.5 * math.pi)
+    G = delta_integral(T, ctx)
     lo, hi = 0.0, 0.5 * math.pi + 0.01  # the pad absorbs quadrature-vs-AGM seams
-    T = min(max(u / ctx.omega * (0.5 * math.pi), lo), hi)
     for _ in range(80):
-        g = delta_integral(T, ctx) - u
+        g = G - u
+        d, d_prime = _reference_delta(T, ctx)
+        step = g * d  # Newton's g/F; Halley's divides it by 1 - step F'/(2F), F'/F = -d'/d^2
+        T_next = T - step / (1.0 + 0.5 * step * d_prime / (d * d))
+        if abs(g) <= QUAD_TOL:
+            return T_next
         if g > 0.0:
             hi = T
         else:
             lo = T
-        T_next = T - g / _arc_kernel(T, kappa, lam2)
         if not lo < T_next < hi:
             T_next = 0.5 * (lo + hi)
-        if abs(T_next - T) <= ROOT_TOL:
-            return T_next
+        G += integrate(kernel, T, T_next, QUAD_TOL)
         T = T_next
-    raise NonConvergence(f"inversion of the arc integral stalled at u={u}")
+    raise NonConvergence(f"inverting the arc integral at u={u} left |G(T) - u| = {abs(G - u)} in 80 steps")
 
 
 def delta_phase(u: float, ctx: DeltaContext) -> float:

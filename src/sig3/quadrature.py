@@ -1,8 +1,10 @@
 """Adaptive composite Gauss-Legendre quadrature (15-point panels).
 
-A panel is accepted when it agrees with the sum of its two halves; the
-halves of a rejected panel become the panels of its two children, so each
-panel of the tree is evaluated exactly once.
+The error of an interval is estimated by how far its panel disagrees with
+the sum of its two halves.  One error budget serves the whole integral:
+the interval with the largest estimate is split until the estimates sum to
+the tolerance, and the halves of a split interval become the panels of its
+two children, so each panel is evaluated exactly once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from typing import Callable
 
 from .errors import NonConvergence
 
-MAX_DEPTH = 40
+# The budget of the subdivision: the partition holds at most this many
+# intervals, which costs 4 MAX_INTERVALS - 1 panels.
+MAX_INTERVALS = 250
 
 
 def _legendre(n: int, x: float) -> tuple[float, float]:
@@ -55,32 +59,40 @@ def _panel(f: Callable[[float], float], a: float, b: float) -> float:
     return half * acc
 
 
-def _adaptive(f, a, b, whole, tol, depth):
+def _halves(f, a, b, whole):
+    """[a, b] with its two halves evaluated, as (error, a, mid, b, left,
+    right): the estimate |whole - (left + right)| leads, so ``max`` picks
+    the worst interval."""
     mid = 0.5 * (a + b)
     left, right = _panel(f, a, mid), _panel(f, mid, b)
-    split = left + right
-    if abs(whole - split) <= tol:
-        return split
-    if depth >= MAX_DEPTH:
-        raise NonConvergence(
-            f"interval [{a}, {b}] not converged to {tol} within depth {MAX_DEPTH}"
-        )
-    tol, depth = 0.5 * tol, depth + 1
-    return _adaptive(f, a, mid, left, tol, depth) + _adaptive(f, mid, b, right, tol, depth)
+    return abs(whole - (left + right)), a, mid, b, left, right
 
 
 def integrate(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Integrate f over [a, b] to absolute tolerance ``tol``.
 
-    Each panel is compared against its two halves; disagreeing panels are
-    halved with the tolerance split between the children.  A node receives
-    its own panel from its parent, which already evaluated it as a half, so
-    every panel is evaluated once: 3 panels when the root is accepted, two
-    more per split.  An empty interval integrates to 0.0.  Raises
-    NonConvergence once the subdivision budget is exhausted.
+    Global error control, as QUADPACK's QAG does it: each interval of the
+    partition carries its panel and the panels of its two halves, whose
+    difference estimates its error.  While the summed estimate exceeds
+    ``tol``, the interval with the largest estimate is split; its halves,
+    already evaluated, become the panels of the two new intervals, so every
+    panel is evaluated once: 3 panels when the first interval is accepted,
+    4 more per split.  A non-finite estimate never counts as converged.
+    An empty interval integrates to 0.0, and b < a to minus the integral
+    over [b, a].  Raises NonConvergence, naming the interval and the error
+    left, once the partition would grow past ``MAX_INTERVALS`` intervals.
     """
     if a == b:
         return 0.0
-    if a > b:
-        return -integrate(f, b, a, tol)
-    return _adaptive(f, a, b, _panel(f, a, b), tol, 0)
+    parts = [_halves(f, a, b, _panel(f, a, b))]
+    while not sum(part[0] for part in parts) <= tol:
+        if len(parts) >= MAX_INTERVALS:
+            raise NonConvergence(
+                f"integral over [{a}, {b}] not converged to {tol} within MAX_INTERVALS = "
+                f"{MAX_INTERVALS} intervals: estimated error {sum(part[0] for part in parts)} left"
+            )
+        worst = max(parts)
+        parts.remove(worst)
+        _, lo, mid, hi, left, right = worst
+        parts += _halves(f, lo, mid, left), _halves(f, mid, hi, right)
+    return math.fsum(part[4] + part[5] for part in parts)
