@@ -26,7 +26,6 @@ from .moduli import (
     modulus_from_kappa,
     p_from_s_c,
     params_from_p,
-    trimidiation,
 )
 from .delta import (
     DeltaContext,

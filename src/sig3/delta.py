@@ -48,8 +48,8 @@ kappa = 0.999 and to 1.9e-13 up to kappa = 0.999999.  There the gap is
 the conditioning of delta near u = omega, where one ulp of T moves delta
 by ~8e-14 relative, and both routes are that close to 30-digit values.
 Near kappa = 1 - 1e-10 a one-ulp step in T moves G by more than QUAD_TOL,
-and the inversion raises NonConvergence rather than return a T short of
-it.
+and the inversion raises NonConvergence as soon as a Halley step rounds to
+nothing, rather than return a T short of it.
 
 The signature-three half periods through F(1/3, 2/3; 1; .) live here
 too; ``transfer.period_route_gap`` holds them against the classical route
@@ -194,7 +194,9 @@ def _invert_in_quarter(u: float, ctx: DeltaContext) -> float:
     G is carried as a running sum: one integral up to the first guess, then
     one over each step.  The iteration stops once |G(T) - u| <= QUAD_TOL
     and returns the step from there, whose error is of the order of the
-    cube of that residual.
+    cube of that residual.  A step that rounds to nothing before then
+    means one ulp of T moves G by more than QUAD_TOL: NonConvergence at
+    once, naming the residual left.
     """
     kernel = _arc(ctx.modulus.kappa)
     T = u / ctx.omega * (0.5 * math.pi)
@@ -207,6 +209,9 @@ def _invert_in_quarter(u: float, ctx: DeltaContext) -> float:
         T_next = T - step / (1.0 + 0.5 * step * d_prime / (d * d))
         if abs(g) <= QUAD_TOL:
             return T_next
+        if T_next == T:  # the step is below half an ulp of T
+            raise NonConvergence(f"inverting the arc integral at u={u} left |G(T) - u| = {abs(g)} at "
+                                 f"T={T}: one ulp of T moves G by more than QUAD_TOL = {QUAD_TOL}")
         if g > 0.0:
             hi = T
         else:

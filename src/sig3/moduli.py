@@ -14,13 +14,13 @@ transfer arguments
     beta  = (27/4) p^2 (1+p)^2 / (1+p+p^2)^3   (= kappa^2)
 
 become rational in p.  This module owns those maps plus the invariant pair
-(g2, g3), the closed-form midpoint gaps e2 - e3, e1 - e2 and 1/3 + e3, and
-the trimidiation data (h2, h3) of the lattice whose imaginary period is one
-third the original.
+(g2, g3) and the closed-form midpoint gaps e2 - e3, e1 - e2 and 1/3 + e3.
+The gaps fix the lattice of kappa, on which ``delta``, ``dn3`` and
+``transfer.verify_trimidiation`` run; the invariants serve only ``wp``,
+which rebuilds a lattice from them.
 
-``params_from_p``, ``invariants`` and ``trimidiation`` compute each value
-by two independent routes, cross-check them and refuse to return
-inconsistent values.
+``params_from_p`` and ``invariants`` compute each value by two independent
+routes, cross-check them and refuse to return inconsistent values.
 """
 
 from __future__ import annotations
@@ -204,32 +204,3 @@ def midpoint_gaps(mod: ModulusSet) -> tuple[float, float, float]:
     high = (4.0 * SQRT3 / 9.0) * math.sin(phi) * (1.0 + math.cos(phi))
     shift = (4.0 / 9.0) * s * s * (3.0 - 2.0 * s * s - 2.0 * SQRT3 * s * c)
     return low, high, shift
-
-
-def trimidiation(mod: ModulusSet) -> WeierstrassInvariants:
-    """Invariants (h2, h3) of the lattice with imaginary period divided by
-    three, as the pair (g2, g3) of that lattice.
-
-    Two routes: through b = -1/3 (the Weierstrass value at two thirds of
-    the imaginary half-period),
-
-        h2 = 120 b^2 - 9 g2,    h3 = 280 b^3 - 42 b g2 - 27 g3,
-
-    and the closed forms h2 = (4/3)(1 + 8 kappa^2),
-    h3 = (8/27)(1 - 20 kappa^2 - 8 kappa^4).  The two must agree to
-    CROSS_ROUTE_TOL of the term scale (h3 has a zero near kappa = 0.221).
-    """
-    b = -1.0 / 3.0
-    inv = invariants(mod)
-    h2_b = 120.0 * b * b - 9.0 * inv.g2
-    h3_b = 280.0 * b * b * b - 42.0 * b * inv.g2 - 27.0 * inv.g3
-    t = mod.kappa * mod.kappa
-    h2 = (4.0 / 3.0) * (1.0 + 8.0 * t)
-    h3 = (8.0 / 27.0) * (1.0 - (20.0 + 8.0 * t) * t)
-    h3_scale = (8.0 / 27.0) * (1.0 + (20.0 + 8.0 * t) * t)
-    if abs(h2 - h2_b) > CROSS_ROUTE_TOL * h2 or abs(h3 - h3_b) > CROSS_ROUTE_TOL * h3_scale:
-        raise ArithmeticError(
-            f"trimidiation routes disagree at kappa={mod.kappa}: "
-            f"({h2}, {h3}) vs ({h2_b}, {h3_b})"
-        )
-    return WeierstrassInvariants(g2=h2, g3=h3)

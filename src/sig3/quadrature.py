@@ -78,6 +78,10 @@ def integrate(f: Callable[[float], float], a: float, b: float, tol: float) -> fl
     already evaluated, become the panels of the two new intervals, so every
     panel is evaluated once: 3 panels when the first interval is accepted,
     4 more per split.  A non-finite estimate never counts as converged.
+    The estimate assumes an integrand smooth on each panel; at an endpoint
+    singularity it undershoots (t^-1/2 on [0, 1] at ``tol`` = 1e-13
+    returns 2 - 2.04e-13 after 303 panels).  The reference kernel of
+    ``delta`` has no such singularity.
     An empty interval integrates to 0.0, and b < a to minus the integral
     over [b, a].  Raises NonConvergence, naming the interval and the error
     left, once the partition would grow past ``MAX_INTERVALS`` intervals.

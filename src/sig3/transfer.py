@@ -25,14 +25,16 @@ unpack, index and compare equal to plain tuples.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple, Sequence
 
-from .delta import DeltaContext, _reference_delta, _sig3_half_periods, delta_phase
+from .delta import (DeltaContext, _context, _reference_delta, _sig3_half_periods, delta_phase,
+                    half_periods_sig3)
 from .errors import ConfigError
 from .hypergeom import f2_complement, f3_complement
-from .moduli import modulus_from_kappa, params_from_p, trimidiation, invariants
-from .weierstrass import _jacobi_half_periods, wp
+from .moduli import ModulusSet, midpoint_gaps, modulus_from_kappa, params_from_p
+from .weierstrass import _centred, _inv_sn, _jacobi_half_periods
 
 DEFAULT_TOL = 1e-10
 MAX_GRID_POINTS = 1_000_000  # larger grids are refused before any point is built
@@ -141,29 +143,43 @@ def _ode_residual(T: float, ctx: DeltaContext) -> float:
 
 
 def verify_trimidiation(kappa: float, z_samples: Sequence[complex]) -> float:
-    """Maximum relative residual of wp(z; h2, h3) = -3 wp(sqrt3 i z; g2(lam), g3(lam)).
+    """Maximum relative residual of Velu's identity for the trimidiation.
 
-    The left side lives on the lattice of (h2, h3), the right on the
-    complementary-modulus lattice turned a quarter turn; samples must avoid
-    both lattices (PoleError otherwise).  h2 = 9 g2(lam) and h3 = -27 g3(lam)
-    hold exactly, so the check is the homogeneity wp(cz; c^-4 g2, c^-6 g3) =
-    c^-2 wp(z; g2, g3) at c = sqrt3 i, which holds on any lattice.  It tests
-    the reduction and the bridge of ``wp`` on two lattices; it does not
-    check that the lattice of (h2, h3) is kappa's with omega'/3.  An empty
-    ``z_samples`` raises ConfigError.
+    w = 2 omega'/3 has order three on the lattice of kappa, and dividing
+    its imaginary period by three gives the lattice of lambda, turned a
+    quarter turn and divided by sqrt3 (J. Velu, C. R. Acad. Sci. Paris 273
+    (1971)); with wp(w) = wp(2w) = -1/3,
+
+        wp(z) + wp(z + w) + wp(z - w) + 2/3 = -3 wp_lambda(sqrt3 i z).
+
+    With Q = 1/3 + wp, lhs = Q(z) + (Q(z + w) + Q(z - w)) and rhs = 4/3 -
+    3 Q_lambda(sqrt3 i z); the residual is |lhs - rhs| / max(1, |rhs|),
+    even in z bitwise because the pair is summed first.  Q is ``dn3``'s
+    bridge on the cell of each modulus, so omega from F3(kappa^2) meets
+    omega from F3(lambda^2); no invariants are built and no ``wp`` is
+    called.  Samples must keep z, z +- w and sqrt3 i z off the lattices
+    (PoleError otherwise).  An empty ``z_samples`` raises ConfigError.
     """
     if not z_samples:
         raise ConfigError("verify_trimidiation needs at least one z; z_samples is empty")
     mod = modulus_from_kappa(kappa)
-    inv_h = trimidiation(mod)
-    inv_lam = invariants(mod.complement)
+    w = 2.0 * half_periods_sig3(mod).omega_prime / 3.0
     rot = math.sqrt(3.0) * 1j
     worst = 0.0
     for z in z_samples:
-        lhs = wp(z, inv_h)
-        rhs = -3.0 * wp(rot * z, inv_lam)
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
+        lhs = _shifted_wp(z, mod) + (_shifted_wp(z + w, mod) + _shifted_wp(z - w, mod))
+        rhs = 4.0 / 3.0 - 3.0 * _shifted_wp(rot * z, mod.complement)
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst
+
+
+def _shifted_wp(z: complex, mod: ModulusSet) -> complex:
+    """1/3 + wp(z) = (1/3 + e3) + (e1 - e3) v^2 on the lattice of ``mod``,
+    v = 1/sn on the cell of its cached ``DeltaContext``, as in ``dn3``."""
+    low, high, shift = midpoint_gaps(mod)
+    cell = _context(mod).cell
+    v = _inv_sn(_centred(z, cell), cell.rungs, cmath.sin)
+    return shift + (low + high) * (v * v)
 
 
 def period_route_gap(p: float) -> tuple[float, float]:

@@ -363,13 +363,23 @@ def test_public_names_are_pinned():
         "agm", "agm3", "f2", "f3", "f_half",
         "WeierstrassInvariants", "sn", "wp", "wp_and_derivative",
         "ModulusSet", "invariants", "modulus_from_kappa",
-        "p_from_s_c", "params_from_p", "trimidiation",
+        "p_from_s_c", "params_from_p",
         "DeltaContext", "delta", "delta_integral", "delta_phase", "dn3",
         "half_periods_sig3",
         "DEFAULT_TOL", "grid_report",
         "period_route_gap", "verify_identity56", "verify_identity57", "verify_identity58",
         "verify_ode_delta", "verify_trimidiation",
     }
+
+
+def test_readme_library_sketch_runs():
+    # The sketch names public functions and fields; renaming or deleting
+    # one fails here rather than in a reader's session.
+    readme = (SRC.parent / "README.md").read_text()
+    blocks = readme.split("```python\n")
+    assert len(blocks) == 2
+    sketch = blocks[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md", "exec"), {})
 
 
 def test_traced_names_resolve_to_functions():

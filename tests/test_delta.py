@@ -18,7 +18,7 @@ from sig3.delta import (
 )
 from sig3.errors import DomainError, NonConvergence, PoleError
 from sig3.hypergeom import f_half
-from sig3.moduli import modulus_from_kappa, params_from_p, trimidiation
+from sig3.moduli import modulus_from_kappa, params_from_p
 from sig3.quadrature import GAUSS_NODES, GAUSS_WEIGHTS, integrate
 from sig3.weierstrass import WP_MAX_MODULUS, wp, _inv_sn, _jacobi_half_periods, _lattice
 from oracles import ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err
@@ -193,6 +193,27 @@ def test_delta_phase_monotone(ctx06, omega06):
     grid = [-0.5, 0.0, 0.3, 0.9, omega06, 2.1, 2.0 * omega06 + 0.2]
     values = [delta_phase(u, ctx06) for u in grid]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_inversion_stops_when_a_step_rounds_to_nothing(monkeypatch):
+    # At kappa = 1 - 1e-10 and T ~ pi/2, G' = 1/delta ~ 6e4: one ulp of T
+    # moves G by more than QUAD_TOL, and a Halley step below half an ulp
+    # leaves T in place.  The inversion stops after the 13 integrals that
+    # brought it there; repeating the step to the 80-step budget took 81.
+    calls = []
+    integral = delta_module.integrate
+
+    def counting(f, a, b, tol):
+        calls.append((a, b))
+        return integral(f, a, b, tol)
+
+    monkeypatch.setattr(delta_module, "integrate", counting)
+    ctx = DeltaContext(modulus_from_kappa(0.9999999999))
+    message = r"left \|G\(T\) - u\| = [0-9.e-]+ at T=.*: one ulp of T moves G by more than QUAD_TOL"
+    with pytest.raises(NonConvergence, match=message):
+        delta_phase(15.0 * ctx.omega / 16.0, ctx)
+    assert len(calls) == 13
+    assert all(a != b for a, b in calls)
 
 
 # Measured worst 2.30e-14, 2.50e-14 and 1.83e-13 from kappa = 0.9999 up.
@@ -543,25 +564,3 @@ def test_delta_context_accepts_kappa_down_to_underflow():
     assert delta(ctx.omega, ctx) == 1.0
     with pytest.raises(DomainError):
         DeltaContext(modulus_from_kappa(1e-103))
-
-
-# ------------------------------------- trimidiated lattice checks ----
-
-
-def test_trimidiated_lattice_periodicity():
-    mod = modulus_from_kappa(0.7)
-    inv_h = trimidiation(mod)
-    period_h = _lattice(*inv_h)[2].period_re
-    z = 0.31 + 0.17j
-    a = wp(z, inv_h)
-    b = wp(z + period_h, inv_h)
-    assert abs(a - b) <= 1e-9 * abs(a)
-
-
-def test_trimidiation_divides_the_imaginary_period_by_three():
-    for kappa in (0.4, 0.7):
-        mod = modulus_from_kappa(kappa)
-        periods = half_periods_sig3(mod)
-        cell_h = _lattice(*trimidiation(mod))[2]
-        assert rel_err(cell_h.period_im / 2, periods.omega_prime.imag / 3.0) < 1e-9
-        assert rel_err(cell_h.period_re / 2, periods.omega) < 1e-9

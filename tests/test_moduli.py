@@ -13,7 +13,6 @@ from sig3.moduli import (
     modulus_from_kappa,
     p_from_s_c,
     params_from_p,
-    trimidiation,
 )
 from sig3.weierstrass import wp, _lattice
 from oracles import rel_err
@@ -260,48 +259,15 @@ def test_midpoint_spread_matches_parametrization(p):
     assert abs(low + high - params.r2) <= 1e-14
 
 
-# ---------------------------------------------------- trimidiation ----
+# ------------------------------------------- wp at two thirds of omega' ----
 
 
-# b = -1/3, on which the trimidiation route rests, is the Weierstrass value
-# at two thirds of the imaginary half-period.  kappa = 0.1 is left out: there
-# the trigonometric cubic solve of the midpoints alone costs ~3e-12.
+# wp(2 omega'/3) = -1/3, the constant in the Velu identity that
+# ``transfer.verify_trimidiation`` checks, holds on the lattice of the
+# invariants too.  kappa = 0.1 is left out: there the trigonometric cubic
+# solve of the midpoints alone costs ~3e-12.
 @pytest.mark.parametrize("kappa", [0.35, 0.6, 0.9, 0.99])
 def test_wp_at_two_thirds_of_the_imaginary_half_period_is_minus_a_third(kappa):
     inv = invariants(modulus_from_kappa(kappa))
     omega_prime = 0.5j * _lattice(*inv)[2].period_im
     assert abs(wp(2.0 * omega_prime / 3.0, inv) + 1.0 / 3.0) <= 1e-13
-
-
-def test_trimidiation_closed_forms():
-    # (h2, h3) is returned as the invariant pair (g2, g3) of its lattice.
-    tri = trimidiation(modulus_from_kappa(0.6))
-    t = Fraction(0.6) ** 2
-    assert rel_err(tri.g2, float(Fraction(4, 3) * (1 + 8 * t))) < 1e-15
-    assert rel_err(tri.g3, float(Fraction(8, 27) * (1 - 20 * t - 8 * t * t))) < 1e-15
-
-
-def test_trimidiation_b_route_agreement():
-    for kappa in (0.35, 0.6, 1.0 / math.sqrt(2.0)):
-        mod = modulus_from_kappa(kappa)
-        inv = invariants(mod)
-        tri = trimidiation(mod)
-        b = -1.0 / 3.0
-        assert rel_err(tri.g2, 120.0 * b * b - 9.0 * inv.g2) < 1e-14
-        h3_b = 280.0 * b ** 3 - 42.0 * b * inv.g2 - 27.0 * inv.g3
-        assert abs(tri.g3 - h3_b) < 1e-14 * max(1.0, abs(tri.g3))
-
-
-def test_trimidiation_complementary_relations():
-    # h2 = 9 g2(lambda), h3 = -27 g3(lambda): the quarter-turn rescaling.
-    for kappa in (0.4, 0.7, 1.0 / math.sqrt(2.0)):
-        mod = modulus_from_kappa(kappa)
-        tri = trimidiation(mod)
-        inv_lam = invariants(mod.complement)
-        assert rel_err(tri.g2, 9.0 * inv_lam.g2) < 1e-14
-        assert rel_err(tri.g3, -27.0 * inv_lam.g3) < 1e-14
-
-
-def test_trimidiation_self_complementary_value():
-    tri = trimidiation(modulus_from_kappa(1.0 / math.sqrt(2.0)))
-    assert rel_err(tri.g2, 20.0 / 3.0) < 1e-14

@@ -1,15 +1,19 @@
+import importlib
 import io
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import sig3.moduli
 import sig3.transfer
+import sig3.weierstrass
 from sig3.cli import emit_csv
-from sig3.delta import DeltaContext
+from sig3.delta import DeltaContext, half_periods_sig3
 from sig3.errors import ConfigError
-from sig3.moduli import modulus_from_kappa, params_from_p, trimidiation
+from sig3.moduli import modulus_from_kappa, params_from_p
 from sig3.transfer import (
     MAX_GRID_POINTS,
     grid_points,
@@ -21,7 +25,7 @@ from sig3.transfer import (
     verify_ode_delta,
     verify_trimidiation,
 )
-from sig3.weierstrass import _lattice
+from sig3.weierstrass import HalfPeriodPair
 from oracles import HALF, ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err
 
 DEFAULT_GRID = (0.05, 0.95, 0.05)
@@ -133,11 +137,46 @@ def test_trimidiation_identity(kappa):
 
 @pytest.mark.parametrize("kappa", [0.4, 0.7, 0.9])
 def test_trimidiation_identity_cells_out(kappa):
-    # Both sides reduce their arguments onto their own lattices: the left
-    # on the (h2, h3) lattice, whose periods come only from its invariants.
-    cell = _lattice(*trimidiation(modulus_from_kappa(kappa)))[2]
-    shift = complex(7.0 * cell.period_re, 5.0 * cell.period_im)
+    # Both sides reduce their arguments onto their own lattices.  The Velu
+    # sum has kappa's real period and a third of its imaginary one, so the
+    # shift is a period of the left side and, turned by sqrt3 i, of the right.
+    cell = DeltaContext(modulus_from_kappa(kappa)).cell
+    shift = complex(7.0 * cell.period_re, 5.0 * cell.period_im / 3.0)
     assert verify_trimidiation(kappa, [z + shift for z in TRIMID_SAMPLES]) <= 1e-10
+
+
+def _seeded_samples(count=60):
+    rng = random.Random(7)
+    return [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 0.05, 0.3, 0.6, 0.9, 0.99, 0.9999])
+def test_trimidiation_holds_to_roundoff(kappa):
+    assert verify_trimidiation(kappa, _seeded_samples()) <= 1e-14
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
+def test_trimidiation_sees_a_third_of_a_wrong_imaginary_period(monkeypatch, kappa):
+    # The check ties omega' from F3(1 - kappa^2) to the lattice of lambda:
+    # a w = 2 omega'/3 off by one part in 1e12 reads a decade above the
+    # roundoff bound of the test before.
+    def moved(mod):
+        periods = half_periods_sig3(mod)
+        return HalfPeriodPair(periods.omega, periods.omega_prime * (1.0 + 1e-12))
+
+    monkeypatch.setattr(sig3.transfer, "half_periods_sig3", moved)
+    assert verify_trimidiation(kappa, _seeded_samples()) >= 1e-13
+
+
+def test_trimidiation_builds_no_invariants_and_calls_no_wp(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify_trimidiation must not take this route")
+
+    monkeypatch.setattr(sig3.moduli, "invariants", refuse)
+    monkeypatch.setattr(sig3.weierstrass, "_lattice", refuse)
+    monkeypatch.setattr(sig3.weierstrass, "wp_and_derivative", refuse)
+    importlib.import_module("sig3.delta")._context.cache_clear()
+    assert verify_trimidiation(0.6, TRIMID_SAMPLES) <= 1e-14
 
 
 def test_trimidiation_refuses_an_empty_sample():
