@@ -12,6 +12,7 @@ before it returns the function that writes its output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -153,7 +154,10 @@ def _profile_lines(ctx: DeltaContext, samples: int) -> list[str]:
     return lines
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    leaves it unchanged, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="sig3",
         description="Signature-three elliptic numerics and transfer-identity verification.",

@@ -1,8 +1,8 @@
 """Independent oracles used to pin expected values in the tests.
 
 Nothing here touches the package's own evaluation paths: the series oracles
-run in exact rational and in compensated float arithmetic, the AGM oracle in
-50-digit decimal, the sn oracle integrates the Jacobi differential system
+run in exact rational and in compensated float arithmetic, the two AGM oracles
+in 50-digit decimal, the sn oracle integrates the Jacobi differential system
 directly, and the wp oracle sums the Laurent series of the invariants and
 doubles its way back out.
 """
@@ -74,6 +74,25 @@ def agm_decimal(a: Decimal, b: Decimal, digits: int = 50) -> Decimal:
             break
         a, b = (a + b) / 2, (a * b).sqrt()
     return (a + b) / 2
+
+
+def agm3_decimal(a: Decimal, b: Decimal, digits: int = 50) -> Decimal:
+    """Cubic AGM a' = (a+2b)/3, b' = (b(a^2+ab+b^2)/3)^(1/3) in
+    ``digits``-digit decimal, whose exponent range holds any float pair."""
+    getcontext().prec = digits
+    third = Decimal(1) / 3
+    for _ in range(digits):
+        if a == b:
+            break
+        a, b = (a + 2 * b) / 3, (b * (a * a + a * b + b * b) / 3) ** third
+    return (a + 2 * b) / 3
+
+
+def f3_complement_decimal(y: float, digits: int = 40) -> Decimal:
+    """F(1/3, 2/3; 1; 1 - y) as 1/agm3(1, y^(1/3)), all in ``digits``-digit
+    decimal: no 1 - y is formed, so a tiny y keeps every digit."""
+    getcontext().prec = digits
+    return 1 / agm3_decimal(Decimal(1), Decimal(y) ** (Decimal(1) / 3), digits)
 
 
 def jacobi_sn_ode(u: float, k: float, steps: int = 20_000) -> float:

@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sig3 import hypergeom
+from sig3 import hypergeom, transfer
 from sig3.errors import DomainError, NonConvergence
 from sig3.hypergeom import (
     agm,
@@ -22,7 +23,9 @@ from oracles import (
     ONE,
     THIRD,
     TWO_THIRDS,
+    agm3_decimal,
     agm_decimal,
+    f3_complement_decimal,
     hyp2f1_exact,
     hyp2f1_series,
     rel_err,
@@ -172,11 +175,12 @@ def test_agm_handles_extreme_ratio():
 
 
 def test_agm_rejects_nonpositive_input():
+    bad = (0.0, 1.0), (1.0, -2.0), (1.0, -0.0), (-1.0, -1.0), (math.inf, 1.0), (1.0, math.inf), (
+        math.inf, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan)
     for mean in (agm, agm3):
-        with pytest.raises(DomainError):
-            mean(0.0, 1.0)
-        with pytest.raises(DomainError):
-            mean(1.0, -2.0)
+        for a, b in bad:
+            with pytest.raises(DomainError):
+                mean(a, b)
 
 
 def test_agm_nonconvergence_budget(monkeypatch):
@@ -229,3 +233,101 @@ def test_agm3_nonconvergence_budget(monkeypatch):
     monkeypatch.setattr(hypergeom, "AGM_MAX_ITERS", 1)
     with pytest.raises(NonConvergence):
         agm3(1.0, 0.01)
+
+
+# Just below each stop, eps = (1 - 2^-23) times the threshold, the mean is
+# returned at once, exactly, and its whole error is the truncation:
+# eps^2/16 <= 2^-56 for agm, (2/243) eps^3 <= 2^-57.9 for agm3.
+EPS2 = 2.0 ** -26 - 2.0 ** -49
+EPS3 = 2.0 ** -17 - 2.0 ** -40
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 1.0 - EPS2), (1.0 - EPS2, 1.0), (1.0, 1.0 + EPS2)])
+def test_agm_truncation_bound_at_its_worst(a, b):
+    assert abs(a - b) <= hypergeom.AGM_STOP * a
+    got = agm(a, b)
+    assert Fraction(got) == (Fraction(a) + Fraction(b)) / 2
+    limit = agm_decimal(Decimal(a), Decimal(b))
+    err = abs(Decimal(got) - limit) / limit
+    assert 0.999 * 2.0 ** -56 <= err <= 2.0 ** -56
+
+
+@pytest.mark.parametrize("a,b", [(3.0, 3.0 - 3.0 * EPS3), (3.0, 3.0 + 3.0 * EPS3)])
+def test_agm3_truncation_bound_at_its_worst(a, b):
+    assert abs(a - b) <= hypergeom.AGM3_STOP * a
+    got = agm3(a, b)
+    assert Fraction(got) == (Fraction(a) + 2 * Fraction(b)) / 3
+    limit = agm3_decimal(Decimal(a), Decimal(b))
+    err = abs(Decimal(got) - limit) / limit
+    assert 2.0 ** -58 <= err <= 2.0 ** -57.9
+
+
+# The smallest AGM_MAX_ITERS that each computation runs in: one stop test per
+# step plus the final one.  Each stop is the first at which the mean is its
+# limit, so a budget one smaller fails.
+@pytest.mark.parametrize("budget,compute", [
+    (7, lambda: transfer.grid_report(0.001, 0.999, 0.001)),
+    (4, lambda: f2_complement(0.5)),
+    (3, lambda: f3_complement(0.5)),
+])
+def test_agm_step_counts(monkeypatch, budget, compute):
+    monkeypatch.setattr(hypergeom, "AGM_MAX_ITERS", budget)
+    compute()
+    monkeypatch.setattr(hypergeom, "AGM_MAX_ITERS", budget - 1)
+    with pytest.raises(NonConvergence):
+        compute()
+
+
+TINY = 5e-324
+HUGE = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("a,b", [
+    (1e308, 1e308), (1e308, 1.0), (1.0, 1e308), (1.0, TINY), (TINY, 1.0),
+    (HUGE, TINY), (TINY, HUGE), (TINY, TINY), (HUGE, HUGE), (1e-300, 3e-310),
+])
+def test_agm_answers_every_finite_positive_pair(a, b):
+    for mean, oracle in ((agm, agm_decimal), (agm3, agm3_decimal)):
+        got = mean(a, b)
+        limit = oracle(Decimal(a), Decimal(b))
+        assert 0.0 < got < math.inf
+        if got >= 2.2250738585072014e-308:
+            assert abs(Decimal(got) - limit) <= Decimal(2 * math.ulp(got)), (mean, a, b)
+        else:  # a subnormal answer holds to its last place
+            assert abs(Decimal(got) - limit) <= Decimal(TINY), (mean, a, b)
+    assert agm(1e308, 1e308) == agm3(1e308, 1e308) == 1e308
+
+
+def test_agm_prescale_is_exact():
+    # A pair outside the unscaled window is scaled by a power of two, which
+    # commutes with every step of the quadratic mean.
+    rng = random.Random(5)
+    for _ in range(40):
+        a, b = rng.uniform(1e-3, 1e3), rng.uniform(1e-3, 1e3)
+        for k in (900, -900):
+            assert agm(math.ldexp(a, k), math.ldexp(b, k)) == math.ldexp(agm(a, b), k)
+            value = agm3(math.ldexp(a, k), math.ldexp(b, k))
+            assert abs(value - math.ldexp(agm3(a, b), k)) <= math.ulp(value)
+
+
+# 40-digit check of f3_complement on seeded y plus twelve that moved by 2 ulp
+# when the cubic stop went from |a - b| <= 1e-15 a to 2^-17 a.  The worst of
+# these 212 inputs sits 2.7 ulp from its value, before that change and after.
+F3_TWO_ULP_MOVERS = (
+    0.061543718163384886, 0.07196013814736191, 0.08091153535649376,
+    0.11364327344440706, 0.5795329489359988, 0.13030837876844392,
+    1.589668745789999e-168, 1.2588693653532356e-159, 5.714819746942602e-175,
+    1.6052173235099384e-98, 3.6873368495522134e-90, 2.2943373600936924e-189,
+)
+
+
+def test_f3_complement_against_40_digit_values():
+    # The decimal route is pinned to the exact Gauss series at y = 1/8.
+    exact = hyp2f1_exact(THIRD, TWO_THIRDS, ONE, Fraction(7, 8), tol=Fraction(1, 10 ** 30))
+    assert abs(f3_complement_decimal(0.125) - Decimal(exact.numerator) / exact.denominator) <= Decimal("1e-28")
+    rng = random.Random(19)
+    ys = F3_TWO_ULP_MOVERS + tuple(1.0 - rng.random() for _ in range(100)) + tuple(
+        10.0 ** rng.uniform(-300.0, 0.0) for _ in range(100))
+    for y in ys:
+        got = f3_complement(y)
+        assert abs(Decimal(got) - f3_complement_decimal(y)) <= Decimal(3 * math.ulp(got)), y
