@@ -34,6 +34,8 @@ from .delta import (
     delta_phase,
     dn3,
     half_periods_sig3,
+    verify_ode_delta,
+    verify_trimidiation,
 )
 from .transfer import (
     DEFAULT_TOL,
@@ -42,8 +44,6 @@ from .transfer import (
     verify_identity56,
     verify_identity57,
     verify_identity58,
-    verify_ode_delta,
-    verify_trimidiation,
 )
 
 __version__ = "0.1.0"

@@ -19,7 +19,8 @@ import sys
 from itertools import product
 from typing import IO, Callable, Sequence
 
-from .delta import DeltaContext, _reference_delta, delta, delta_phase, dn3, half_periods_sig3
+from .delta import (DeltaContext, _ode_residual, _reference_delta, delta, delta_phase, dn3,
+                    half_periods_sig3)
 from .errors import ConfigError, DomainError, Sig3Error
 from .hypergeom import f2, f3, f_half
 from .moduli import ModulusSet, modulus_from_kappa, p_from_s_c
@@ -31,7 +32,6 @@ from .transfer import (
     grid_points,
     grid_report,
     period_route_gap,
-    _ode_residual,
 )
 
 # CSV columns are the VerificationRow fields: the floats, then from pass56
@@ -130,7 +130,8 @@ def _cmd_delta(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
 def _profile_lines(ctx: DeltaContext, samples: int) -> list[str]:
     """delta on a uniform grid over [0, 2 omega], its gaps to the
     integral-inversion route and to dn3, and the ODE residual; one
-    inversion of the arc integral per point serves both references."""
+    inversion of the arc integral and one reference (delta, delta') per
+    point serve both the gap and the residual."""
     mod = ctx.modulus
     omega = ctx.omega
     lines = [
@@ -141,14 +142,14 @@ def _profile_lines(ctx: DeltaContext, samples: int) -> list[str]:
     for i in range(samples):
         u = 2.0 * omega * i / (samples - 1)
         d = delta(u, ctx)
-        T = delta_phase(u, ctx)
-        inv_gap = abs(_reference_delta(T, ctx)[0] - d)
+        ref, ref_prime = _reference_delta(delta_phase(u, ctx), ctx)
+        inv_gap = abs(ref - d)
         # dn3 refuses the lattice points 0 and 2 omega, the poles of its
         # 1/sn^2 (dn3 itself tends to 1 there)
         near_pole = min(u, abs(2.0 * omega - u)) < 1e-6
         dn3_gap = float("nan") if near_pole else abs(dn3(u, mod) - d)
         if not near_pole:
-            worst = max(worst, _ode_residual(T, ctx))
+            worst = max(worst, _ode_residual(ref, ref_prime, mod.lam))
         lines.append(f"{u:10.5f} {d:20.15f} {inv_gap:14.3e} {dn3_gap:14.3e}")
     lines.append(f"\nmax scaled ODE residual over the interior grid: {worst:.3e}")
     return lines
@@ -210,10 +211,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DomainError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Sig3Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (Sig3Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

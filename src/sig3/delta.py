@@ -35,11 +35,12 @@ context's ladder.  Neither calls ``wp`` or builds invariants.
 
 The reference route is the paper's own construction, inverting G by
 Halley steps over adaptive quadrature of the closed-form kernel
-(``delta_integral``, ``delta_phase``); the tests and ``verify_ode_delta``
-check the production route against it.  ``quadrature.integrate`` holds
-one error budget per integral: it splits the 15-point Gauss-Legendre
-interval whose panel disagrees most with the sum of its halves until the
-estimates sum to QUAD_TOL, and no panel is evaluated twice.  The
+(``delta_integral``, ``delta_phase``); the tests and ``sig3 delta
+--samples`` check the production route against it.
+``quadrature.integrate`` holds one error budget per integral: it splits
+the 15-point Gauss-Legendre interval whose panel disagrees most with the
+sum of its halves until the estimates sum to QUAD_TOL, and no panel is
+evaluated twice.  The
 inversion integrates [0, T] once, then only each step, and stops once
 |G(T) - u| <= QUAD_TOL.  The kernel is formed from
 cos z = sqrt(cos^2 t + lambda^2 sin^2 t), so it keeps its digits at the
@@ -50,6 +51,10 @@ by ~8e-14 relative, and both routes are that close to 30-digit values.
 Near kappa = 1 - 1e-10 a one-ulp step in T moves G by more than QUAD_TOL,
 and the inversion raises NonConvergence as soon as a Halley step rounds to
 nothing, rather than return a T short of it.
+
+Two certificates live here with what they certify: ``verify_ode_delta``
+the reference route's kernel, and ``verify_trimidiation`` ``dn3``'s own
+bridge b + v^2, formed in one place, ``_shifted``.
 
 The signature-three half periods through F(1/3, 2/3; 1; .) live here
 too; ``transfer.period_route_gap`` holds them against the classical route
@@ -62,10 +67,11 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from typing import Sequence
 
-from .errors import DomainError, NonConvergence, PoleError
+from .errors import ConfigError, DomainError, NonConvergence, PoleError
 from .hypergeom import f3_complement
-from .moduli import ModulusSet, midpoint_gaps
+from .moduli import ModulusSet, midpoint_gaps, modulus_from_kappa
 from .quadrature import integrate
 from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_sn
 
@@ -283,9 +289,84 @@ def dn3(z: complex, mod: ModulusSet) -> complex:
     1/3 + e3 ~ (4/27) kappa^2, the size of 1/3 + wp near omega'.
     """
     ctx = _context(mod)
-    cell = ctx.cell
-    v = _inv_sn(_centred(z, cell), cell.rungs, cmath.sin)
-    shifted = ctx.bridge_b + v * v  # (1/3 + wp)/(e1 - e3)
+    shifted = _shifted(z, ctx)
     if abs(shifted) <= 1e-8 * ctx.bridge_b:
         raise PoleError(f"dn3 pole: 1/3 + wp({z}) is within 1e-8 (1/3 + e3) of 0")
     return 1.0 - ctx.bridge_a / shifted
+
+
+def _shifted(z: complex, ctx: DeltaContext) -> complex:
+    """(1/3 + wp(z))/(e1 - e3) = b + v^2 on the lattice of ``ctx``'s modulus:
+    z reduced into the centred cell, v = 1/sn by the Gauss recursion on its
+    ladder.  The one home of the bridge that ``dn3`` and
+    ``verify_trimidiation`` share."""
+    cell = ctx.cell
+    v = _inv_sn(_centred(z, cell), cell.rungs, cmath.sin)
+    return ctx.bridge_b + v * v
+
+
+def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> float:
+    """Maximum scaled residual of 9 (delta')^2 = 4(1-delta)(delta^3+3delta^2-4lambda^2).
+
+    delta and delta' are evaluated analytically at the phase T(u) by the
+    reference route's arc form (finite differences would dominate the
+    residual budget).  Residuals are scaled by 1 + delta^4.  The residual
+    depends on T alone and holds at every T, whether or not T inverts G at
+    u: it certifies the arc kernel's closed form and its derivative, while
+    the quadrature and the inversion, which take nearly all of the call's
+    time, are certified by |delta - inv| (``sig3 delta --samples``).  An
+    empty ``u_grid`` raises ConfigError: a maximum over no point certifies
+    nothing.
+    """
+    if not u_grid:
+        raise ConfigError("verify_ode_delta needs at least one u; u_grid is empty")
+    lam = ctx.modulus.lam
+    worst = 0.0
+    for u in u_grid:
+        worst = max(worst, _ode_residual(*_reference_delta(delta_phase(u, ctx), ctx), lam))
+    return worst
+
+
+def _ode_residual(d: float, d_prime: float, lam: float) -> float:
+    """The scaled residual of ``verify_ode_delta`` for the reference pair
+    (delta, delta') of ``_reference_delta`` and the complementary modulus."""
+    lhs = 9.0 * d_prime * d_prime
+    rhs = 4.0 * (1.0 - d) * (d * d * (d + 3.0) - 4.0 * lam ** 2)
+    return abs(lhs - rhs) / (1.0 + d ** 4)
+
+
+def verify_trimidiation(kappa: float, z_samples: Sequence[complex]) -> float:
+    """Maximum relative residual of Velu's identity for the trimidiation.
+
+    w = 2 omega'/3 has order three on the lattice of kappa, and dividing
+    its imaginary period by three gives the lattice of lambda, turned a
+    quarter turn and divided by sqrt3 (J. Velu, C. R. Acad. Sci. Paris 273
+    (1971)); with wp(w) = wp(2w) = -1/3,
+
+        wp(z) + wp(z + w) + wp(z - w) + 2/3 = -3 wp_lambda(sqrt3 i z).
+
+    With Q = 1/3 + wp = (e1 - e3) ``_shifted``, lhs = Q(z) + (Q(z + w) +
+    Q(z - w)) and rhs = 4/3 - 3 Q_lambda(sqrt3 i z); the residual is
+    |lhs - rhs| / max(1, |rhs|), even in z bitwise because the pair is
+    summed first.  Both sides run ``dn3``'s own bridge, with its constant b,
+    on the cached context of each modulus, so omega from F3(kappa^2) meets
+    omega from F3(lambda^2); no invariants are built and no ``wp`` is
+    called.  Samples must keep z, z +- w and sqrt3 i z off the lattices
+    (PoleError otherwise).  An empty ``z_samples`` raises ConfigError.
+    """
+    if not z_samples:
+        raise ConfigError("verify_trimidiation needs at least one z; z_samples is empty")
+    mod = modulus_from_kappa(kappa)
+    comp = mod.complement
+    ctx, ctx_comp = _context(mod), _context(comp)
+    low, high, _ = midpoint_gaps(mod)
+    low_comp, high_comp, _ = midpoint_gaps(comp)
+    spread, spread_comp = low + high, low_comp + high_comp  # e1 - e3 of each
+    w = 2.0 * half_periods_sig3(mod).omega_prime / 3.0
+    rot = math.sqrt(3.0) * 1j
+    worst = 0.0
+    for z in z_samples:
+        lhs = spread * (_shifted(z, ctx) + (_shifted(z + w, ctx) + _shifted(z - w, ctx)))
+        rhs = 4.0 / 3.0 - 3.0 * spread_comp * _shifted(rot * z, ctx_comp)
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return worst

@@ -87,9 +87,11 @@ def agm(a0: float, b0: float) -> float:
 
 
 def _cbrt(x: float) -> float:
-    # One Newton polish recovers the ulp lost by pow(x, 1/3).
-    if x == 0.0:
-        return 0.0
+    # For x > 0, which every caller passes.  One Newton polish recovers the
+    # ulp lost by pow(x, 1/3).  A subnormal x is scaled by 2^192 = (2^64)^3
+    # into the normal range first, exactly, so y^3 keeps its digits.
+    if x < 2.0 ** -1022:
+        return _cbrt(x * 2.0 ** 192) * 2.0 ** -64
     y = x ** (1.0 / 3.0)
     return y - (y * y * y - x) / (3.0 * y * y)
 

@@ -16,7 +16,7 @@ transfer arguments
 become rational in p.  This module owns those maps plus the invariant pair
 (g2, g3) and the closed-form midpoint gaps e2 - e3, e1 - e2 and 1/3 + e3.
 The gaps fix the lattice of kappa, on which ``delta``, ``dn3`` and
-``transfer.verify_trimidiation`` run; the invariants serve only ``wp``,
+``delta.verify_trimidiation`` run; the invariants serve only ``wp``,
 which rebuilds a lattice from them.
 
 ``params_from_p`` and ``invariants`` compute each value by two independent

@@ -21,20 +21,23 @@ A grid point costs one ``params_from_p`` call and four complement kernels,
 and becomes one ``VerificationRow``, built in a single positional call.
 Rows, reports and the per-identity ``IdentityCheck`` are named tuples: they
 unpack, index and compare equal to plain tuples.
+
+Besides the identities the module holds the two half-period routes
+(``period_route_gap``) and the grid.  The certificates of delta and dn3,
+``verify_ode_delta`` and ``verify_trimidiation``, live in ``delta`` with
+the bridge and the reference route they certify.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .delta import (DeltaContext, _context, _reference_delta, _sig3_half_periods, delta_phase,
-                    half_periods_sig3)
+from .delta import _sig3_half_periods
 from .errors import ConfigError
 from .hypergeom import f2_complement, f3_complement
-from .moduli import ModulusSet, midpoint_gaps, modulus_from_kappa, params_from_p
-from .weierstrass import _centred, _inv_sn, _jacobi_half_periods
+from .moduli import params_from_p
+from .weierstrass import _jacobi_half_periods
 
 DEFAULT_TOL = 1e-10
 MAX_GRID_POINTS = 1_000_000  # larger grids are refused before any point is built
@@ -116,70 +119,6 @@ def verify_identity58(p: float, tol: float = DEFAULT_TOL) -> IdentityCheck:
     """F2(1-alpha)/F2(alpha) against sqrt3 F3(1-beta)/F3(beta)."""
     row = _transfer_row(p, tol)
     return IdentityCheck(row.lhs58, row.rhs58, row.relerr58, row.pass58)
-
-
-def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> float:
-    """Maximum scaled residual of 9 (delta')^2 = 4(1-delta)(delta^3+3delta^2-4lambda^2).
-
-    delta and delta' are evaluated analytically at the phase T(u) by the
-    reference route's arc form (finite differences would dominate the
-    residual budget).  Residuals are scaled by 1 + delta^4.  An empty
-    ``u_grid`` raises ConfigError: a maximum over no point certifies nothing.
-    """
-    if not u_grid:
-        raise ConfigError("verify_ode_delta needs at least one u; u_grid is empty")
-    worst = 0.0
-    for u in u_grid:
-        worst = max(worst, _ode_residual(delta_phase(u, ctx), ctx))
-    return worst
-
-
-def _ode_residual(T: float, ctx: DeltaContext) -> float:
-    """The scaled residual of ``verify_ode_delta`` at the phase T = T(u)."""
-    d, d_prime = _reference_delta(T, ctx)
-    lhs = 9.0 * d_prime * d_prime
-    rhs = 4.0 * (1.0 - d) * (d * d * (d + 3.0) - 4.0 * ctx.modulus.lam ** 2)
-    return abs(lhs - rhs) / (1.0 + d ** 4)
-
-
-def verify_trimidiation(kappa: float, z_samples: Sequence[complex]) -> float:
-    """Maximum relative residual of Velu's identity for the trimidiation.
-
-    w = 2 omega'/3 has order three on the lattice of kappa, and dividing
-    its imaginary period by three gives the lattice of lambda, turned a
-    quarter turn and divided by sqrt3 (J. Velu, C. R. Acad. Sci. Paris 273
-    (1971)); with wp(w) = wp(2w) = -1/3,
-
-        wp(z) + wp(z + w) + wp(z - w) + 2/3 = -3 wp_lambda(sqrt3 i z).
-
-    With Q = 1/3 + wp, lhs = Q(z) + (Q(z + w) + Q(z - w)) and rhs = 4/3 -
-    3 Q_lambda(sqrt3 i z); the residual is |lhs - rhs| / max(1, |rhs|),
-    even in z bitwise because the pair is summed first.  Q is ``dn3``'s
-    bridge on the cell of each modulus, so omega from F3(kappa^2) meets
-    omega from F3(lambda^2); no invariants are built and no ``wp`` is
-    called.  Samples must keep z, z +- w and sqrt3 i z off the lattices
-    (PoleError otherwise).  An empty ``z_samples`` raises ConfigError.
-    """
-    if not z_samples:
-        raise ConfigError("verify_trimidiation needs at least one z; z_samples is empty")
-    mod = modulus_from_kappa(kappa)
-    w = 2.0 * half_periods_sig3(mod).omega_prime / 3.0
-    rot = math.sqrt(3.0) * 1j
-    worst = 0.0
-    for z in z_samples:
-        lhs = _shifted_wp(z, mod) + (_shifted_wp(z + w, mod) + _shifted_wp(z - w, mod))
-        rhs = 4.0 / 3.0 - 3.0 * _shifted_wp(rot * z, mod.complement)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst
-
-
-def _shifted_wp(z: complex, mod: ModulusSet) -> complex:
-    """1/3 + wp(z) = (1/3 + e3) + (e1 - e3) v^2 on the lattice of ``mod``,
-    v = 1/sn on the cell of its cached ``DeltaContext``, as in ``dn3``."""
-    low, high, shift = midpoint_gaps(mod)
-    cell = _context(mod).cell
-    v = _inv_sn(_centred(z, cell), cell.rungs, cmath.sin)
-    return shift + (low + high) * (v * v)
 
 
 def period_route_gap(p: float) -> tuple[float, float]:

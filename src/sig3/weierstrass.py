@@ -14,7 +14,7 @@ Landen (Gauss) transformation (DLMF 22.7.1) read for the reciprocal,
 on one cached ladder k > k1 > k2 > ... per modulus: v starts as 1/sin at
 the foot and climbs the rungs, at real or complex w alike.  ``wp`` runs it
 on the lattice of (g2, g3); ``delta.dn3``, ``delta.delta`` and
-``transfer.verify_trimidiation`` on the lattice of their modulus; ``sn``
+``delta.verify_trimidiation`` on the lattice of their modulus; ``sn``
 on the real axis.
 
 The lattice of (g2, g3) has one private home, ``_lattice``: it solves

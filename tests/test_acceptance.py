@@ -6,15 +6,21 @@ import math
 import time
 
 from sig3.cli import CSV_HEADER, main
-from sig3.delta import DeltaContext, delta, delta_integral, dn3, half_periods_sig3
+from sig3.delta import (
+    DeltaContext,
+    delta,
+    delta_integral,
+    dn3,
+    half_periods_sig3,
+    verify_ode_delta,
+    verify_trimidiation,
+)
 from sig3.hypergeom import f2, f3
 from sig3.moduli import invariants, midpoint_gaps, modulus_from_kappa, params_from_p
 from sig3.transfer import (
     grid_points,
     grid_report,
     period_route_gap,
-    verify_ode_delta,
-    verify_trimidiation,
 )
 from sig3.weierstrass import wp
 from oracles import hyp2f1_series, wp_duplication

@@ -11,13 +11,14 @@ import sig3
 import sig3.cli
 import sig3.transfer
 from sig3.cli import CSV_HEADER, emit_csv, main
-from sig3.delta import DeltaContext, delta, half_periods_sig3
+from sig3.delta import DeltaContext, delta, half_periods_sig3, verify_ode_delta
 from sig3.errors import ConfigError
 from sig3.hypergeom import f2
 from sig3.moduli import modulus_from_kappa
-from sig3.transfer import VerificationRow, grid_points, grid_report, period_route_gap, verify_ode_delta
+from sig3.transfer import VerificationRow, grid_points, grid_report, period_route_gap
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+delta_module = importlib.import_module("sig3.delta")  # sig3.delta is the function
 HEADER = (
     "p,alpha,beta,lhs56,rhs56,relerr56,lhs57,rhs57,relerr57,"
     "lhs58,rhs58,relerr58,pass56,pass57,pass58"
@@ -302,7 +303,9 @@ def test_delta_profile_reaches_kappa_0_9999(capsys):
 
 def test_delta_profile_inverts_once_per_point(capsys, monkeypatch):
     # One arc-integral inversion per row serves both the |delta - inv|
-    # column and the ODE residual.
+    # column and the ODE residual, and so does one reference (delta,
+    # delta') outside the inversion; the Halley steps inside it make the
+    # other 45 reference evaluations.
     calls = []
     counted = sig3.cli.delta_phase
 
@@ -310,10 +313,23 @@ def test_delta_profile_inverts_once_per_point(capsys, monkeypatch):
         calls.append(u)
         return counted(u, ctx)
 
+    outside, inside = [], []
+    reference = delta_module._reference_delta
+
+    def counting_reference(into):
+        def wrapped(T, ctx):
+            into.append(T)
+            return reference(T, ctx)
+        return wrapped
+
     monkeypatch.setattr(sig3.cli, "delta_phase", counting)
-    monkeypatch.setattr(sig3.transfer, "delta_phase", counting)
+    monkeypatch.setattr(delta_module, "delta_phase", counting)
+    monkeypatch.setattr(sig3.cli, "_reference_delta", counting_reference(outside))
+    monkeypatch.setattr(delta_module, "_reference_delta", counting_reference(inside))
     assert main(["delta", "--kappa", "0.6", "--samples", "17"]) == 0
     assert len(calls) == 17
+    assert len(outside) == 17
+    assert len(outside) + len(inside) == 62
     monkeypatch.undo()
     ctx = DeltaContext(modulus_from_kappa(0.6))
     worst = verify_ode_delta(ctx, [2.0 * ctx.omega * i / 16 for i in range(1, 16)])

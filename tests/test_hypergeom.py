@@ -331,3 +331,17 @@ def test_f3_complement_against_40_digit_values():
     for y in ys:
         got = f3_complement(y)
         assert abs(Decimal(got) - f3_complement_decimal(y)) <= Decimal(3 * math.ulp(got)), y
+
+
+def test_cbrt_keeps_its_digits_on_subnormals():
+    # pow(x, 1/3) misses a subnormal's cube root by ln(x) (1/3 - fl(1/3)),
+    # ~1.4e-14, and y^3 on the subnormal grid cannot polish it back; the
+    # exact prescale into the normal range can.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(23)
+    xs = (5e-324, 1.5e-323, 3.3e-320) + tuple(
+        rng.randrange(1, 2 ** rng.randint(1, 52)) * 5e-324 for _ in range(500))
+    with mpmath.workdps(40):
+        for x in xs:
+            ref = mpmath.cbrt(mpmath.mpf(x))
+            assert abs(mpmath.mpf(hypergeom._cbrt(x)) - ref) <= 2.0 ** -52 * ref, x

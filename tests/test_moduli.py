@@ -263,7 +263,7 @@ def test_midpoint_spread_matches_parametrization(p):
 
 
 # wp(2 omega'/3) = -1/3, the constant in the Velu identity that
-# ``transfer.verify_trimidiation`` checks, holds on the lattice of the
+# ``delta.verify_trimidiation`` checks, holds on the lattice of the
 # invariants too.  kappa = 0.1 is left out: there the trigonometric cubic
 # solve of the midpoints alone costs ~3e-12.
 @pytest.mark.parametrize("kappa", [0.35, 0.6, 0.9, 0.99])

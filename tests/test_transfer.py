@@ -11,7 +11,7 @@ import sig3.moduli
 import sig3.transfer
 import sig3.weierstrass
 from sig3.cli import emit_csv
-from sig3.delta import DeltaContext, half_periods_sig3
+from sig3.delta import DeltaContext, half_periods_sig3, verify_ode_delta, verify_trimidiation
 from sig3.errors import ConfigError
 from sig3.moduli import modulus_from_kappa, params_from_p
 from sig3.transfer import (
@@ -22,12 +22,11 @@ from sig3.transfer import (
     verify_identity56,
     verify_identity57,
     verify_identity58,
-    verify_ode_delta,
-    verify_trimidiation,
 )
 from sig3.weierstrass import HalfPeriodPair
 from oracles import HALF, ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err
 
+delta_module = importlib.import_module("sig3.delta")  # sig3.delta is the function
 DEFAULT_GRID = (0.05, 0.95, 0.05)
 TRIMID_SAMPLES = (0.3 + 0.0j, 0.2 + 0.1j, 0.5 + 0.3j)
 
@@ -164,8 +163,48 @@ def test_trimidiation_sees_a_third_of_a_wrong_imaginary_period(monkeypatch, kapp
         periods = half_periods_sig3(mod)
         return HalfPeriodPair(periods.omega, periods.omega_prime * (1.0 + 1e-12))
 
-    monkeypatch.setattr(sig3.transfer, "half_periods_sig3", moved)
+    # Contexts built before the patch keep both cells on their true
+    # lattices, so the patch moves w alone.
+    mod = modulus_from_kappa(kappa)
+    delta_module._context(mod)
+    delta_module._context(mod.complement)
+    monkeypatch.setattr(delta_module, "half_periods_sig3", moved)
     assert verify_trimidiation(kappa, _seeded_samples()) >= 1e-13
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
+def test_trimidiation_sees_a_wrong_bridge_constant(monkeypatch, kappa):
+    # Both sides run dn3's own bridge b + v^2: a b off by one part in 1e12
+    # on the lattice of kappa alone reads above the roundoff bound.
+    mod = modulus_from_kappa(kappa)
+    built = delta_module._context
+
+    def moved(m):
+        if m != mod:
+            return built(m)
+        ctx = DeltaContext(m)
+        object.__setattr__(ctx, "bridge_b", ctx.bridge_b * (1.0 + 1e-12))
+        return ctx
+
+    monkeypatch.setattr(delta_module, "_context", moved)
+    assert verify_trimidiation(kappa, _seeded_samples()) >= 1e-14
+
+
+def test_trimidiation_reads_each_lattice_once(monkeypatch):
+    # The spread e1 - e3 of each modulus is read once per call, not per z.
+    mod = modulus_from_kappa(0.6)
+    delta_module._context(mod)
+    delta_module._context(mod.complement)
+    calls = []
+    gaps = delta_module.midpoint_gaps
+
+    def counting(m):
+        calls.append(m)
+        return gaps(m)
+
+    monkeypatch.setattr(delta_module, "midpoint_gaps", counting)
+    assert verify_trimidiation(0.6, _seeded_samples()) <= 1e-14
+    assert calls == [mod, mod.complement]
 
 
 def test_trimidiation_builds_no_invariants_and_calls_no_wp(monkeypatch):
