@@ -121,8 +121,10 @@ def _cmd_delta(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
     ctx = DeltaContext(modulus_from_kappa(args.kappa))
     if args.u is not None:
         return 0, lambda: print(repr(delta(args.u, ctx)))
-    if not 2 <= args.samples <= MAX_GRID_POINTS:
-        raise ConfigError(f"--samples must lie in [2, {MAX_GRID_POINTS}], got {args.samples}")
+    # Samples 0 and N - 1 are the lattice points 0 and 2 omega, where the ODE
+    # residual is not taken: a third sample is the first interior point.
+    if not 3 <= args.samples <= MAX_GRID_POINTS:
+        raise ConfigError(f"--samples must lie in [3, {MAX_GRID_POINTS}], got {args.samples}")
     lines = _profile_lines(ctx, args.samples)  # all rows first: a failure prints none
     return 0, lambda: print(*lines, sep="\n")
 

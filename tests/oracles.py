@@ -4,11 +4,13 @@ Nothing here touches the package's own evaluation paths: the series oracles
 run in exact rational and in compensated float arithmetic, the two AGM oracles
 in 50-digit decimal, the sn oracle integrates the Jacobi differential system
 directly, and the wp oracle sums the Laurent series of the invariants and
-doubles its way back out.
+doubles its way back out.  ``toward_both_ends`` is the p set that several
+tests walk to the edges of the transfer domain.
 """
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +19,15 @@ HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
 ONE = Fraction(1)
+
+
+def toward_both_ends(n: int = 5000) -> list[float]:
+    """2n + 2 p in (0, 1): n + 1 log-spaced toward 0 from just above the
+    underflow floor of params_from_p (~3.25e-103) up to 1/2, then n + 1
+    toward 1 from 1/2 down to 1 - p = 2^-53."""
+    lo, lo1, hi = math.log(3.3e-103), math.log(2.0 ** -53), math.log(0.5)
+    points = [math.exp(lo + (hi - lo) * i / n) for i in range(n + 1)]
+    return points + [1.0 - math.exp(lo1 + (hi - lo1) * i / n) for i in range(n + 1)]
 
 
 def hyp2f1_exact(a: Fraction, b: Fraction, c: Fraction, x: Fraction,

@@ -254,6 +254,7 @@ def test_delta_subcommand_domain_error(capsys):
     ("--kappa", "0.6", "--samples", str(sig3.transfer.MAX_GRID_POINTS + 1)),
     ("--kappa", "0.6", "--u", "1e300"),  # the rounding of u alone exceeds the period
     ("--kappa", "1e-200", "--u", "1"),  # e2 - e3 ~ 0.11 kappa^3 underflows: no lattice
+    ("--kappa", "0.6", "--samples", "2"),  # only the lattice points 0 and 2 omega: no interior point
 ])
 def test_delta_profile_bad_input_exits_two(capsys, args):
     assert main(["delta", *args]) == 2

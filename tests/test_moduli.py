@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sig3.moduli
 from sig3.errors import DomainError
 from sig3.moduli import (
     ModulusSet,
@@ -14,8 +15,9 @@ from sig3.moduli import (
     p_from_s_c,
     params_from_p,
 )
+from sig3.transfer import grid_points
 from sig3.weierstrass import wp, _lattice
-from oracles import rel_err
+from oracles import rel_err, toward_both_ends
 
 SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
@@ -149,6 +151,47 @@ def test_parametrization_refuses_underflowing_alpha():
     for p in (1e-105, 1e-110):  # alpha subnormal, then zero
         with pytest.raises(DomainError):
             params_from_p(p)
+
+
+def params_plain(p):
+    """params_from_p's formulas written plainly, with min() clamps and no
+    guard: the reference its tuned body must match bit for bit."""
+    q = 1.0 + p + p * p
+    sq = math.sqrt(q)
+    s = 0.5 * SQRT3 * p / sq
+    c = 0.5 * (2.0 + p) / sq
+    s2 = s * s
+    X = (8.0 * s2 - 12.0) * s2 + 3.0
+    s3c = s2 * s * c
+    alpha = min(1.0, p * p * p * (2.0 + p) / (1.0 + 2.0 * p))
+    beta = min(1.0, 6.75 * (p * (1.0 + p)) ** 2 / (q * q * q))
+    alpha_comp = min(1.0, (1.0 - p) * (1.0 + p) ** 3 / (1.0 + 2.0 * p))
+    beta_comp = min(1.0, ((1.0 - p) * (2.0 + p) * (1.0 + 2.0 * p)) ** 2 / (4.0 * q * q * q))
+    r2 = (1.0 + 2.0 * p) / (q * q)
+    k2 = 16.0 * s3c / (8.0 * s3c + SQRT3 * X)
+    return p, s, c, X, s3c, alpha, beta, alpha_comp, beta_comp, r2, k2
+
+
+def test_params_match_the_plain_formulas_bit_for_bit():
+    # On the verify grid and on 10,002 p toward both ends, where the clamps
+    # to 1 fire 1,202 times.  float.hex compares bits, not values.
+    points = grid_points(0.001, 0.999, 0.001) + toward_both_ends()
+    assert len(points) == 999 + 10_002
+    for p in points:
+        assert [x.hex() for x in params_from_p(p)] == [x.hex() for x in params_plain(p)], p
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.3, 0.999])
+@pytest.mark.parametrize("shift", [1e-12, 1e-14])
+def test_parametrization_guard_sees_a_wrong_sqrt3(monkeypatch, p, shift):
+    # sqrt3 one part in 1e12 (or 1e14) high moves s, and with it the
+    # midpoint-route k2 and the sine-route kappa^2, but leaves the rational
+    # alpha and beta as they are.  At shift 1e-14 the largest gap is 2.0e-14,
+    # 2.4e-14 and 5.0e-14 at the three p: a CROSS_ROUTE_TOL raised by a
+    # factor 2.1 no longer fires at p = 1e-3.
+    monkeypatch.setattr(sig3.moduli, "SQRT3", SQRT3 * (1.0 + shift))
+    with pytest.raises(ArithmeticError, match=f"routes disagree at p={p}"):
+        params_from_p(p)
 
 
 @given(p=st.floats(min_value=1e-3, max_value=0.999))

@@ -15,6 +15,7 @@ from sig3.delta import DeltaContext, half_periods_sig3, verify_ode_delta, verify
 from sig3.errors import ConfigError
 from sig3.moduli import modulus_from_kappa, params_from_p
 from sig3.transfer import (
+    DEFAULT_TOL,
     MAX_GRID_POINTS,
     grid_points,
     grid_report,
@@ -24,7 +25,7 @@ from sig3.transfer import (
     verify_identity58,
 )
 from sig3.weierstrass import HalfPeriodPair
-from oracles import HALF, ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err
+from oracles import HALF, ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err, toward_both_ends
 
 delta_module = importlib.import_module("sig3.delta")  # sig3.delta is the function
 DEFAULT_GRID = (0.05, 0.95, 0.05)
@@ -317,15 +318,32 @@ def test_identities_hold_to_roundoff_toward_both_ends_of_the_domain():
     # The module docstring bounds every residual by 1e-15 on (0, 1), and
     # each rhs stays well clear of 0 (rhs58 is smallest, 0.0815 at
     # p = 1 - 2^-53), so a residual is divided by rhs with no guard.
-    n = 5000
-    lo, lo1, hi = math.log(3.3e-103), math.log(2.0 ** -53), math.log(0.5)
-    points = [math.exp(lo + (hi - lo) * i / n) for i in range(n + 1)]
-    points += [1.0 - math.exp(lo1 + (hi - lo1) * i / n) for i in range(n + 1)]
-    assert points[n + 1] == 1.0 - 2.0 ** -53
+    points = toward_both_ends()
+    assert len(points) == 10_002 and points[5001] == 1.0 - 2.0 ** -53
     for p in points:
         row = sig3.transfer._transfer_row(p, sig3.transfer.DEFAULT_TOL)
         assert max(row.relerr56, row.relerr57, row.relerr58) <= 1e-15, p
         assert min(row.rhs56, row.rhs57, row.rhs58) >= 0.08, p
+
+
+def test_grid_report_summary_is_a_pass_over_its_rows():
+    # The maxima and all_pass against a plain loop over the rows, first at
+    # the default tolerance, then at the second-largest residual of the
+    # grid, where exactly one identity fails on exactly one row.
+    report = grid_report(*DEFAULT_GRID)
+    residuals = sorted((getattr(row, "relerr" + k), i, k)
+                       for i, row in enumerate(report.rows) for k in ("56", "57", "58"))
+    assert residuals[-1][0] > residuals[-2][0] > 0.0
+    for tol in (DEFAULT_TOL, residuals[-2][0]):
+        checked = grid_report(*DEFAULT_GRID, tol=tol)
+        failures = [(i, k) for i, row in enumerate(checked.rows) for k in ("56", "57", "58")
+                    if not getattr(row, "pass" + k)]
+        assert checked.max_relerr == {k: max(getattr(row, "relerr" + k) for row in checked.rows)
+                                      for k in ("56", "57", "58")}
+        assert checked.all_pass == (not failures)
+        assert checked.max_relerr == report.max_relerr
+    assert failures == [residuals[-1][1:]]
+    assert not checked.all_pass
 
 
 def test_grid_report_sabotaged_tolerance_fails():
