@@ -24,7 +24,6 @@ from .moduli import (
     ModulusSet,
     invariants,
     modulus_from_kappa,
-    p_from_s_c,
     params_from_p,
 )
 from .delta import (

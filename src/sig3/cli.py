@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from itertools import product
@@ -23,7 +22,7 @@ from .delta import (DeltaContext, _ode_residual, _reference_delta, delta, delta_
                     half_periods_sig3)
 from .errors import ConfigError, DomainError, Sig3Error
 from .hypergeom import f2, f3, f_half
-from .moduli import ModulusSet, modulus_from_kappa, p_from_s_c
+from .moduli import ModulusSet, modulus_from_kappa
 from .transfer import (
     DEFAULT_TOL,
     MAX_GRID_POINTS,
@@ -107,8 +106,7 @@ def _cmd_periods(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
 
 def _period_line(mod: ModulusSet) -> str:
     """One table row: kappa, p, omega, -i omega' and the two route gaps."""
-    third = mod.theta / 3.0
-    p = p_from_s_c(math.sin(third), math.cos(third))
+    p = mod.p
     sig = half_periods_sig3(mod)
     gap_re, gap_im = period_route_gap(p)
     return (

@@ -84,7 +84,7 @@ def _transfer_row(p: float, tol: float) -> VerificationRow:
     """All three identities at p from one parametrization and four kernels,
     each taking the exact complement of its argument: neither 1 - alpha nor
     1 - beta is ever formed by subtraction."""
-    alpha, beta, alpha_comp, beta_comp = params_from_p(p)[5:9]
+    alpha, beta, alpha_comp, beta_comp = params_from_p(p)[1:5]
     q = 1.0 + p + p * p
     f2_alpha = f2_complement(alpha_comp)
     f2_alpha_comp = f2_complement(alpha)

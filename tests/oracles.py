@@ -23,9 +23,9 @@ ONE = Fraction(1)
 
 def toward_both_ends(n: int = 5000) -> list[float]:
     """2n + 2 p in (0, 1): n + 1 log-spaced toward 0 from just above the
-    underflow floor of params_from_p (~3.25e-103) up to 1/2, then n + 1
+    underflow floor of params_from_p (~2.2324e-103) up to 1/2, then n + 1
     toward 1 from 1/2 down to 1 - p = 2^-53."""
-    lo, lo1, hi = math.log(3.3e-103), math.log(2.0 ** -53), math.log(0.5)
+    lo, lo1, hi = math.log(2.24e-103), math.log(2.0 ** -53), math.log(0.5)
     points = [math.exp(lo + (hi - lo) * i / n) for i in range(n + 1)]
     return points + [1.0 - math.exp(lo1 + (hi - lo1) * i / n) for i in range(n + 1)]
 

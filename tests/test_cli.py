@@ -380,7 +380,7 @@ def test_public_names_are_pinned():
         "agm", "agm3", "f2", "f3", "f_half",
         "WeierstrassInvariants", "sn", "wp", "wp_and_derivative",
         "ModulusSet", "invariants", "modulus_from_kappa",
-        "p_from_s_c", "params_from_p",
+        "params_from_p",
         "DeltaContext", "delta", "delta_integral", "delta_phase", "dn3",
         "half_periods_sig3",
         "DEFAULT_TOL", "grid_report",

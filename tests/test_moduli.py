@@ -1,26 +1,30 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sig3.moduli
 from sig3.errors import DomainError
 from sig3.moduli import (
     ModulusSet,
     invariants,
     midpoint_gaps,
     modulus_from_kappa,
-    p_from_s_c,
     params_from_p,
 )
-from sig3.transfer import grid_points
+from sig3.transfer import grid_points, grid_report
 from sig3.weierstrass import wp, _lattice
 from oracles import rel_err, toward_both_ends
 
 SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
+# The two float routes of the parametrization agree to this, in units of
+# each quantity's term scale: alpha and beta themselves, 1 for the complements.
+CROSS_ROUTE_TOL = 1e-14
+# The smallest p whose alpha ~ 2p^3 is a normal float.
+P_FLOOR = 2.2323972485981933e-103
 
 
 def exact_invariants(kappa):
@@ -68,16 +72,43 @@ def test_modulus_complement_is_involutive():
 # ------------------------------------------------ parametrization ----
 
 
+def trisected_route(p, sqrt3=SQRT3):
+    """The parametrization's second route, through the trisected angle:
+    s and c from p, X = 8s^4 - 12s^2 + 3, the midpoint-route Jacobi modulus
+    k2 = 16 s^3 c/(8 s^3 c + sqrt3 X) and kappa^2 = (s(3 - 4s^2))^2.
+    Returns (s, X, s^3 c, k2, kappa^2)."""
+    q = 1.0 + p + p * p
+    sq = math.sqrt(q)
+    s = 0.5 * sqrt3 * p / sq
+    c = 0.5 * (2.0 + p) / sq
+    s2 = s * s
+    X = (8.0 * s2 - 12.0) * s2 + 3.0
+    s3c = s2 * s * c
+    k2 = 16.0 * s3c / (8.0 * s3c + sqrt3 * X)
+    kappa_s = s * (3.0 - 4.0 * s2)
+    return s, X, s3c, k2, kappa_s * kappa_s
+
+
+def cross_route_gaps(p, sqrt3=SQRT3):
+    """Gaps of alpha and beta to the trisected route, relative, and of the
+    rational complements to 1 - alpha and 1 - beta, absolute."""
+    params = params_from_p(p)
+    k2, kappa2 = trisected_route(p, sqrt3)[3:]
+    return (abs(params.alpha - k2) / params.alpha, abs(params.beta - kappa2) / params.beta,
+            abs(params.alpha_comp - (1.0 - params.alpha)), abs(params.beta_comp - (1.0 - params.beta)))
+
+
 def test_params_at_half_reproduce_exact_rationals():
     params = params_from_p(0.5)
     assert params.alpha == 5.0 / 32.0  # dyadic, exact
     assert rel_err(params.beta, 243.0 / 343.0) < 1e-15
     assert rel_err(params.r2, 32.0 / 49.0) < 1e-15
-    assert rel_err(params.s ** 2, 3.0 / 28.0) < 1e-15
-    assert rel_err(params.X, 177.0 / 98.0) < 1e-15
-    assert rel_err(params.s3c, 15.0 * SQRT3 / 784.0) < 1e-15
+    s, X, s3c, k2, _ = trisected_route(0.5)
+    assert rel_err(s ** 2, 3.0 / 28.0) < 1e-15
+    assert rel_err(X, 177.0 / 98.0) < 1e-15
+    assert rel_err(s3c, 15.0 * SQRT3 / 784.0) < 1e-15
     # the midpoint-route modulus agrees with alpha (both equal 5/32)
-    assert rel_err(params.k2, 5.0 / 32.0) < 1e-14
+    assert rel_err(k2, 5.0 / 32.0) < 1e-14
 
 
 def test_params_small_p_limits():
@@ -93,45 +124,98 @@ def test_params_domain(p):
         params_from_p(p)
 
 
-def test_p_from_s_c_exact_surds():
-    assert rel_err(p_from_s_c(SQRT3 / (2.0 * SQRT7), 5.0 / (2.0 * SQRT7)), 0.5) < 1e-15
+# ----------------------------------- exact proofs of the parametrization ----
+#
+# Each identity below is between rational functions of one variable.  It
+# holds everywhere once its cleared numerator, lhs_num rhs_den - rhs_num
+# lhs_den, vanishes at more points than its degree; the comments give that
+# degree, with q = 1 + p + p^2.
 
 
-def test_p_from_s_c_small_s():
-    s = 1e-4
-    assert 0.0 < p_from_s_c(s, math.sqrt(1.0 - s * s)) < 1e-3
+def holds_identically(lhs, rhs, degree):
+    """lhs == rhs in exact rationals at the degree + 1 points 1, 2, ...;
+    no denominator here vanishes at a positive integer."""
+    return all(lhs(x) == rhs(x) for x in map(Fraction, range(1, degree + 2)))
 
 
-def test_p_from_s_c_rejects_bad_input():
-    with pytest.raises(DomainError):
-        p_from_s_c(0.5, math.sqrt(0.75))  # theta = pi/2 endpoint
-    with pytest.raises(DomainError):
-        p_from_s_c(0.0, 1.0)
-    with pytest.raises(DomainError):
-        p_from_s_c(0.3, 0.3)  # not a sine/cosine pair
+def exact_params(p):
+    """alpha, beta, 1 - alpha and 1 - beta by params_from_p's formulas."""
+    q = 1 + p + p * p
+    return (p ** 3 * (2 + p) / (1 + 2 * p), Fraction(27, 4) * p ** 2 * (1 + p) ** 2 / q ** 3,
+            (1 - p) * (1 + p) ** 3 / (1 + 2 * p), ((1 - p) * (2 + p) * (1 + 2 * p)) ** 2 / (4 * q ** 3))
 
 
-@given(p=st.floats(min_value=1e-3, max_value=0.999))
-@settings(max_examples=80, deadline=None)
-def test_parametrization_round_trip(p):
-    params = params_from_p(p)
-    assert abs(p_from_s_c(params.s, params.c) - p) <= 1e-14
+def exact_trisected(p):
+    """s^2, X and s^3 c / sqrt3 of the trisected route, each rational in p:
+    s = (sqrt3/2) p/sqrt(q) and c = (1/2)(2+p)/sqrt(q) give s^2 = 3p^2/(4q)
+    and s c/sqrt3 = p(2+p)/(4q)."""
+    q = 1 + p + p * p
+    s2 = 3 * p * p / (4 * q)
+    return s2, (8 * s2 - 12) * s2 + 3, s2 * p * (2 + p) / (4 * q)
 
 
-@pytest.mark.parametrize("p", [i / 10.0 for i in range(1, 10)])
-def test_parametrization_round_trip_on_the_decade_grid(p):
-    params = params_from_p(p)
-    assert abs(p_from_s_c(params.s, params.c) - p) <= 1e-14
+def test_midpoint_route_modulus_is_alpha_exactly():
+    # k2 = 16 s^3 c/(8 s^3 c + sqrt3 X), the sqrt3 cancelled, is
+    # 2A/(A + q^2 X) with A = 3p^3(2+p); against alpha the cleared numerator
+    # has degree 8.  It reduces to (3/2) p^3 (2+p) + q^2 X = 3(1+2p).
+    def k2(p):
+        _, X, s3c = exact_trisected(p)
+        return 16 * s3c / (8 * s3c + X)
+
+    assert holds_identically(k2, lambda p: exact_params(p)[0], 8)
+
+
+def test_trisected_sine_route_squares_to_beta_exactly():
+    # s^2 (3 - 4s^2)^2 = 3p^2 (3q - 3p^2)^2/(4q^3): degree 12 against beta.
+    def kappa2(p):
+        s2 = exact_trisected(p)[0]
+        return s2 * (3 - 4 * s2) ** 2
+
+    assert holds_identically(kappa2, lambda p: exact_params(p)[1], 12)
+
+
+def test_complements_sum_to_one_exactly():
+    # p^3(2+p) + (1-p)(1+p)^3 - (1+2p), degree 4, and
+    # 27 p^2 (1+p)^2 + ((1-p)(2+p)(1+2p))^2 - 4q^3, degree 6.
+    one = lambda p: Fraction(1)
+    assert holds_identically(lambda p: exact_params(p)[0] + exact_params(p)[2], one, 4)
+    assert holds_identically(lambda p: exact_params(p)[1] + exact_params(p)[3], one, 6)
+
+
+def test_invariants_complementary_forms_exactly():
+    # g2 and g3 in t = kappa^2 against their forms in lambda^2 = 1 - t:
+    # degrees 1 and 2.
+    assert holds_identically(lambda t: Fraction(4, 27) * (9 - 8 * t),
+                             lambda t: Fraction(4, 27) * (8 * (1 - t) + 1), 1)
+    assert holds_identically(lambda t: Fraction(8, 729) * (27 - (36 - 8 * t) * t),
+                             lambda t: Fraction(8, 729) * ((8 * (1 - t) + 20) * (1 - t) - 1), 2)
+
+
+# --------------------------------------- the two routes in floats ----
+
+
+def test_trisected_route_agrees_with_the_rational_formulas():
+    # The exact identities above, held in floats on the verify grid and on
+    # 10,002 p toward both ends, down to just above P_FLOOR.
+    points = grid_points(0.001, 0.999, 0.001) + toward_both_ends()
+    for p in points:
+        assert max(cross_route_gaps(p)) <= CROSS_ROUTE_TOL, p
 
 
 @pytest.mark.parametrize("p", [i / 10.0 for i in range(1, 10)])
 def test_dual_routes_on_the_decade_grid(p):
-    # alpha against the midpoint-ratio modulus, beta against the trisected
-    # sine route; params_from_p enforces both internally, asserted here too.
-    params = params_from_p(p)
-    kappa_s = params.s * (3.0 - 4.0 * params.s ** 2)
-    assert abs(params.alpha - params.k2) <= 1e-14 * params.alpha
-    assert abs(params.beta - kappa_s ** 2) <= 1e-14 * params.beta
+    assert max(cross_route_gaps(p)) <= CROSS_ROUTE_TOL
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.3, 0.999])
+@pytest.mark.parametrize("shift", [1e-12, 1e-14])
+def test_parametrization_guard_sees_a_wrong_sqrt3(p, shift):
+    # sqrt3 one part in 1e12 (or 1e14) high moves s, and with it the
+    # midpoint-route k2 and the sine-route kappa^2, but leaves the rational
+    # alpha and beta as they are.  At shift 1e-14 the largest gap is 2.0e-14,
+    # 2.4e-14 and 5.0e-14 at the three p: a CROSS_ROUTE_TOL raised by a
+    # factor 2.1 no longer sees it at p = 1e-3.
+    assert max(cross_route_gaps(p, SQRT3 * (1.0 + shift))) > CROSS_ROUTE_TOL
 
 
 @pytest.mark.parametrize("p", [1e-100, 1e-6, 0.001, 0.3, 0.999, math.nextafter(1.0, 0.0)])
@@ -139,59 +223,82 @@ def test_complements_against_exact_rationals(p):
     # 1 - alpha and 1 - beta evaluated in rational arithmetic on the binary p;
     # the float route keeps full relative precision even where they are tiny.
     params = params_from_p(p)
-    x = Fraction(p)
-    alpha = x ** 3 * (2 + x) / (1 + 2 * x)
-    beta = Fraction(27, 4) * x ** 2 * (1 + x) ** 2 / (1 + x + x * x) ** 3
+    alpha, beta = exact_params(Fraction(p))[:2]
     assert rel_err(params.alpha_comp, float(1 - alpha)) <= 1e-15
     assert rel_err(params.beta_comp, float(1 - beta)) <= 1e-15
 
 
 def test_parametrization_refuses_underflowing_alpha():
-    assert params_from_p(1e-100).alpha > 0.0
-    for p in (1e-105, 1e-110):  # alpha subnormal, then zero
-        with pytest.raises(DomainError):
+    # alpha ~ 2p^3 sets the floor.  The p from there up to ~3.25e-103,
+    # where s^3 c ~ 0.65 p^3 of the trisected route leaves the normal
+    # floats, hold every identity to roundoff.
+    assert params_from_p(P_FLOOR).alpha >= sys.float_info.min
+    report = grid_report(P_FLOOR, 3.3e-103, 1e-105)
+    assert len(report.rows) == 108 and report.all_pass
+    assert max(report.max_relerr.values()) <= 1e-15
+    for p in (math.nextafter(P_FLOOR, 0.0), 1e-105, 1e-110):  # alpha subnormal, then zero
+        with pytest.raises(DomainError, match="alpha"):
             params_from_p(p)
 
 
 def params_plain(p):
     """params_from_p's formulas written plainly, with min() clamps and no
-    guard: the reference its tuned body must match bit for bit."""
+    floor: the reference its tuned body must match bit for bit."""
     q = 1.0 + p + p * p
-    sq = math.sqrt(q)
-    s = 0.5 * SQRT3 * p / sq
-    c = 0.5 * (2.0 + p) / sq
-    s2 = s * s
-    X = (8.0 * s2 - 12.0) * s2 + 3.0
-    s3c = s2 * s * c
     alpha = min(1.0, p * p * p * (2.0 + p) / (1.0 + 2.0 * p))
     beta = min(1.0, 6.75 * (p * (1.0 + p)) ** 2 / (q * q * q))
     alpha_comp = min(1.0, (1.0 - p) * (1.0 + p) ** 3 / (1.0 + 2.0 * p))
     beta_comp = min(1.0, ((1.0 - p) * (2.0 + p) * (1.0 + 2.0 * p)) ** 2 / (4.0 * q * q * q))
     r2 = (1.0 + 2.0 * p) / (q * q)
-    k2 = 16.0 * s3c / (8.0 * s3c + SQRT3 * X)
-    return p, s, c, X, s3c, alpha, beta, alpha_comp, beta_comp, r2, k2
+    return p, alpha, beta, alpha_comp, beta_comp, r2
 
 
 def test_params_match_the_plain_formulas_bit_for_bit():
     # On the verify grid and on 10,002 p toward both ends, where the clamps
-    # to 1 fire 1,202 times.  float.hex compares bits, not values.
+    # to 1 fire 1,211 times.  float.hex compares bits, not values.
     points = grid_points(0.001, 0.999, 0.001) + toward_both_ends()
     assert len(points) == 999 + 10_002
     for p in points:
         assert [x.hex() for x in params_from_p(p)] == [x.hex() for x in params_plain(p)], p
 
 
-@pytest.mark.parametrize("p", [1e-3, 0.3, 0.999])
-@pytest.mark.parametrize("shift", [1e-12, 1e-14])
-def test_parametrization_guard_sees_a_wrong_sqrt3(monkeypatch, p, shift):
-    # sqrt3 one part in 1e12 (or 1e14) high moves s, and with it the
-    # midpoint-route k2 and the sine-route kappa^2, but leaves the rational
-    # alpha and beta as they are.  At shift 1e-14 the largest gap is 2.0e-14,
-    # 2.4e-14 and 5.0e-14 at the three p: a CROSS_ROUTE_TOL raised by a
-    # factor 2.1 no longer fires at p = 1e-3.
-    monkeypatch.setattr(sig3.moduli, "SQRT3", SQRT3 * (1.0 + shift))
-    with pytest.raises(ArithmeticError, match=f"routes disagree at p={p}"):
-        params_from_p(p)
+# ------------------------------------------------ modulus to p ----
+
+
+def test_modulus_p_at_transfer_half():
+    # kappa(p = 1/2) = 9 sqrt(21)/49.
+    assert rel_err(modulus_from_kappa(9.0 * math.sqrt(21.0) / 49.0).p, 0.5) < 1e-15
+
+
+def test_modulus_p_carries_kappa_squared_to_beta():
+    # 2,000 kappa: log-spaced from 1e-100 to 1/2, then toward 1 down to
+    # 1 - kappa = 2^-53.  Measured worst 1.12e-15, at kappa = 6.5e-8.
+    kappas = [10.0 ** (-100.0 + (100.0 - math.log10(2.0)) * i / 999) for i in range(1000)]
+    kappas += [1.0 - 2.0 ** (-1.0 - 52.0 * i / 999) for i in range(1000)]
+    assert kappas[-1] == math.nextafter(1.0, 0.0)
+    for kappa in kappas:
+        beta = params_from_p(modulus_from_kappa(kappa).p).beta
+        assert rel_err(beta, float(Fraction(kappa) ** 2)) <= 2e-15, kappa
+
+
+def test_modulus_p_against_40_digit_values():
+    # The same formula at 40 digits, from the float kappa; p ~ (2/sqrt3) s
+    # for small kappa and 1 - p ~ 2^-27 at the float below 1.
+    mpmath = pytest.importorskip("mpmath")
+    kappas = [10.0 ** (-100.0 + 100.0 * i / 150) for i in range(150)]
+    kappas += [1.0 - 10.0 ** -j for j in range(1, 16)] + [math.nextafter(1.0, 0.0)]
+    with mpmath.workdps(40):
+        for kappa in kappas:
+            third = mpmath.asin(mpmath.mpf(kappa)) / 3
+            s, c = mpmath.sin(third), mpmath.cos(third)
+            want = 2 * (s * s + mpmath.sqrt(3) * s * c) / (3 - 4 * s * s)
+            assert abs(modulus_from_kappa(kappa).p - want) <= 1e-15 * want, kappa
+
+
+@pytest.mark.parametrize("p", [i / 10.0 for i in range(1, 10)])
+def test_parametrization_round_trip_on_the_decade_grid(p):
+    # p -> kappa = sqrt(beta) -> p; measured <= 8.9e-16.
+    assert abs(modulus_from_kappa(math.sqrt(params_from_p(p).beta)).p - p) <= 1e-14
 
 
 @given(p=st.floats(min_value=1e-3, max_value=0.999))
@@ -221,7 +328,11 @@ def test_invariants_match_exact_rational_arithmetic():
 
 
 def test_invariants_complementary_form_agreement():
-    for kappa in (0.1, 0.25, 0.5, 0.75, 0.9):
+    # 210 kappa: log-spaced from 1e-8 to 1, then toward 1 down to 1e-15;
+    # measured <= 5.7e-16 for both.
+    kappas = [10.0 ** (-8.0 + 8.0 * i / 150) for i in range(150)]
+    kappas += [1.0 - 10.0 ** (-j / 4.0) for j in range(1, 61)]
+    for kappa in kappas:
         mod = modulus_from_kappa(kappa)
         inv = invariants(mod)
         u = mod.lam ** 2

@@ -314,7 +314,7 @@ def test_grid_report_holds_to_roundoff_on_the_fine_grid():
 
 def test_identities_hold_to_roundoff_toward_both_ends_of_the_domain():
     # 10,002 p: log-spaced toward 0 from just above the underflow floor of
-    # params_from_p (~3.25e-103), and toward 1 with 1 - p down to 2^-53.
+    # params_from_p (~2.2324e-103), and toward 1 with 1 - p down to 2^-53.
     # The module docstring bounds every residual by 1e-15 on (0, 1), and
     # each rhs stays well clear of 0 (rhs58 is smallest, 0.0815 at
     # p = 1 - 2^-53), so a residual is divided by rhs with no guard.
