@@ -33,13 +33,13 @@ from .delta import (
     delta_phase,
     dn3,
     half_periods_sig3,
+    period_route_gap,
     verify_ode_delta,
     verify_trimidiation,
 )
 from .transfer import (
     DEFAULT_TOL,
     grid_report,
-    period_route_gap,
     verify_identity56,
     verify_identity57,
     verify_identity58,

@@ -7,6 +7,11 @@ usage or domain errors.  A reader that closes standard output early (as in
 ``sig3 verify | head -1``) is not a failure: the output stops without a
 message and the exit code is the verdict, which each handler computes
 before it returns the function that writes its output.
+
+The front end imports no private name: a ``delta`` profile prints the
+reference route's gap and ODE residual from its certificate,
+``delta.verify_ode_delta``, one call per row.  Negative numbers are values
+in every form ``float`` reads, "-1e-5" and "-inf" included.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from itertools import product
 from typing import IO, Callable, Sequence
 
-from .delta import (DeltaContext, _ode_residual, _reference_delta, delta, delta_phase, dn3,
-                    half_periods_sig3)
+from .delta import DeltaContext, delta, dn3, half_periods_sig3, period_route_gap, verify_ode_delta
 from .errors import ConfigError, DomainError, Sig3Error
 from .hypergeom import f2, f3, f_half
 from .moduli import ModulusSet, modulus_from_kappa
@@ -30,7 +35,6 @@ from .transfer import (
     VerificationRow,
     grid_points,
     grid_report,
-    period_route_gap,
 )
 
 # CSV columns are the VerificationRow fields: the floats, then from pass56
@@ -44,6 +48,13 @@ _LINE_ENDS = {
 }
 
 EVAL_FUNCTIONS = {"f2": f2, "f3": f3, "fhalf": f_half}
+
+# argparse reads an argument that starts with "-" as an option unless it
+# matches its negative-number pattern, which has no exponent and no
+# infinity: "--u -1e-5" would lack its value.  This prefix, each parser's
+# pattern from _build_parser on, matches every negative float literal, and
+# float() then judges the whole argument.
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def emit_csv(report: VerificationReport, sink: IO[str]) -> None:
@@ -129,9 +140,9 @@ def _cmd_delta(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
 
 def _profile_lines(ctx: DeltaContext, samples: int) -> list[str]:
     """delta on a uniform grid over [0, 2 omega], its gaps to the
-    integral-inversion route and to dn3, and the ODE residual; one
-    inversion of the arc integral and one reference (delta, delta') per
-    point serve both the gap and the residual."""
+    integral-inversion route and to dn3, and the ODE residual.  Each row's
+    gap and residual are the reference route's certificate
+    ``verify_ode_delta`` at its one u: one inversion of the arc integral."""
     mod = ctx.modulus
     omega = ctx.omega
     lines = [
@@ -142,14 +153,13 @@ def _profile_lines(ctx: DeltaContext, samples: int) -> list[str]:
     for i in range(samples):
         u = 2.0 * omega * i / (samples - 1)
         d = delta(u, ctx)
-        ref, ref_prime = _reference_delta(delta_phase(u, ctx), ctx)
-        inv_gap = abs(ref - d)
+        inv_gap, residual = verify_ode_delta(ctx, (u,))
         # dn3 refuses the lattice points 0 and 2 omega, the poles of its
         # 1/sn^2 (dn3 itself tends to 1 there)
         near_pole = min(u, abs(2.0 * omega - u)) < 1e-6
         dn3_gap = float("nan") if near_pole else abs(dn3(u, mod) - d)
         if not near_pole:
-            worst = max(worst, _ode_residual(ref, ref_prime, mod.lam))
+            worst = max(worst, residual)
         lines.append(f"{u:10.5f} {d:20.15f} {inv_gap:14.3e} {dn3_gap:14.3e}")
     lines.append(f"\nmax scaled ODE residual over the interior grid: {worst:.3e}")
     return lines
@@ -187,6 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
     at.add_argument("--u", type=float, help="print delta(u)")
     at.add_argument("--samples", type=int, help="profile delta at this many points over one period")
     dlt.set_defaults(handler=_cmd_delta)
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -35,8 +35,9 @@ context's ladder.  Neither calls ``wp`` or builds invariants.
 
 The reference route is the paper's own construction, inverting G by
 Halley steps over adaptive quadrature of the closed-form kernel
-(``delta_integral``, ``delta_phase``); the tests and ``sig3 delta
---samples`` check the production route against it.
+(``delta_integral``, ``delta_phase``); ``verify_ode_delta``, which the
+tests and ``sig3 delta --samples`` run, checks the production route
+against it.
 ``quadrature.integrate`` holds one error budget per integral: it splits
 the 15-point Gauss-Legendre interval whose panel disagrees most with the
 sum of its halves until the estimates sum to QUAD_TOL, and no panel is
@@ -52,14 +53,15 @@ Near kappa = 1 - 1e-10 a one-ulp step in T moves G by more than QUAD_TOL,
 and the inversion raises NonConvergence as soon as a Halley step rounds to
 nothing, rather than return a T short of it.
 
-Two certificates live here with what they certify: ``verify_ode_delta``
-the reference route's kernel, and ``verify_trimidiation`` ``dn3``'s own
-bridge b + v^2, formed in one place, ``_shifted``.
-
-The signature-three half periods through F(1/3, 2/3; 1; .) live here
-too; ``transfer.period_route_gap`` holds them against the classical route
-through F(1/2, 1/2; 1; .) at the transfer arguments, an agreement that is
-the analytic content of the transfer identities.
+Three certificates live here with what they certify.
+``verify_ode_delta`` holds ``delta`` against the reference route and that
+route's kernel to the paper's ODE, with one inversion per u.
+``verify_trimidiation`` holds ``dn3``'s own bridge b + v^2, formed in one
+place, ``_shifted``, to Velu's identity.  ``period_route_gap`` holds the
+signature-three half periods through F(1/3, 2/3; 1; .) against the
+classical route through F(1/2, 1/2; 1; .) at the transfer arguments, an
+agreement that is the analytic content of the transfer identities.  This
+is the one module that reaches into ``weierstrass``'s private names.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ from typing import Sequence
 
 from .errors import ConfigError, DomainError, NonConvergence, PoleError
 from .hypergeom import f3_complement
-from .moduli import ModulusSet, midpoint_gaps, modulus_from_kappa
+from .moduli import SQRT3, ModulusSet, midpoint_gaps, modulus_from_kappa, params_from_p
 from .quadrature import integrate
-from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_sn
+from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_sn, _jacobi_half_periods
 
 # The tolerance of the reference route: absolute, on each quadrature of G
 # and on the residual G(T) - u of its inversion.
@@ -147,8 +149,23 @@ def _sig3_half_periods(k2: float, k2_comp: float) -> HalfPeriodPair:
     half_pi = 0.5 * math.pi
     return HalfPeriodPair(
         omega=half_pi * f3_complement(k2_comp),
-        omega_prime=1j * (math.sqrt(3.0) * half_pi * f3_complement(k2)),
+        omega_prime=1j * (SQRT3 * half_pi * f3_complement(k2)),
     )
+
+
+def period_route_gap(p: float) -> tuple[float, float]:
+    """Relative disagreement of the two half-period routes at parameter p.
+
+    Returns the gaps for omega and for -i omega'.  This is the geometric
+    restatement of identities 56 and 57 and should track their residuals
+    to within a decade.
+    """
+    params = params_from_p(p)
+    sig = _sig3_half_periods(params.beta, params.beta_comp)
+    jac = _jacobi_half_periods(params.alpha, params.alpha_comp, math.sqrt(params.r2))
+    gap_re = abs(sig.omega - jac.omega) / sig.omega
+    gap_im = abs(sig.omega_prime.imag - jac.omega_prime.imag) / sig.omega_prime.imag
+    return gap_re, gap_im
 
 
 def _arc(kappa: float):
@@ -232,23 +249,26 @@ def _invert_in_quarter(u: float, ctx: DeltaContext) -> float:
 def delta_phase(u: float, ctx: DeltaContext) -> float:
     """T(u), the inverse of G, for any real u.
 
-    u is reduced modulo the period 2 omega and reflected into [0, omega],
-    where the inversion runs on a single monotone branch; the ambient
-    branch is restored afterwards, making T a global increasing bijection.
-    Its domain is that of ``delta``: a u that is not finite or has
+    T is odd, T(-u) = -T(u) bitwise: |u| is reduced modulo the period
+    2 omega and reflected into [0, omega], where the inversion runs on a
+    single monotone branch; the ambient branch and the sign of u are
+    restored afterwards, making T a global increasing bijection.  (Reducing
+    a small negative u into cell -1 would cost it its digits.)  Its domain
+    is that of ``delta``: a u that is not finite or has
     |u| >= ``WP_MAX_MODULUS`` raises DomainError.
     """
-    if not abs(u) < WP_MAX_MODULUS:
+    size = abs(u)
+    if not size < WP_MAX_MODULUS:
         raise DomainError(f"argument {u} is not finite, or too large to reduce onto the period")
     omega = ctx.omega
     period = 2.0 * omega
-    cells = math.floor(u / period)
-    v = u - cells * period
+    cells = math.floor(size / period)
+    v = size - cells * period
     if v <= omega:
         branch = _invert_in_quarter(v, ctx)
     else:
         branch = math.pi - _invert_in_quarter(period - v, ctx)
-    return cells * math.pi + branch
+    return math.copysign(cells * math.pi + branch, u)
 
 
 def delta(u: float, ctx: DeltaContext) -> float:
@@ -305,34 +325,34 @@ def _shifted(z: complex, ctx: DeltaContext) -> complex:
     return ctx.bridge_b + v * v
 
 
-def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> float:
-    """Maximum scaled residual of 9 (delta')^2 = 4(1-delta)(delta^3+3delta^2-4lambda^2).
+def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> tuple[float, float]:
+    """The reference route's certificate over ``u_grid``: (gap, residual).
 
-    delta and delta' are evaluated analytically at the phase T(u) by the
-    reference route's arc form (finite differences would dominate the
-    residual budget).  Residuals are scaled by 1 + delta^4.  The residual
-    depends on T alone and holds at every T, whether or not T inverts G at
-    u: it certifies the arc kernel's closed form and its derivative, while
-    the quadrature and the inversion, which take nearly all of the call's
-    time, are certified by |delta - inv| (``sig3 delta --samples``).  An
-    empty ``u_grid`` raises ConfigError: a maximum over no point certifies
-    nothing.
+    One inversion per u gives the phase T(u), and ``_reference_delta``
+    evaluates delta = 1/F and delta' there analytically (finite
+    differences would dominate the residual budget).  ``gap`` is the worst
+    |delta - inv|, ``delta(u)`` against that 1/F: it certifies the
+    quadrature, the inversion and the production route's bridge together.
+    ``residual`` is the worst residual of the paper's ODE
+
+        9 (delta')^2 = 4(1-delta)(delta^3+3delta^2-4lambda^2),
+
+    scaled by 1 + delta^4.  It depends on T alone and holds at every T,
+    whether or not T inverts G at u: it certifies the arc kernel's closed
+    form and its derivative.  The inversions take nearly all of the call's
+    time.  An empty ``u_grid`` raises ConfigError: a maximum over no point
+    certifies nothing.
     """
     if not u_grid:
         raise ConfigError("verify_ode_delta needs at least one u; u_grid is empty")
-    lam = ctx.modulus.lam
-    worst = 0.0
+    lam2 = ctx.modulus.lam ** 2
+    gap = residual = 0.0
     for u in u_grid:
-        worst = max(worst, _ode_residual(*_reference_delta(delta_phase(u, ctx), ctx), lam))
-    return worst
-
-
-def _ode_residual(d: float, d_prime: float, lam: float) -> float:
-    """The scaled residual of ``verify_ode_delta`` for the reference pair
-    (delta, delta') of ``_reference_delta`` and the complementary modulus."""
-    lhs = 9.0 * d_prime * d_prime
-    rhs = 4.0 * (1.0 - d) * (d * d * (d + 3.0) - 4.0 * lam ** 2)
-    return abs(lhs - rhs) / (1.0 + d ** 4)
+        ref, ref_prime = _reference_delta(delta_phase(u, ctx), ctx)
+        gap = max(gap, abs(ref - delta(u, ctx)))
+        rhs = 4.0 * (1.0 - ref) * (ref * ref * (ref + 3.0) - 4.0 * lam2)
+        residual = max(residual, abs(9.0 * ref_prime * ref_prime - rhs) / (1.0 + ref ** 4))
+    return gap, residual
 
 
 def verify_trimidiation(kappa: float, z_samples: Sequence[complex]) -> float:
@@ -363,7 +383,7 @@ def verify_trimidiation(kappa: float, z_samples: Sequence[complex]) -> float:
     low_comp, high_comp, _ = midpoint_gaps(comp)
     spread, spread_comp = low + high, low_comp + high_comp  # e1 - e3 of each
     w = 2.0 * half_periods_sig3(mod).omega_prime / 3.0
-    rot = math.sqrt(3.0) * 1j
+    rot = SQRT3 * 1j
     worst = 0.0
     for z in z_samples:
         lhs = spread * (_shifted(z, ctx) + (_shifted(z + w, ctx) + _shifted(z - w, ctx)))

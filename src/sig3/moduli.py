@@ -71,7 +71,7 @@ class ModulusSet(NamedTuple("ModulusSet", [("kappa", float), ("lam", float), ("t
 
 class TransferParams(NamedTuple):
     """The parameter p with the transfer quantities a verify row and
-    ``transfer.period_route_gap`` read, as a named tuple: it unpacks,
+    ``delta.period_route_gap`` read, as a named tuple: it unpacks,
     indexes and compares equal to a plain tuple.
 
     alpha is the squared Jacobi modulus and beta = kappa^2; alpha_comp and
@@ -161,7 +161,7 @@ def midpoint_gaps(mod: ModulusSet) -> tuple[float, float, float]:
     s, c = math.sin(theta / 3.0), math.cos(theta / 3.0)
     phi = 2.0 * math.atan2(lam, kappa) / 3.0
     low = (16.0 * SQRT3 / 9.0) * s * s * s * c
-    if low < sys.float_info.min:
+    if low < _FLOAT_MIN:
         raise DomainError(f"modulus {kappa} is too small: e2 - e3 ~ 0.11 kappa^3 underflows")
     high = (4.0 * SQRT3 / 9.0) * math.sin(phi) * (1.0 + math.cos(phi))
     shift = (4.0 / 9.0) * s * s * (3.0 - 2.0 * s * s - 2.0 * SQRT3 * s * c)

@@ -25,10 +25,11 @@ verdict column by column over the rows.  Rows, reports and the
 per-identity ``IdentityCheck`` are named tuples: they unpack, index and
 compare equal to plain tuples.
 
-Besides the identities the module holds the two half-period routes
-(``period_route_gap``) and the grid.  The certificates of delta and dn3,
-``verify_ode_delta`` and ``verify_trimidiation``, live in ``delta`` with
-the bridge and the reference route they certify.
+Besides the identities the module holds only the grid.  The other
+certificates, ``period_route_gap`` of the two half-period routes and
+``verify_ode_delta`` and ``verify_trimidiation`` of delta and dn3, live in
+``delta`` with the periods, the bridge and the reference route they
+certify; this module imports nothing from ``delta`` or ``weierstrass``.
 """
 
 from __future__ import annotations
@@ -36,11 +37,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .delta import _sig3_half_periods
 from .errors import ConfigError
 from .hypergeom import f2_complement, f3_complement
 from .moduli import SQRT3, params_from_p
-from .weierstrass import _jacobi_half_periods
 
 DEFAULT_TOL = 1e-10
 MAX_GRID_POINTS = 1_000_000  # larger grids are refused before any point is built
@@ -123,21 +122,6 @@ def verify_identity58(p: float, tol: float = DEFAULT_TOL) -> IdentityCheck:
     """F2(1-alpha)/F2(alpha) against sqrt3 F3(1-beta)/F3(beta)."""
     row = _transfer_row(p, tol)
     return IdentityCheck(row.lhs58, row.rhs58, row.relerr58, row.pass58)
-
-
-def period_route_gap(p: float) -> tuple[float, float]:
-    """Relative disagreement of the two half-period routes at parameter p.
-
-    Returns the gaps for omega and for -i omega'.  This is the geometric
-    restatement of identities 56 and 57 and should track their residuals
-    to within a decade.
-    """
-    params = params_from_p(p)
-    sig = _sig3_half_periods(params.beta, params.beta_comp)
-    jac = _jacobi_half_periods(params.alpha, params.alpha_comp, math.sqrt(params.r2))
-    gap_re = abs(sig.omega - jac.omega) / sig.omega
-    gap_im = abs(sig.omega_prime.imag - jac.omega_prime.imag) / sig.omega_prime.imag
-    return gap_re, gap_im
 
 
 def grid_points(start: float, stop: float, step: float) -> list[float]:

@@ -22,7 +22,7 @@ The lattice of (g2, g3) has one private home, ``_lattice``: it solves
 Jacobi modulus k^2 = (e2-e3)/(e1-e3) off them, and builds the cell from the
 half periods omega = K/sqrt(e1-e3), omega' = iK'/sqrt(e1-e3), with the
 quarter periods K and K' through the AGM (``_jacobi_half_periods``, which
-``delta`` and ``transfer`` share).  The lattice of a modulus kappa needs no
+``delta.period_route_gap`` shares).  The lattice of a modulus kappa needs no
 cubic: ``delta.DeltaContext`` builds it from the closed-form midpoint gaps.
 """
 

@@ -11,11 +11,11 @@ import sig3
 import sig3.cli
 import sig3.transfer
 from sig3.cli import CSV_HEADER, emit_csv, main
-from sig3.delta import DeltaContext, delta, half_periods_sig3, verify_ode_delta
+from sig3.delta import DeltaContext, delta, half_periods_sig3, period_route_gap, verify_ode_delta
 from sig3.errors import ConfigError
 from sig3.hypergeom import f2
 from sig3.moduli import modulus_from_kappa
-from sig3.transfer import VerificationRow, grid_points, grid_report, period_route_gap
+from sig3.transfer import VerificationRow, grid_points, grid_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 delta_module = importlib.import_module("sig3.delta")  # sig3.delta is the function
@@ -245,6 +245,24 @@ def test_delta_subcommand_domain_error(capsys):
     assert main(["eval", "fhalf", "0.9999"]) == 0
 
 
+def test_negative_exponent_form_is_a_value(capsys):
+    # argparse's own negative-number pattern has no exponent, so "-1e-5"
+    # was taken for an option and --u lacked its value.
+    assert main(["delta", "--kappa", "0.6", "--u=-1e-5"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["delta", "--kappa", "0.6", "--u", "-1e-5"]) == 0
+    assert capsys.readouterr().out == joined == "0.999999999984\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["delta", "--kappa", "0.6", "--u", "-inf"], "argument -inf is not finite"),
+    (["eval", "f2", "-1e-3"], "f2 argument must lie in [0, 1), got -0.001"),
+])
+def test_negative_literal_reaches_the_domain_check(capsys, args, message):
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     ("--kappa", "0.6", "--samples", "1"),
     ("--kappa", "0.6", "--samples", "0"),
@@ -307,33 +325,32 @@ def test_delta_profile_inverts_once_per_point(capsys, monkeypatch):
     # column and the ODE residual, and so does one reference (delta,
     # delta') outside the inversion; the Halley steps inside it make the
     # other 45 reference evaluations.
-    calls = []
-    counted = sig3.cli.delta_phase
+    calls, running, outside, inside = [], [], [], []
+    phase = delta_module.delta_phase
+    reference = delta_module._reference_delta
 
     def counting(u, ctx):
         calls.append(u)
-        return counted(u, ctx)
+        running.append(u)
+        try:
+            return phase(u, ctx)
+        finally:
+            running.pop()
 
-    outside, inside = [], []
-    reference = delta_module._reference_delta
+    def counting_reference(T, ctx):
+        # A call made while no inversion runs is the row's own.
+        (inside if running else outside).append(T)
+        return reference(T, ctx)
 
-    def counting_reference(into):
-        def wrapped(T, ctx):
-            into.append(T)
-            return reference(T, ctx)
-        return wrapped
-
-    monkeypatch.setattr(sig3.cli, "delta_phase", counting)
     monkeypatch.setattr(delta_module, "delta_phase", counting)
-    monkeypatch.setattr(sig3.cli, "_reference_delta", counting_reference(outside))
-    monkeypatch.setattr(delta_module, "_reference_delta", counting_reference(inside))
+    monkeypatch.setattr(delta_module, "_reference_delta", counting_reference)
     assert main(["delta", "--kappa", "0.6", "--samples", "17"]) == 0
     assert len(calls) == 17
     assert len(outside) == 17
     assert len(outside) + len(inside) == 62
     monkeypatch.undo()
     ctx = DeltaContext(modulus_from_kappa(0.6))
-    worst = verify_ode_delta(ctx, [2.0 * ctx.omega * i / 16 for i in range(1, 16)])
+    worst = verify_ode_delta(ctx, [2.0 * ctx.omega * i / 16 for i in range(1, 16)])[1]
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == f"max scaled ODE residual over the interior grid: {worst:.3e}"
 

@@ -69,7 +69,7 @@ def test_half_periods_at_transfer_modulus():
 def _jacobi_route(p):
     """Half periods through the classical basis at transfer parameter p:
     r omega = (pi/2) F(1/2, 1/2; 1; alpha), r omega' = i (pi/2) F(1/2, 1/2;
-    1; 1 - alpha), r = sqrt(e1 - e3), as ``transfer.period_route_gap`` takes
+    1; 1 - alpha), r = sqrt(e1 - e3), as ``delta.period_route_gap`` takes
     them."""
     params = params_from_p(p)
     return _jacobi_half_periods(params.alpha, params.alpha_comp, math.sqrt(params.r2))
@@ -187,6 +187,13 @@ def test_delta_phase_is_the_inverse(ctx06, omega06):
     # global structure: adding a period advances the phase by pi
     t = delta_phase(0.4, ctx06)
     assert abs(delta_phase(0.4 + 2.0 * omega06, ctx06) - (t + math.pi)) < 1e-9
+
+
+def test_delta_phase_is_odd_bitwise(ctx06, omega06):
+    # Reduced into cell -1, a small negative u lost its digits: 8.3e-8
+    # relative at u = -1e-10.
+    for u in (1e-10, 1e-6, 0.3, omega06, 5.0):
+        assert delta_phase(-u, ctx06) == -delta_phase(u, ctx06), u
 
 
 def test_delta_phase_monotone(ctx06, omega06):

@@ -11,7 +11,8 @@ import sig3.moduli
 import sig3.transfer
 import sig3.weierstrass
 from sig3.cli import emit_csv
-from sig3.delta import DeltaContext, half_periods_sig3, verify_ode_delta, verify_trimidiation
+from sig3.delta import (DeltaContext, half_periods_sig3, period_route_gap, verify_ode_delta,
+                        verify_trimidiation)
 from sig3.errors import ConfigError
 from sig3.moduli import modulus_from_kappa, params_from_p
 from sig3.transfer import (
@@ -19,7 +20,6 @@ from sig3.transfer import (
     MAX_GRID_POINTS,
     grid_points,
     grid_report,
-    period_route_gap,
     verify_identity56,
     verify_identity57,
     verify_identity58,
@@ -114,11 +114,40 @@ def test_identity58_error_is_dominated_by_56_and_57():
 
 def test_delta_ode_residual_at_sample_points():
     for kappa in (0.3, 0.6, 0.9):
-        assert verify_ode_delta(DeltaContext(modulus_from_kappa(kappa)), (0.2, 0.5, 0.9)) <= 1e-9
+        assert verify_ode_delta(DeltaContext(modulus_from_kappa(kappa)), (0.2, 0.5, 0.9))[1] <= 1e-9
 
 
 def test_delta_ode_residual_vanishes_at_zero():
-    assert verify_ode_delta(DeltaContext(modulus_from_kappa(0.6)), (0.0,)) < 1e-14
+    gap, residual = verify_ode_delta(DeltaContext(modulus_from_kappa(0.6)), (0.0,))
+    assert gap == 0.0 and residual < 1e-14
+
+
+# The worst unbiased |delta - inv| on the 17-point profile grid, measured
+# from kappa = 0.05 to 0.999999, is 1.55e-15 at 0.999999 (3.11e-15 at
+# 0.99999, which these tests do not hold).
+_UNBIASED_GAP = 2e-15
+
+
+def _profile_certificate(ctx):
+    return verify_ode_delta(ctx, [2.0 * ctx.omega * i / 16 for i in range(17)])
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9, 0.999999])
+def test_reference_certificate_gap_is_roundoff(kappa):
+    assert _profile_certificate(DeltaContext(modulus_from_kappa(kappa)))[0] <= _UNBIASED_GAP
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
+def test_reference_certificate_sees_a_biased_bridge(kappa):
+    # bridge_a moved by one part in 1e13 reads 4.0e-15, 1.8e-14 and 5.3e-14
+    # at kappa = 0.3, 0.6 and 0.9.  The ODE residual depends on T alone, so
+    # it does not move at all: only the gap sees the bias.
+    ctx = DeltaContext(modulus_from_kappa(kappa))
+    biased = DeltaContext(ctx.modulus)
+    object.__setattr__(biased, "bridge_a", ctx.bridge_a * (1.0 + 1e-13))
+    gap, residual = _profile_certificate(biased)
+    assert gap >= 1e-15 and gap > _UNBIASED_GAP
+    assert residual == _profile_certificate(ctx)[1]
 
 
 def test_delta_ode_refuses_an_empty_sample():
