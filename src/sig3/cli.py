@@ -9,7 +9,7 @@ message and the exit code is the verdict, which each handler computes
 before it returns the function that writes its output.
 
 The front end imports no private name: a ``delta`` profile prints the
-reference route's gap and ODE residual from its certificate,
+reference route's gap, |G(T) - u| and ODE residual from its certificate,
 ``delta.verify_ode_delta``, one call per row.  Negative numbers are values
 in every form ``float`` reads, "-1e-5" and "-inf" included.
 """
@@ -139,28 +139,28 @@ def _cmd_delta(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
 
 
 def _profile_lines(ctx: DeltaContext, samples: int) -> list[str]:
-    """delta on a uniform grid over [0, 2 omega], its gaps to the
-    integral-inversion route and to dn3, and the ODE residual.  Each row's
-    gap and residual are the reference route's certificate
-    ``verify_ode_delta`` at its one u: one inversion of the arc integral."""
+    """delta on a uniform grid over [0, 2 omega], its gaps to the reference
+    route and to dn3, the phase's |G(T) - u| and the ODE residual.  Each
+    row's gaps and residual are the reference route's certificate
+    ``verify_ode_delta`` at its one u: one arc integral over [0, T(u)]."""
     mod = ctx.modulus
     omega = ctx.omega
     lines = [
         f"kappa = {mod.kappa}   omega = {omega!r}   period = {2 * omega!r}",
-        f"{'u':>10} {'delta(u)':>20} {'|delta - inv|':>14} {'|delta - dn3|':>14}",
+        f"{'u':>10} {'delta(u)':>20} {'|delta - inv|':>14} {'|delta - dn3|':>14} {'|G(T) - u|':>14}",
     ]
     worst = 0.0
     for i in range(samples):
         u = 2.0 * omega * i / (samples - 1)
         d = delta(u, ctx)
-        inv_gap, residual = verify_ode_delta(ctx, (u,))
+        inv_gap, residual, phase_gap = verify_ode_delta(ctx, (u,))
         # dn3 refuses the lattice points 0 and 2 omega, the poles of its
         # 1/sn^2 (dn3 itself tends to 1 there)
         near_pole = min(u, abs(2.0 * omega - u)) < 1e-6
         dn3_gap = float("nan") if near_pole else abs(dn3(u, mod) - d)
         if not near_pole:
             worst = max(worst, residual)
-        lines.append(f"{u:10.5f} {d:20.15f} {inv_gap:14.3e} {dn3_gap:14.3e}")
+        lines.append(f"{u:10.5f} {d:20.15f} {inv_gap:14.3e} {dn3_gap:14.3e} {phase_gap:14.3e}")
     lines.append(f"\nmax scaled ODE residual over the interior grid: {worst:.3e}")
     return lines
 

@@ -33,29 +33,29 @@ complex z, reduced into the centred cell of the lattice of kappa itself,
 take v = 1/sn from the Gauss recursion ``weierstrass._inv_sn`` on the
 context's ladder.  Neither calls ``wp`` or builds invariants.
 
-The reference route is the paper's own construction, inverting G by
-Halley steps over adaptive quadrature of the closed-form kernel
-(``delta_integral``, ``delta_phase``); ``verify_ode_delta``, which the
-tests and ``sig3 delta --samples`` run, checks the production route
-against it.
-``quadrature.integrate`` holds one error budget per integral: it splits
-the 15-point Gauss-Legendre interval whose panel disagrees most with the
-sum of its halves until the estimates sum to QUAD_TOL, and no panel is
-evaluated twice.  The
-inversion integrates [0, T] once, then only each step, and stops once
-|G(T) - u| <= QUAD_TOL.  The kernel is formed from
-cos z = sqrt(cos^2 t + lambda^2 sin^2 t), so it keeps its digits at the
-peak t = pi/2.  The two routes agree to 1e-14 relative up to
-kappa = 0.999 and to 1.9e-13 up to kappa = 0.999999.  There the gap is
-the conditioning of delta near u = omega, where one ulp of T moves delta
-by ~8e-14 relative, and both routes are that close to 30-digit values.
-Near kappa = 1 - 1e-10 a one-ulp step in T moves G by more than QUAD_TOL,
-and the inversion raises NonConvergence as soon as a Halley step rounds to
-nothing, rather than return a T short of it.
+The paper's construction is the reference route.  Its phase T(u) has a
+closed form in the sn that ``delta`` already computes, since the transfer
+principle of Berndt, Bhargava and Garvan (Trans. AMS 347 (1995)) also holds
+for the incomplete integral: ``delta_phase`` evaluates it with no
+root-finding.  What the paper defines, G(T(u)) = u and delta = 1/F at
+T(u), is then checked by ``verify_ode_delta``, which the tests and
+``sig3 delta --samples`` run.  It integrates G by adaptive quadrature of
+the closed-form kernel, as ``delta_integral`` does from 0.
+``quadrature.integrate`` holds one error budget per integral: it splits the 15-point Gauss-Legendre
+interval whose panel disagrees most with the sum of its halves until the
+estimates sum to QUAD_TOL, and no panel is evaluated twice.  The kernel is
+formed from cos z = sqrt(cos^2 t + lambda^2 sin^2 t), so it keeps its
+digits at the peak t = pi/2.  The phase is within 1e-14 of 50-digit values
+from kappa = 1e-100 to 1 - 2^-52.  delta agrees with 1/F at T(u) to 1e-14
+relative up to kappa = 0.999 and to 1.9e-13 up to kappa = 0.999999, the
+conditioning of delta near u = omega and its final subtraction.  Near
+kappa = 1, G' = F ~ 1/lambda, so |G(T(u)) - u| grows as F(T) ulp(T):
+4.6e-12 at kappa = 1 - 1e-10.
 
 Three certificates live here with what they certify.
-``verify_ode_delta`` holds ``delta`` against the reference route and that
-route's kernel to the paper's ODE, with one inversion per u.
+``verify_ode_delta`` holds ``delta`` and the phase against the paper's
+definition and the reference kernel to the paper's ODE, with one running
+integral over its grid.
 ``verify_trimidiation`` holds ``dn3``'s own bridge b + v^2, formed in one
 place, ``_shifted``, to Velu's identity.  ``period_route_gap`` holds the
 signature-three half periods through F(1/3, 2/3; 1; .) against the
@@ -71,14 +71,13 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import ConfigError, DomainError, NonConvergence, PoleError
+from .errors import ConfigError, DomainError, PoleError
 from .hypergeom import f3_complement
 from .moduli import SQRT3, ModulusSet, midpoint_gaps, modulus_from_kappa, params_from_p
 from .quadrature import integrate
 from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_sn, _jacobi_half_periods
 
-# The tolerance of the reference route: absolute, on each quadrature of G
-# and on the residual G(T) - u of its inversion.
+# The tolerance of the reference route: absolute, on each quadrature of G.
 QUAD_TOL = 1e-12
 
 
@@ -87,28 +86,34 @@ class DeltaContext:
 
     Every field but the modulus is derived once, at construction, from the
     closed forms of ``moduli.midpoint_gaps`` and ``half_periods_sig3``: omega,
-    the bridge constants a and b, and ``cell``, the lattice of
-    kappa with the Gauss ladder of k (``weierstrass._Cell``).  ``delta``
-    reads the ladder's scale from the slot ``bridge_scale``, faster to read
-    than a tuple field.  ``dn3`` shares one context per modulus, so no field
-    can be reassigned.  Every kappa in (0, 1) from ~5.8e-103 up is accepted;
-    below, e2 - e3 ~ 0.11 kappa^3 is not a normal float: DomainError.
+    the bridge constants a and b, ``cell``, the lattice of kappa with the
+    Gauss ladder of k (``weierstrass._Cell``), and ``phase_terms``, the
+    (c, r, k'^2) of ``delta_phase``'s closed form: c = 1 + b - a/3,
+    r = sqrt(e1 - e3) and k'^2 = (e1 - e2)/(e1 - e3) = 1 - alpha(p).
+    ``delta`` reads the ladder's scale from the slot ``bridge_scale``,
+    faster to read than a tuple field.  ``dn3`` shares one context per
+    modulus, so no field can be reassigned.  Every kappa in (0, 1) from
+    ~5.8e-103 up is accepted; below, e2 - e3 ~ 0.11 kappa^3 is not a normal
+    float: DomainError.
     """
 
-    __slots__ = ("modulus", "omega", "bridge_scale", "bridge_a", "bridge_b", "cell")
+    __slots__ = ("modulus", "omega", "bridge_scale", "bridge_a", "bridge_b", "cell", "phase_terms")
 
     def __init__(self, modulus: ModulusSet):
         low, high, shift = midpoint_gaps(modulus)
         spread = low + high  # e1 - e3
+        r, k2_comp = math.sqrt(spread), high / spread
         periods = half_periods_sig3(modulus)
-        cell = _cell(periods, math.sqrt(spread), low / spread, high / spread)
+        cell = _cell(periods, r, low / spread, k2_comp)
+        a, b = (4.0 / 9.0) * modulus.kappa * modulus.kappa / spread, shift / spread
         fields = {
             "modulus": modulus,
             "omega": periods.omega,
             "bridge_scale": cell.scale,
-            "bridge_a": (4.0 / 9.0) * modulus.kappa * modulus.kappa / spread,
-            "bridge_b": shift / spread,
+            "bridge_a": a,
+            "bridge_b": b,
             "cell": cell,
+            "phase_terms": (1.0 + b - a / 3.0, r, k2_comp),
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -205,57 +210,56 @@ def _reference_delta(T: float, ctx: DeltaContext) -> tuple[float, float]:
 
 
 def delta_integral(T: float, ctx: DeltaContext) -> float:
-    """G(T): the arc integral of F(1/3, 2/3; 1/2; kappa^2 sin^2 t) up to T (odd in T)."""
+    """G(T): the arc integral of F(1/3, 2/3; 1/2; kappa^2 sin^2 t) up to T (odd in T).
+    A T that is not finite raises DomainError."""
+    if not math.isfinite(T):
+        raise DomainError(f"phase {T} is not finite")
     return integrate(_arc(ctx.modulus.kappa), 0.0, T, QUAD_TOL)
 
 
-def _invert_in_quarter(u: float, ctx: DeltaContext) -> float:
-    """Solve G(T) = u for T, for u in [0, omega], by Halley's method (Newton's
-    with G'' = F' from ``_reference_delta``) within a bisection bracket;
-    G' = F >= 1 keeps the problem well conditioned.
+def _phase_in_quarter(w: float, ctx: DeltaContext) -> float:
+    """T(w) for w in [0, omega], in closed form in sn = 1/v on the ladder.
 
-    G is carried as a running sum: one integral up to the first guess, then
-    one over each step.  The iteration stops once |G(T) - u| <= QUAD_TOL
-    and returns the step from there, whose error is of the order of the
-    cube of that residual.  A step that rounds to nothing before then
-    means one ulp of T moves G by more than QUAD_TOL: NonConvergence at
-    once, naming the residual left.
+    The bridge delta = 1 - a x/(1 + b x), x = sn^2, and delta = 1/F with
+    F = cos(z/3)/cos z, sin z = kappa sin T, give the transfer principle
+    for the incomplete integral, with r^2 = e1 - e3:
+
+        cos T = cn dn / (1 + b x)^(3/2),
+        sin T = sn (3 + (3b - a) x) / (3 r (1 + b x)^(3/2)).
+
+    Their squares sum to 1 exactly (tests/test_moduli.py proves it in p).
+    Dividing both by sn^3/(1 + b x)^(3/2), with t = cn^2/sn^2 = v^2 - 1,
+    gives T = atan2(c + t, r sqrt((1 + t) t (t + k'^2))), c = 1 + b - a/3.
+    Past omega/2, v^2 - 1 would cancel, so t = k'^2/t(omega - w), from
+    cs(K - x) = k' sc(x); omega - w is exact, and omega scale = pi/2 on the
+    ladder to a few ulps.  Below 2^-28, T = w - (4/27) kappa^2 w^3 rounds
+    to w.
     """
-    kernel = _arc(ctx.modulus.kappa)
-    T = u / ctx.omega * (0.5 * math.pi)
-    G = delta_integral(T, ctx)
-    lo, hi = 0.0, 0.5 * math.pi + 0.01  # the pad absorbs quadrature-vs-AGM seams
-    for _ in range(80):
-        g = G - u
-        d, d_prime = _reference_delta(T, ctx)
-        step = g * d  # Newton's g/F; Halley's divides it by 1 - step F'/(2F), F'/F = -d'/d^2
-        T_next = T - step / (1.0 + 0.5 * step * d_prime / (d * d))
-        if abs(g) <= QUAD_TOL:
-            return T_next
-        if T_next == T:  # the step is below half an ulp of T
-            raise NonConvergence(f"inverting the arc integral at u={u} left |G(T) - u| = {abs(g)} at "
-                                 f"T={T}: one ulp of T moves G by more than QUAD_TOL = {QUAD_TOL}")
-        if g > 0.0:
-            hi = T
-        else:
-            lo = T
-        if not lo < T_next < hi:
-            T_next = 0.5 * (lo + hi)
-        G += integrate(kernel, T, T_next, QUAD_TOL)
-        T = T_next
-    raise NonConvergence(f"inverting the arc integral at u={u} left |G(T) - u| = {abs(G - u)} in 80 steps")
+    if w <= 2.0 ** -28:
+        return w
+    rest = ctx.omega - w
+    if not rest:
+        return 0.5 * math.pi
+    c, r, k2_comp = ctx.phase_terms
+    v = _inv_sn(min(w, rest) * ctx.bridge_scale, ctx.cell.rungs)
+    t = v * v - 1.0
+    if rest < w:
+        t = k2_comp / t
+    return math.atan2(c + t, r * math.sqrt((1.0 + t) * t * (t + k2_comp)))
 
 
 def delta_phase(u: float, ctx: DeltaContext) -> float:
-    """T(u), the inverse of G, for any real u.
+    """T(u), the inverse of G, for any real u, in closed form: no root is
+    sought and no integral taken (``_phase_in_quarter``).
 
     T is odd, T(-u) = -T(u) bitwise: |u| is reduced modulo the period
-    2 omega and reflected into [0, omega], where the inversion runs on a
-    single monotone branch; the ambient branch and the sign of u are
-    restored afterwards, making T a global increasing bijection.  (Reducing
-    a small negative u into cell -1 would cost it its digits.)  Its domain
-    is that of ``delta``: a u that is not finite or has
-    |u| >= ``WP_MAX_MODULUS`` raises DomainError.
+    2 omega and reflected into [0, omega], where the phase is a single
+    monotone branch; the ambient branch and the sign of u are restored
+    afterwards, making T a global increasing bijection.  (Reducing a small
+    negative u into cell -1 would cost it its digits.)  Within 1e-14 of
+    50-digit values relative to max(1, T), from kappa = 1e-100 to
+    1 - 2^-52.  Its domain is that of ``delta``: a u that is not finite or
+    has |u| >= ``WP_MAX_MODULUS`` raises DomainError.
     """
     size = abs(u)
     if not size < WP_MAX_MODULUS:
@@ -265,9 +269,9 @@ def delta_phase(u: float, ctx: DeltaContext) -> float:
     cells = math.floor(size / period)
     v = size - cells * period
     if v <= omega:
-        branch = _invert_in_quarter(v, ctx)
+        branch = _phase_in_quarter(v, ctx)
     else:
-        branch = math.pi - _invert_in_quarter(period - v, ctx)
+        branch = math.pi - _phase_in_quarter(period - v, ctx)
     return math.copysign(cells * math.pi + branch, u)
 
 
@@ -277,12 +281,12 @@ def delta(u: float, ctx: DeltaContext) -> float:
         delta(u) = 1 - a / (b + v^2),    v = 1/sn(u sqrt(e1 - e3), k),
 
     with a, b and k as in the module docstring.  It equals the paper's
-    1/F(1/3,2/3;1/2; kappa^2 sin^2 T(u)), which ``delta_phase`` evaluates
-    by the reference route.  delta(0) = 1 exactly, delta(-u) = delta(u)
-    bitwise, values lie in (0, 1] (b > 0 because e3 > -1/3, and v^2 >= 1)
-    and repeat with period 2 omega.  Its domain is that of ``dn3``: a u
-    that is not finite or has |u| >= ``WP_MAX_MODULUS`` (~4.5e7) raises
-    DomainError.
+    1/F(1/3,2/3;1/2; kappa^2 sin^2 T(u)) at the phase T of
+    ``delta_phase``, which ``verify_ode_delta`` checks.  delta(0) = 1
+    exactly, delta(-u) = delta(u) bitwise, values lie in (0, 1] (b > 0
+    because e3 > -1/3, and v^2 >= 1) and repeat with period 2 omega.  Its
+    domain is that of ``dn3``: a u that is not finite or has
+    |u| >= ``WP_MAX_MODULUS`` (~4.5e7) raises DomainError.
     """
     if not abs(u) < WP_MAX_MODULUS:
         raise DomainError(f"argument {u} is not finite, or too large to reduce onto the period")
@@ -325,34 +329,47 @@ def _shifted(z: complex, ctx: DeltaContext) -> complex:
     return ctx.bridge_b + v * v
 
 
-def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> tuple[float, float]:
-    """The reference route's certificate over ``u_grid``: (gap, residual).
+def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> tuple[float, float, float]:
+    """The reference route's certificate over ``u_grid``: (gap, residual,
+    phase_gap), each the worst over the grid.
 
-    One inversion per u gives the phase T(u), and ``_reference_delta``
-    evaluates delta = 1/F and delta' there analytically (finite
-    differences would dominate the residual budget).  ``gap`` is the worst
-    |delta - inv|, ``delta(u)`` against that 1/F: it certifies the
-    quadrature, the inversion and the production route's bridge together.
-    ``residual`` is the worst residual of the paper's ODE
+    ``delta_phase`` gives the phase T(u) in closed form, and
+    ``_reference_delta`` evaluates delta = 1/F and delta' there analytically
+    (finite differences would dominate the residual budget).
 
-        9 (delta')^2 = 4(1-delta)(delta^3+3delta^2-4lambda^2),
+    - ``gap`` is |delta(u) - 1/F(T(u))|: the algebra of the closed form
+      against the production route's bridge.  It is blind to a wrong
+      argument of sn, which moves both alike.
+    - ``residual`` is the residual of the paper's ODE
 
-    scaled by 1 + delta^4.  It depends on T alone and holds at every T,
-    whether or not T inverts G at u: it certifies the arc kernel's closed
-    form and its derivative.  The inversions take nearly all of the call's
-    time.  An empty ``u_grid`` raises ConfigError: a maximum over no point
-    certifies nothing.
+          9 (delta')^2 = 4(1-delta)(delta^3+3delta^2-4lambda^2),
+
+      scaled by 1 + delta^4.  It depends on T alone and holds at every T:
+      it certifies the arc kernel's closed form and its derivative.
+    - ``phase_gap`` is |G(T(u)) - u|, the paper's definition of T, with G
+      carried as one running integral over the grid in ascending order,
+      from G(0) = 0.  It sees what the gap cannot, such as a wrong scale
+      from u to the argument of sn.
+
+    The integrals take nearly all of the call's time.  An empty ``u_grid``
+    raises ConfigError: a maximum over no point certifies nothing.
     """
     if not u_grid:
         raise ConfigError("verify_ode_delta needs at least one u; u_grid is empty")
+    kernel = _arc(ctx.modulus.kappa)
     lam2 = ctx.modulus.lam ** 2
-    gap = residual = 0.0
-    for u in u_grid:
-        ref, ref_prime = _reference_delta(delta_phase(u, ctx), ctx)
+    gap = residual = phase_gap = 0.0
+    G = T_prev = 0.0
+    for u in sorted(u_grid):
+        T = delta_phase(u, ctx)
+        G += integrate(kernel, T_prev, T, QUAD_TOL)
+        T_prev = T
+        phase_gap = max(phase_gap, abs(G - u))
+        ref, ref_prime = _reference_delta(T, ctx)
         gap = max(gap, abs(ref - delta(u, ctx)))
         rhs = 4.0 * (1.0 - ref) * (ref * ref * (ref + 3.0) - 4.0 * lam2)
         residual = max(residual, abs(9.0 * ref_prime * ref_prime - rhs) / (1.0 + ref ** 4))
-    return gap, residual
+    return gap, residual, phase_gap
 
 
 def verify_trimidiation(kappa: float, z_samples: Sequence[complex]) -> float:

@@ -289,15 +289,27 @@ def test_delta_profile_runs(capsys):
 
 
 def test_delta_profile_reports_the_reference_route_limit(capsys):
-    # kappa = 0.999999 is the documented reach of the reference route: one
-    # error budget per integral and a stop on |G(T) - u| keep the profile
-    # within 5e-13 of delta there.  The ODE residual is roundoff of the arc
-    # form at each T, measured 1.4e-15.
+    # At kappa = 0.999999 the profile stays within 5e-13 of delta.  The ODE
+    # residual is roundoff of the arc form at each T, measured 1.7e-15.
     assert main(["delta", "--kappa", "0.999999", "--samples", "17"]) == 0
     lines = capsys.readouterr().out.splitlines()
     gaps = [float(row.split()[2]) for row in lines[2:19]]
     assert len(gaps) == 17 and max(gaps) <= 5e-13
     assert float(lines[-1].split()[-1]) <= 2e-15
+
+
+def test_delta_profile_reaches_kappa_one_minus_1e_10(capsys):
+    # The Halley inversion stopped here with NonConvergence: one ulp of T
+    # moves G by more than the quadrature's 1e-12.  The closed-form phase
+    # has no such stop; |G(T) - u| then reads F(T) ulp(T) plus the
+    # quadrature's error, measured <= 4.1e-12.
+    assert main(["delta", "--kappa", "0.9999999999", "--samples", "17"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith("|G(T) - u|")
+    rows = [row.split() for row in lines[2:19]]
+    assert len(rows) == 17
+    assert max(float(row[2]) for row in rows) <= 2e-15
+    assert max(float(row[4]) for row in rows) <= 1e-11
 
 
 def test_delta_profile_that_fails_prints_no_rows(capsys, monkeypatch):
@@ -321,33 +333,26 @@ def test_delta_profile_reaches_kappa_0_9999(capsys):
 
 
 def test_delta_profile_inverts_once_per_point(capsys, monkeypatch):
-    # One arc-integral inversion per row serves both the |delta - inv|
-    # column and the ODE residual, and so does one reference (delta,
-    # delta') outside the inversion; the Halley steps inside it make the
-    # other 45 reference evaluations.
-    calls, running, outside, inside = [], [], [], []
+    # One closed-form phase and one arc integral over [0, T(u)] per row
+    # serve all three certificate columns.  The Halley inversion made 62
+    # reference evaluations for these 17 rows, and more integrals.
+    phases, integrals = [], []
     phase = delta_module.delta_phase
-    reference = delta_module._reference_delta
+    integral = delta_module.integrate
 
-    def counting(u, ctx):
-        calls.append(u)
-        running.append(u)
-        try:
-            return phase(u, ctx)
-        finally:
-            running.pop()
+    def counting_phase(u, ctx):
+        phases.append(u)
+        return phase(u, ctx)
 
-    def counting_reference(T, ctx):
-        # A call made while no inversion runs is the row's own.
-        (inside if running else outside).append(T)
-        return reference(T, ctx)
+    def counting_integral(f, a, b, tol):
+        integrals.append((a, b))
+        return integral(f, a, b, tol)
 
-    monkeypatch.setattr(delta_module, "delta_phase", counting)
-    monkeypatch.setattr(delta_module, "_reference_delta", counting_reference)
+    monkeypatch.setattr(delta_module, "delta_phase", counting_phase)
+    monkeypatch.setattr(delta_module, "integrate", counting_integral)
     assert main(["delta", "--kappa", "0.6", "--samples", "17"]) == 0
-    assert len(calls) == 17
-    assert len(outside) == 17
-    assert len(outside) + len(inside) == 62
+    assert len(phases) == 17 and len(integrals) == 17
+    assert all(a == 0.0 for a, _ in integrals)
     monkeypatch.undo()
     ctx = DeltaContext(modulus_from_kappa(0.6))
     worst = verify_ode_delta(ctx, [2.0 * ctx.omega * i / 16 for i in range(1, 16)])[1]

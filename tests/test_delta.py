@@ -1,10 +1,11 @@
-import math
-from fractions import Fraction
-
 import importlib
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
+import sig3.hypergeom
 import sig3.moduli
 import sig3.quadrature
 import sig3.weierstrass
@@ -20,6 +21,7 @@ from sig3.errors import DomainError, NonConvergence, PoleError
 from sig3.hypergeom import f_half
 from sig3.moduli import modulus_from_kappa, params_from_p
 from sig3.quadrature import GAUSS_NODES, GAUSS_WEIGHTS, integrate
+from sig3.transfer import grid_report
 from sig3.weierstrass import WP_MAX_MODULUS, wp, _inv_sn, _jacobi_half_periods, _lattice
 from oracles import ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err
 
@@ -191,9 +193,12 @@ def test_delta_phase_is_the_inverse(ctx06, omega06):
 
 def test_delta_phase_is_odd_bitwise(ctx06, omega06):
     # Reduced into cell -1, a small negative u lost its digits: 8.3e-8
-    # relative at u = -1e-10.
-    for u in (1e-10, 1e-6, 0.3, omega06, 5.0):
+    # relative at u = -1e-10.  Below 2^-28, T(u) = u - (4/27) kappa^2 u^3
+    # rounds to u, where 1/sn would overflow.
+    for u in (5e-324, 1e-300, 1e-10, 1e-6, 0.3, omega06, 5.0):
         assert delta_phase(-u, ctx06) == -delta_phase(u, ctx06), u
+    for u in (5e-324, 1e-300, 1e-10, 2.0 ** -28):
+        assert delta_phase(u, ctx06) == u
 
 
 def test_delta_phase_monotone(ctx06, omega06):
@@ -202,46 +207,97 @@ def test_delta_phase_monotone(ctx06, omega06):
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_inversion_stops_when_a_step_rounds_to_nothing(monkeypatch):
-    # At kappa = 1 - 1e-10 and T ~ pi/2, G' = 1/delta ~ 6e4: one ulp of T
-    # moves G by more than QUAD_TOL, and a Halley step below half an ulp
-    # leaves T in place.  The inversion stops after the 13 integrals that
-    # brought it there; repeating the step to the 80-step budget took 81.
-    calls = []
-    integral = delta_module.integrate
-
-    def counting(f, a, b, tol):
-        calls.append((a, b))
-        return integral(f, a, b, tol)
-
-    monkeypatch.setattr(delta_module, "integrate", counting)
+def test_delta_phase_reaches_kappa_one_minus_1e_10():
+    # At kappa = 1 - 1e-10 and T ~ pi/2, G' = 1/delta ~ 5e4: one ulp of T
+    # moves G by ~1e-11, and the Halley inversion this closed form replaced
+    # raised NonConvergence here.  The closed form meets G(T) = u within
+    # two such ulps (measured 4.6e-12, the quadrature's error included),
+    # and its 1/F matches delta to roundoff (measured 2.4e-16).
     ctx = DeltaContext(modulus_from_kappa(0.9999999999))
-    message = r"left \|G\(T\) - u\| = [0-9.e-]+ at T=.*: one ulp of T moves G by more than QUAD_TOL"
-    with pytest.raises(NonConvergence, match=message):
-        delta_phase(15.0 * ctx.omega / 16.0, ctx)
-    assert len(calls) == 13
-    assert all(a != b for a, b in calls)
+    u = 15.0 * ctx.omega / 16.0
+    T = delta_phase(u, ctx)
+    d = delta(u, ctx)
+    assert 0.0 < T < 0.5 * math.pi
+    assert abs(delta_integral(T, ctx) - u) <= 2.0 * math.ulp(T) / d
+    assert abs(delta_module._reference_delta(T, ctx)[0] - d) <= 1e-15
 
 
-# Measured worst 2.30e-14, 2.50e-14 and 1.83e-13 from kappa = 0.9999 up.
-# At 0.9999 that is delta's own final subtraction 1 - a/(b + v^2) (ROADMAP
-# item 1): against 30-digit values the reference reads 2.3e-15 and delta
-# 2.3e-14.  At 0.999999 one ulp of T moves delta by ~8e-14 near u = omega,
-# and both routes read ~1e-13.  Every other kappa is held to 1e-14.
+def _mpmath_phase_residual(kappa, mpmath):
+    """T -> |G(T) - u| / F(T) in 50 digits, for the float T: the distance
+    to the exact T(u) to first order, one Newton step of the paper's
+    definition.  G(T) = omega + sign(T - pi/2) H(|T - pi/2|), with H the
+    integral of F(pi/2 - s) over [0, sigma] taken in y, s = lambda sinh y:
+    F ds = cos(z/3) lambda cosh y / cos z dy stays smooth however sharp the
+    peak 1/lambda of F at pi/2."""
+    k = mpmath.mpf(kappa)
+    lam = mpmath.sqrt((1 - k) * (1 + k))
+    third = mpmath.mpf(1) / 3
+    half_pi = mpmath.pi / 2
+    omega = half_pi * mpmath.hyp2f1(third, 2 * third, 1, k * k)
+
+    def kernel(s, scale):
+        # F(pi/2 - s) times scale: cos z = sqrt(sin^2 s + lambda^2 cos^2 s)
+        cos_z = mpmath.sqrt(mpmath.sin(s) ** 2 + (lam * mpmath.cos(s)) ** 2)
+        return mpmath.cos(mpmath.atan2(k * mpmath.cos(s), cos_z) / 3) * scale / cos_z
+
+    def residual(T, u):
+        d = mpmath.mpf(T) - half_pi
+        H = mpmath.quad(lambda y: kernel(lam * mpmath.sinh(y), lam * mpmath.cosh(y)),
+                        [0, mpmath.asinh(abs(d) / lam)])
+        return float(abs(omega + mpmath.sign(d) * H - u) / kernel(d, 1))
+
+    return residual
+
+
+@pytest.mark.parametrize("kappa", [1e-100, 0.3, 0.9, 0.999999, 0.9999999999, 1.0 - 2.0 ** -52])
+def test_delta_phase_against_50_digit_values(kappa):
+    # Seeded u over one period, and u next to omega on both sides, down to
+    # the float below it.  Measured <= 9.7e-16 relative to max(1, T) up to
+    # kappa = 1 - 1e-10 and 2.8e-15 at 1 - 2^-52.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    ctx = DeltaContext(modulus_from_kappa(kappa))
+    omega = ctx.omega
+    rng = random.Random(27)
+    grid = sorted([rng.uniform(0.0, 2.0 * omega) for _ in range(5)] + [math.nextafter(omega, 0.0)]
+                  + [omega * (1.0 + sign * 10.0 ** -j) for j in (1, 6, 13) for sign in (-1, 1)])
+    residual = _mpmath_phase_residual(kappa, mpmath)
+    phases = [delta_phase(u, ctx) for u in grid]
+    # Monotone, not strictly: next to omega at kappa near 1, T' = delta ~ 1e-8.
+    assert all(b >= a for a, b in zip(phases, phases[1:]))
+    for u, T in zip(grid, phases):
+        assert residual(T, u) <= 1e-14 * max(1.0, T), (u, T)
+        assert delta_phase(-u, ctx) == -T
+
+
+# Bounds set on the Halley inversion that the closed form replaced, which
+# measured 2.30e-14, 2.50e-14 and 1.83e-13 from kappa = 0.9999 up.  At
+# 0.9999 that is delta's own final subtraction 1 - a/(b + v^2) (ROADMAP
+# item 1): against 30-digit values the reference read 2.3e-15 and delta
+# 2.3e-14.  At 0.999999 one ulp of T moves delta by ~8e-14 near u = omega.
+# Every other kappa is held to 1e-14.
 _INVERSION_ROUTE_BOUNDS = {0.9999: 2.4e-14, 0.99999: 2.6e-14, 0.999999: 1.9e-13}
+
+
+def phase_unit(ctx):
+    """The worst first-order rounding of G(T(u)) - u over a period:
+    ulp(u) + F(T) ulp(T), with u <= 2 omega, T <= pi and F(T) <= F(pi/2) =
+    1/delta(omega)."""
+    return math.ulp(2.0 * ctx.omega) + math.ulp(math.pi) / delta(ctx.omega, ctx)
 
 
 @pytest.mark.parametrize("kappa", [0.05, 0.3, 0.6, 0.9, 0.99, 0.995, 0.999, 0.9999, 0.99999, 0.999999])
 def test_delta_matches_the_integral_inversion_route(kappa):
-    # Production (Jacobi bridge) against reference (inverting the arc
-    # integral, delta in its arc form) over a full period; i = 8 is
-    # u = omega.
+    # Production (Jacobi bridge) against reference (delta in its arc form at
+    # the phase T(u)) over a full period; i = 8 is u = omega.  The phase
+    # meets the paper's G(T(u)) = u within one phase_unit: measured <= 0.9.
     ctx = DeltaContext(modulus_from_kappa(kappa))
     bound = _INVERSION_ROUTE_BOUNDS.get(kappa, 1e-14)
-    for i in range(17):
-        u = 2.0 * ctx.omega * i / 16
+    grid = [2.0 * ctx.omega * i / 16 for i in range(17)]
+    for u in grid:
         reference = delta_module._reference_delta(delta_phase(u, ctx), ctx)[0]
         assert rel_err(delta(u, ctx), reference) <= bound, u
+    assert delta_module.verify_ode_delta(ctx, grid)[2] <= phase_unit(ctx)
 
 
 def test_delta_periodicity(ctx06, omega06):
@@ -302,6 +358,14 @@ def test_delta_rejects_non_finite(ctx06):
     for u in (math.inf, math.nan):
         with pytest.raises(DomainError):
             delta_phase(u, ctx06)
+
+
+def test_delta_integral_refuses_a_non_finite_phase(ctx06):
+    # inf used to reach math.sin (ValueError), and NaN ran the whole
+    # quadrature budget before NonConvergence.
+    for T in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="not finite"):
+            delta_integral(T, ctx06)
 
 
 def test_delta_has_the_domain_of_dn3(ctx06):
@@ -563,6 +627,43 @@ def test_delta_at_small_modulus_against_40_digit_values(kappa):
         u = 2.0 * ctx.omega * (i + 0.37) / 40
         ref = reference(complex(u))[0]
         assert abs(delta(u, ctx) - ref) <= 1e-15 * ref, u
+
+
+def _period_gap(ctx):
+    """|omega scale/(pi/2) - 1|: omega from agm3 against the context's
+    Gauss ladder, whose scale is sqrt(e1 - e3)/prod(1 + k_n) = r (pi/2)/K.
+    This is identity (56) on the lattice that delta and dn3 use."""
+    return abs(ctx.omega * ctx.bridge_scale / (0.5 * math.pi) - 1.0)
+
+
+def test_the_ladder_certifies_the_period():
+    # 2,002 fresh contexts, log-spaced from kappa = 1e-100 to 1/2 and in
+    # 1 - kappa from 1/2 down to 2^-53.  Measured worst: 2.5, 3.0 and 7.0
+    # eps in the three ranges; the ladder's rounding grows with its rungs.
+    eps = 2.0 ** -52
+    n = 1000
+    lo, lo1, hi = math.log(1e-100), math.log(2.0 ** -53), math.log(0.5)
+    kappas = [math.exp(lo + (hi - lo) * i / n) for i in range(n + 1)]
+    kappas += [1.0 - math.exp(lo1 + (hi - lo1) * i / n) for i in range(n + 1)]
+    for kappa in kappas:
+        bound = 3.0 * eps if kappa <= 0.9 else 4.0 * eps if kappa <= 1.0 - 1e-6 else 8.5 * eps
+        assert _period_gap(DeltaContext(modulus_from_kappa(kappa))) <= bound, kappa
+
+
+def test_the_ladder_sees_a_bias_the_transfer_identities_cannot(monkeypatch):
+    # The ladder calls no AGM, so agm3 biased by 1e-13 moves omega alone.
+    # Biasing agm by the same factor too moves both sides of (56)-(58)
+    # alike: the grid's worst residual stays roundoff (8.41e-16, against
+    # 8.06e-16 unbiased), while the period check still reads 1.0e-13.
+    def least_gap():
+        return min(_period_gap(DeltaContext(modulus_from_kappa(kappa))) for kappa in (0.3, 0.6, 0.9))
+
+    agm, agm3 = sig3.hypergeom.agm, sig3.hypergeom.agm3
+    monkeypatch.setattr(sig3.hypergeom, "agm3", lambda a, b: agm3(a, b) * (1.0 + 1e-13))
+    assert least_gap() >= 5e-14
+    monkeypatch.setattr(sig3.hypergeom, "agm", lambda a, b: agm(a, b) * (1.0 + 1e-13))
+    assert least_gap() >= 5e-14
+    assert max(grid_report(0.001, 0.999, 0.001).max_relerr.values()) <= 1e-15
 
 
 def test_delta_context_accepts_kappa_down_to_underflow():

@@ -191,6 +191,48 @@ def test_invariants_complementary_forms_exactly():
                              lambda t: Fraction(8, 729) * ((8 * (1 - t) + 20) * (1 - t) - 1), 2)
 
 
+def exact_bridge(p):
+    """a, b, r^2 and alpha of delta's bridge 1 - a x/(1 + b x), rational in
+    p: r^2 = e1 - e3 = (1+2p)/q^2, a = (4/9) kappa^2/r^2, and b = (1/3 + e3)/r^2
+    with 1/3 + e3 = (4/9) s^2 (3 - 2 s^2 - 2 sqrt3 s c), midpoint_gaps' form,
+    where 2 sqrt3 s c = 6 (s^3 c/sqrt3)/s^2."""
+    q = 1 + p + p * p
+    r2 = (1 + 2 * p) / q ** 2
+    s2, _, s3c = exact_trisected(p)
+    shift = Fraction(4, 9) * s2 * (3 - 2 * s2 - 6 * s3c / s2)
+    alpha, beta = exact_params(p)[:2]
+    return Fraction(4, 9) * beta / r2, shift / r2, r2, alpha
+
+
+def test_phase_constant_c_exactly():
+    # c = 1 + b - a/3 of delta.DeltaContext.phase_terms is (1+p)^3/((1+2p) q);
+    # both sides have denominator (1+2p) q and numerators of degree <= 4: 7.
+    def c(p):
+        a, b, _, _ = exact_bridge(p)
+        return 1 + b - a / 3
+
+    assert holds_identically(c, lambda p: (1 + p) ** 3 / ((1 + 2 * p) * (1 + p + p * p)), 7)
+
+
+def test_closed_form_phase_lies_on_the_unit_circle_exactly():
+    # sin^2 T + cos^2 T = 1 for delta_phase's closed form, x = sn^2:
+    #   x (3 + (3b - a) x)^2/(9 r^2) + (1 - x)(1 - alpha x) = (1 + b x)^3.
+    # Times 4 kappa^2 = 9 a r^2 this is 4 kappa^2 (1 + bx)^3 - a x (3 +
+    # (3b - a) x)^2 = 4 kappa^2 (1 - x)(1 - alpha x): the remainder Q is
+    # linear.  Both sides are cubics in x, so four x suffice; at each, both
+    # are rational in p over (1 + 2p)^3 with numerators of degree 6: 9.
+    def sides(p, x):
+        a, b, r2, alpha = exact_bridge(p)
+        lhs = x * (3 + (3 * b - a) * x) ** 2 / (9 * r2) + (1 - x) * (1 - alpha * x)
+        return lhs, (1 + b * x) ** 3
+
+    for x in map(Fraction, (1, 2, 3, 4)):
+        assert holds_identically(lambda p: sides(p, x)[0], lambda p: sides(p, x)[1], 9)
+    # 3b - a = -3 p^3/(q (1 + 2p)), degree 3 + 3.
+    assert holds_identically(lambda p: 3 * exact_bridge(p)[1] - exact_bridge(p)[0],
+                             lambda p: -3 * p ** 3 / ((1 + p + p * p) * (1 + 2 * p)), 6)
+
+
 # --------------------------------------- the two routes in floats ----
 
 

@@ -118,8 +118,8 @@ def test_delta_ode_residual_at_sample_points():
 
 
 def test_delta_ode_residual_vanishes_at_zero():
-    gap, residual = verify_ode_delta(DeltaContext(modulus_from_kappa(0.6)), (0.0,))
-    assert gap == 0.0 and residual < 1e-14
+    gap, residual, phase_gap = verify_ode_delta(DeltaContext(modulus_from_kappa(0.6)), (0.0,))
+    assert gap == 0.0 and residual < 1e-14 and phase_gap == 0.0
 
 
 # The worst unbiased |delta - inv| on the 17-point profile grid, measured
@@ -140,14 +140,27 @@ def test_reference_certificate_gap_is_roundoff(kappa):
 @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
 def test_reference_certificate_sees_a_biased_bridge(kappa):
     # bridge_a moved by one part in 1e13 reads 4.0e-15, 1.8e-14 and 5.3e-14
-    # at kappa = 0.3, 0.6 and 0.9.  The ODE residual depends on T alone, so
-    # it does not move at all: only the gap sees the bias.
+    # at kappa = 0.3, 0.6 and 0.9.  The phase and so the ODE residual and
+    # G(T(u)) - u do not move at all: only the gap sees the bias.
     ctx = DeltaContext(modulus_from_kappa(kappa))
     biased = DeltaContext(ctx.modulus)
     object.__setattr__(biased, "bridge_a", ctx.bridge_a * (1.0 + 1e-13))
-    gap, residual = _profile_certificate(biased)
+    gap, residual, phase_gap = _profile_certificate(biased)
     assert gap >= 1e-15 and gap > _UNBIASED_GAP
-    assert residual == _profile_certificate(ctx)[1]
+    assert (residual, phase_gap) == _profile_certificate(ctx)[1:]
+
+
+@pytest.mark.parametrize("kappa", [0.05, 0.3, 0.6, 0.9])
+def test_reference_certificate_sees_a_biased_scale(kappa):
+    # bridge_scale, from u to the argument of sn, moved by one part in 1e13:
+    # delta and the phase move together, and G(T(u)) - u reads 7.9e-14 to
+    # 1.1e-13, against <= 8.9e-16 unbiased.  That is the check the Halley
+    # inversion made, now made of the closed form.
+    ctx = DeltaContext(modulus_from_kappa(kappa))
+    biased = DeltaContext(ctx.modulus)
+    object.__setattr__(biased, "bridge_scale", ctx.bridge_scale * (1.0 + 1e-13))
+    assert _profile_certificate(ctx)[2] <= 1e-15
+    assert _profile_certificate(biased)[2] >= 5e-14
 
 
 def test_delta_ode_refuses_an_empty_sample():
