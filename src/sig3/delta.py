@@ -41,16 +41,16 @@ root-finding.  What the paper defines, G(T(u)) = u and delta = 1/F at
 T(u), is then checked by ``verify_ode_delta``, which the tests and
 ``sig3 delta --samples`` run.  It integrates G by adaptive quadrature of
 the closed-form kernel, as ``delta_integral`` does from 0.
-``quadrature.integrate`` holds one error budget per integral: it splits the 15-point Gauss-Legendre
-interval whose panel disagrees most with the sum of its halves until the
-estimates sum to QUAD_TOL, and no panel is evaluated twice.  The kernel is
-formed from cos z = sqrt(cos^2 t + lambda^2 sin^2 t), so it keeps its
-digits at the peak t = pi/2.  The phase is within 1e-14 of 50-digit values
-from kappa = 1e-100 to 1 - 2^-52.  delta agrees with 1/F at T(u) to 1e-14
-relative up to kappa = 0.999 and to 1.9e-13 up to kappa = 0.999999, the
-conditioning of delta near u = omega and its final subtraction.  Near
-kappa = 1, G' = F ~ 1/lambda, so |G(T(u)) - u| grows as F(T) ulp(T):
-4.6e-12 at kappa = 1 - 1e-10.
+``quadrature.integrate`` holds one error budget per integral: it splits the
+interval whose 21-point Kronrod and embedded 10-point Gauss sums disagree
+most until the estimates sum to QUAD_TOL, and no node is evaluated twice.
+The kernel is formed from cos z = sqrt(cos^2 t + lambda^2 sin^2 t), so it
+keeps its digits at the peak t = pi/2.  The phase is within 1e-14 of
+50-digit values from kappa = 1e-100 to 1 - 2^-52.  delta agrees with 1/F at
+T(u) to 1e-14 relative up to kappa = 0.999 and to 1.9e-13 up to
+kappa = 0.999999, the conditioning of delta near u = omega and its final
+subtraction.  Near kappa = 1, G' = F ~ 1/lambda, so |G(T(u)) - u| grows as
+F(T) ulp(T): 4.1e-12 at kappa = 1 - 1e-10 and 3.5e-11 at 1 - 1e-12.
 
 Three certificates live here with what they certify.
 ``verify_ode_delta`` holds ``delta`` and the phase against the paper's

@@ -1,10 +1,11 @@
-"""Adaptive composite Gauss-Legendre quadrature (15-point panels).
+"""Adaptive Gauss-Kronrod quadrature on QUADPACK's 21-point rule (qk21).
 
-The error of an interval is estimated by how far its panel disagrees with
-the sum of its two halves.  One error budget serves the whole integral:
-the interval with the largest estimate is split until the estimates sum to
-the tolerance, and the halves of a split interval become the panels of its
-two children, so each panel is evaluated exactly once.
+The 21 Kronrod nodes hold the 10-point Gauss nodes as every other one, so
+one evaluation of a panel gives both sums, and the difference of the two
+estimates its error (R. Piessens, E. de Doncker-Kapenga, C. W. Ueberhuber,
+D. K. Kahaner, QUADPACK, Springer 1983).  One error budget serves the whole
+integral: the interval with the largest estimate is split until the
+estimates sum to the tolerance.
 """
 
 from __future__ import annotations
@@ -15,80 +16,62 @@ from typing import Callable
 from .errors import NonConvergence
 
 # The budget of the subdivision: the partition holds at most this many
-# intervals, which costs 4 MAX_INTERVALS - 1 panels.
+# intervals, which costs 2 MAX_INTERVALS - 1 panels.
 MAX_INTERVALS = 250
 
-
-def _legendre(n: int, x: float) -> tuple[float, float]:
-    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
-    p_prev, p = 1.0, x
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    return p, n * (x * p - p_prev) / (x * x - 1.0)
-
-
-def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule.
-
-    Each positive root of P_n is polished by Newton steps from the
-    Tricomi estimate cos(pi (i + 3/4)/(n + 1/2)); the negative half is
-    its mirror image, and an odd n gets the exact root 0.
-    """
-    half = []
-    for i in range(n // 2):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(8):  # quadratic convergence: 3-4 steps reach roundoff
-            p, dp = _legendre(n, x)
-            x -= p / dp
-        dp = _legendre(n, x)[1]
-        half.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
-    middle = [(0.0, 2.0 / _legendre(n, 0.0)[1] ** 2)] if n % 2 else []
-    pairs = [(-x, w) for x, w in half] + middle + [(x, w) for x, w in reversed(half)]
-    return tuple(x for x, _ in pairs), tuple(w for _, w in pairs)
+# qk21 on [-1, 1]: (x, Kronrod weight, Gauss weight) for the positive nodes,
+# descending; the Gauss weight is 0.0 where x is a Kronrod node only.  The
+# centre x = 0 is a Kronrod node only, with weight KRONROD_CENTRE.
+QK21 = (
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192, 0.0),
+    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390, 0.066671344308688137593568809893332),
+    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580, 0.0),
+    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190, 0.149451349150580593145776339657697),
+    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366, 0.0),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805, 0.219086362515982043995534934228163),
+    (0.562757134668604683339000099272694, 0.123491976262065851077958109831074, 0.0),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707, 0.269266719309996355091226921569469),
+    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717, 0.0),
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068, 0.295524224714752870173892994651338),
+)
+KRONROD_CENTRE = 0.149445554002916905664936468389821
 
 
-GAUSS_NODES, GAUSS_WEIGHTS = _gauss_legendre(15)
-
-
-def _panel(f: Callable[[float], float], a: float, b: float) -> float:
+def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float]:
+    """[a, b] as (error, a, b, integral): the 21-point Kronrod sum K21 is the
+    integral and |K21 - G10| its error, which leads so that ``max`` picks
+    the worst interval.  Each of the 21 nodes is evaluated once."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    acc = 0.0
-    for t, w in zip(GAUSS_NODES, GAUSS_WEIGHTS):
-        acc += w * f(mid + half * t)
-    return half * acc
-
-
-def _halves(f, a, b, whole):
-    """[a, b] with its two halves evaluated, as (error, a, mid, b, left,
-    right): the estimate |whole - (left + right)| leads, so ``max`` picks
-    the worst interval."""
-    mid = 0.5 * (a + b)
-    left, right = _panel(f, a, mid), _panel(f, mid, b)
-    return abs(whole - (left + right)), a, mid, b, left, right
+    kronrod = KRONROD_CENTRE * f(mid)
+    gauss = 0.0
+    for x, wk, wg in QK21:
+        pair = f(mid - half * x) + f(mid + half * x)
+        kronrod += wk * pair
+        gauss += wg * pair
+    return abs(half * (kronrod - gauss)), a, b, half * kronrod
 
 
 def integrate(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Integrate f over [a, b] to absolute tolerance ``tol``.
 
     Global error control, as QUADPACK's QAG does it: each interval of the
-    partition carries its panel and the panels of its two halves, whose
-    difference estimates its error.  While the summed estimate exceeds
-    ``tol``, the interval with the largest estimate is split; its halves,
-    already evaluated, become the panels of the two new intervals, so every
-    panel is evaluated once: 3 panels when the first interval is accepted,
-    4 more per split.  A non-finite estimate never counts as converged.
-    The estimate assumes an integrand smooth on each panel; at an endpoint
-    singularity it undershoots (t^-1/2 on [0, 1] at ``tol`` = 1e-13
-    returns 2 - 2.04e-13 after 303 panels).  The reference kernel of
-    ``delta`` has no such singularity.
+    partition carries its 21-point Kronrod sum and the estimate |K21 - G10|.
+    While the summed estimate exceeds ``tol``, the interval with the largest
+    estimate is replaced by its two halves, each evaluated once: 1 panel
+    when the first interval is accepted, 2 more per split.  A non-finite
+    estimate never counts as converged.  The estimate assumes an integrand
+    smooth on each panel; at an endpoint singularity it can undershoot
+    (t^-1/2 on [0, 1] at ``tol`` = 1e-13 returns 2 - 5.9e-14, within the
+    tolerance but not by the margin the estimate claims).  The reference
+    kernel of ``delta`` has no such singularity.
     An empty interval integrates to 0.0, and b < a to minus the integral
     over [b, a].  Raises NonConvergence, naming the interval and the error
     left, once the partition would grow past ``MAX_INTERVALS`` intervals.
     """
     if a == b:
         return 0.0
-    parts = [_halves(f, a, b, _panel(f, a, b))]
+    parts = [_panel(f, a, b)]
     while not sum(part[0] for part in parts) <= tol:
         if len(parts) >= MAX_INTERVALS:
             raise NonConvergence(
@@ -97,6 +80,7 @@ def integrate(f: Callable[[float], float], a: float, b: float, tol: float) -> fl
             )
         worst = max(parts)
         parts.remove(worst)
-        _, lo, mid, hi, left, right = worst
-        parts += _halves(f, lo, mid, left), _halves(f, mid, hi, right)
-    return math.fsum(part[4] + part[5] for part in parts)
+        _, lo, hi, _ = worst
+        mid = 0.5 * (lo + hi)
+        parts += _panel(f, lo, mid), _panel(f, mid, hi)
+    return math.fsum(part[3] for part in parts)

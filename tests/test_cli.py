@@ -312,6 +312,18 @@ def test_delta_profile_reaches_kappa_one_minus_1e_10(capsys):
     assert max(float(row[4]) for row in rows) <= 1e-11
 
 
+def test_delta_profile_reaches_kappa_one_minus_1e_12(capsys):
+    # The panel-minus-halves estimate filled MAX_INTERVALS here: near the
+    # 1/lambda peak of the kernel its differences were rounding noise.  The
+    # Kronrod estimate converges.  |G(T) - u| is measured <= 3.5e-11, under
+    # F(T) ulp(T) = ulp(pi/2)/delta(omega) = 1.4e-10 at u = omega.
+    assert main(["delta", "--kappa", "0.999999999999", "--samples", "17"]) == 0
+    rows = [row.split() for row in capsys.readouterr().out.splitlines()[2:19]]
+    assert len(rows) == 17
+    assert max(float(row[2]) for row in rows) <= 2e-15
+    assert max(float(row[4]) for row in rows) <= 5e-11
+
+
 def test_delta_profile_that_fails_prints_no_rows(capsys, monkeypatch):
     # A budget of one interval leaves G(pi/2) unresolved at kappa = 0.99, so
     # the third of five points raises NonConvergence after two rows are

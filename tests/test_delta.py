@@ -20,7 +20,7 @@ from sig3.delta import (
 from sig3.errors import DomainError, NonConvergence, PoleError
 from sig3.hypergeom import f_half
 from sig3.moduli import modulus_from_kappa, params_from_p
-from sig3.quadrature import GAUSS_NODES, GAUSS_WEIGHTS, integrate
+from sig3.quadrature import KRONROD_CENTRE, QK21, integrate
 from sig3.transfer import grid_report
 from sig3.weierstrass import WP_MAX_MODULUS, wp, _inv_sn, _jacobi_half_periods, _lattice
 from oracles import ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err
@@ -145,11 +145,10 @@ def test_quadrature_budget_failure(monkeypatch):
 
 
 def test_quadrature_evaluates_each_panel_once(monkeypatch):
-    # A node takes its own panel from its parent: 3 panels when the root is
-    # accepted, 2 more per split.  The 15-point rule is exact for t^2; it
-    # misses the kink of |t| on [-1, 1], which is exact on either half, so
-    # that tree splits exactly once (7 panels, where re-evaluating each
-    # child's panel made 9).
+    # Each interval of the partition is one panel, evaluated once: 1 panel
+    # when the root is accepted, 2 more per split.  The 21-point rule is
+    # exact for t^2; it misses the kink of |t| on [-1, 1], which is exact on
+    # either half, so that partition splits exactly once.
     calls = []
     panel = sig3.quadrature._panel
 
@@ -159,21 +158,55 @@ def test_quadrature_evaluates_each_panel_once(monkeypatch):
 
     monkeypatch.setattr(sig3.quadrature, "_panel", counted)
     assert abs(integrate(lambda t: t * t, 0.0, 1.0, 1e-12) - 1.0 / 3.0) <= 1e-15
-    assert calls == [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)]
+    assert calls == [(0.0, 1.0)]
     calls.clear()
     assert abs(integrate(abs, -1.0, 1.0, 1e-12) - 1.0) <= 1e-15
-    assert len(calls) == 7 and len(set(calls)) == 7
-    assert calls[:3] == [(-1.0, 1.0), (-1.0, 0.0), (0.0, 1.0)]
+    assert calls == [(-1.0, 1.0), (-1.0, 0.0), (0.0, 1.0)]
 
 
-def test_gauss_legendre_rule_matches_numpy():
-    numpy = pytest.importorskip("numpy")
-    nodes, weights = numpy.polynomial.legendre.leggauss(15)
-    for ours, ref in zip(GAUSS_NODES, nodes):
-        # One ulp: the second node is correctly rounded here, numpy's is not.
-        assert abs(ours - ref) <= math.ulp(ref)
-    for ours, ref in zip(GAUSS_WEIGHTS, weights):
-        assert rel_err(ours, ref) <= 1e-14
+def _qk21_sums(n):
+    """The Kronrod and the embedded Gauss sum of t^n over [-1, 1], from the
+    table alone."""
+    kronrod = KRONROD_CENTRE * (1.0 if n == 0 else 0.0)
+    gauss = 0.0
+    for x, wk, wg in QK21:
+        pair = (-x) ** n + x ** n
+        kronrod += wk * pair
+        gauss += wg * pair
+    return kronrod, gauss
+
+
+def test_gauss_kronrod_table_is_exact():
+    # K21 integrates t^n exactly for n <= 31 and G10 for n <= 19, measured
+    # within 4 ulps; one degree more misses by far more.  Odd degrees vanish
+    # by symmetry, so the even ones carry the test.
+    for n in range(0, 32, 2):
+        kronrod, gauss = _qk21_sums(n)
+        exact = 2.0 / (n + 1)
+        assert abs(kronrod - exact) <= 8 * math.ulp(exact)
+        if n <= 19:
+            assert abs(gauss - exact) <= 8 * math.ulp(exact)
+    assert abs(_qk21_sums(20)[1] - 2.0 / 21) > 1e-6
+    assert abs(_qk21_sums(32)[0] - 2.0 / 33) > 1e-12
+    # The Gauss nodes are every other Kronrod node, and 0 is not one of them.
+    assert [wg > 0.0 for _, _, wg in QK21] == [False, True] * 5
+    assert [x for x, _, _ in QK21] == sorted((x for x, _, _ in QK21), reverse=True)
+
+
+def test_quadrature_panel_reads_its_gauss_sum():
+    # On [0, 1] the panel's estimate |K21 - G10| is roundoff while G10 is
+    # exact (n <= 19) and jumps at n = 20, where it is not.
+    for n in range(20):
+        error, a, b, kronrod = sig3.quadrature._panel(lambda t: t ** n, 0.0, 1.0)
+        assert (a, b) == (0.0, 1.0)
+        assert error <= 2e-16 and abs(kronrod - 1.0 / (n + 1)) <= 8 * math.ulp(1.0 / (n + 1))
+    assert sig3.quadrature._panel(lambda t: t ** 20, 0.0, 1.0)[0] > 1e-13
+
+
+def test_quadrature_meets_its_tolerance_at_an_endpoint_singularity():
+    # No node sits on an endpoint, so t^-1/2 is never evaluated at 0, and
+    # the Kronrod estimate is not fooled by the singularity: measured 5.9e-14.
+    assert abs(integrate(lambda t: t ** -0.5, 0.0, 1.0, 1e-13) - 2.0) <= 1e-13
 
 
 # ------------------------------------------------------- delta ----

@@ -1,8 +1,12 @@
 """The package's layout: which modules import which, which private names
-cross a module boundary, and that every module uses what it imports."""
+cross a module boundary, that every module uses what it imports, and that
+every name the benchmark in perfbench/ reaches exists."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sig3"
 
@@ -81,3 +85,96 @@ def test_every_module_uses_what_it_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+# ------------------------------------------- what the benchmark reaches ----
+
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+
+def _perfbench_tree(name):
+    if not PERFBENCH.is_dir():
+        pytest.skip("no perfbench/ beside the package")
+    return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+
+
+def _assigned(tree, target):
+    """The literal value of the module-level assignment to ``target``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == target for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no assignment to {target}")
+
+
+def _module_call(node):
+    """The module name of a ``_module("name")`` call, else None."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_module" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Constant)):
+        return node.args[0].value
+    return None
+
+
+def _traced_names():
+    tree = _perfbench_tree("tracing.py")
+    traced = {(module, fn) for module, fns in _assigned(tree, "TRACED").items() for fn in fns}
+    sampled = {tuple(key.split(".")) for key in _assigned(tree, "SAMPLED")}
+    return traced | sampled
+
+
+def _workload_names():
+    """(module, name) for every ``_module("m").name`` and every ``X.name``
+    with X bound to ``_module("m")`` in the same function."""
+    found = set()
+    for func in ast.walk(_perfbench_tree("workloads.py")):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                targets, values = node.targets[0], node.value
+                pairs = (zip(targets.elts, values.elts)
+                         if isinstance(targets, ast.Tuple) and isinstance(values, ast.Tuple)
+                         else [(targets, values)])
+                bound.update((t.id, _module_call(v)) for t, v in pairs
+                             if isinstance(t, ast.Name) and _module_call(v))
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute):
+                home = _module_call(node.value)
+                if home is None and isinstance(node.value, ast.Name):
+                    home = bound.get(node.value.id)
+                if home is not None:
+                    found.add((home, node.attr))
+    return found
+
+
+def _first_op_names():
+    """(module, name) for ``sig3.name`` (module "" is the package) and for
+    ``m.name`` after ``from sig3 import m``."""
+    tree = _perfbench_tree("first_op.py")
+    homes = {"sig3": ""}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "sig3":
+            homes.update((alias.asname or alias.name, alias.name) for alias in node.names)
+    return {(homes[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in homes}
+
+
+def test_every_name_the_benchmark_reaches_exists():
+    # perfbench/ looks sig3's functions up by name at run time, so a name
+    # deleted or renamed here would break its runs (``--trace 1`` first)
+    # without failing any other test.  Read as source: importing workloads
+    # would need mpmath.
+    reached = {"tracing.py": _traced_names(), "workloads.py": _workload_names(),
+               "first_op.py": _first_op_names()}
+    assert all(len(names) >= 5 for names in reached.values()), reached
+    missing = []
+    for source, names in reached.items():
+        for module, name in sorted(names):
+            home = importlib.import_module("sig3." + module if module else "sig3")
+            if not hasattr(home, name):
+                missing.append(f"{source}: {home.__name__}.{name}")
+    assert missing == []

@@ -132,9 +132,18 @@ def _profile_certificate(ctx):
     return verify_ode_delta(ctx, [2.0 * ctx.omega * i / 16 for i in range(17)])
 
 
-@pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9, 0.999999])
+@pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9, 0.99, 0.999, 0.9999, 0.999999])
 def test_reference_certificate_gap_is_roundoff(kappa):
+    # Measured 6.7e-16, 3.3e-16 and 8.9e-16 at kappa = 0.99, 0.999, 0.9999.
     assert _profile_certificate(DeltaContext(modulus_from_kappa(kappa)))[0] <= _UNBIASED_GAP
+
+
+def test_reference_certificate_gap_at_kappa_0_99999():
+    # The worst gap of the profile grids, measured 2.78e-15 at u = 15 omega/8,
+    # 3.3 units of ulp(u) |delta'(u)| there, and past the shared bound that
+    # 0.999999 (1.55e-15) still meets.  ROADMAP item 15 asks for bounds in
+    # such units.
+    assert _profile_certificate(DeltaContext(modulus_from_kappa(0.99999)))[0] <= 3.5e-15
 
 
 @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
