@@ -42,15 +42,17 @@ T(u), is then checked by ``verify_ode_delta``, which the tests and
 ``sig3 delta --samples`` run.  It integrates G by adaptive quadrature of
 the closed-form kernel, as ``delta_integral`` does from 0.
 ``quadrature.integrate`` holds one error budget per integral: it splits the
-interval whose 21-point Kronrod and embedded 10-point Gauss sums disagree
-most until the estimates sum to QUAD_TOL, and no node is evaluated twice.
+interval with the largest qk21 error estimate, from the disagreement of its
+21-point Kronrod and embedded 10-point Gauss sums, until the estimates sum
+to QUAD_TOL, and no node is evaluated twice.
 The kernel is formed from cos z = sqrt(cos^2 t + lambda^2 sin^2 t), so it
 keeps its digits at the peak t = pi/2.  The phase is within 1e-14 of
 50-digit values from kappa = 1e-100 to 1 - 2^-52.  delta agrees with 1/F at
 T(u) to 1e-14 relative up to kappa = 0.999 and to 1.9e-13 up to
 kappa = 0.999999, the conditioning of delta near u = omega and its final
 subtraction.  Near kappa = 1, G' = F ~ 1/lambda, so |G(T(u)) - u| grows as
-F(T) ulp(T): 4.1e-12 at kappa = 1 - 1e-10 and 3.5e-11 at 1 - 1e-12.
+F(T) ulp(T): 4.1e-12 at kappa = 1 - 1e-10, 3.8e-11 at 1 - 1e-12 and
+1.5e-9 at 1 - 1e-15.
 
 Three certificates live here with what they certify.
 ``verify_ode_delta`` holds ``delta`` and the phase against the paper's
@@ -69,7 +71,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, DomainError, PoleError
 from .hypergeom import f3_complement
@@ -81,47 +83,35 @@ from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_s
 QUAD_TOL = 1e-12
 
 
-class DeltaContext:
-    """A modulus kappa with the constants of the production route.
+class DeltaContext(NamedTuple("DeltaContext", [("modulus", ModulusSet), ("omega", float), ("cell", tuple),
+                                               ("bridge", tuple), ("phase_terms", tuple)])):
+    """A modulus kappa with the constants of the production route, as a
+    named tuple built from the modulus alone: ``DeltaContext(modulus)``.
 
     Every field but the modulus is derived once, at construction, from the
-    closed forms of ``moduli.midpoint_gaps`` and ``half_periods_sig3``: omega,
-    the bridge constants a and b, ``cell``, the lattice of kappa with the
-    Gauss ladder of k (``weierstrass._Cell``), and ``phase_terms``, the
-    (c, r, k'^2) of ``delta_phase``'s closed form: c = 1 + b - a/3,
-    r = sqrt(e1 - e3) and k'^2 = (e1 - e2)/(e1 - e3) = 1 - alpha(p).
-    ``delta`` reads the ladder's scale from the slot ``bridge_scale``,
-    faster to read than a tuple field.  ``dn3`` shares one context per
-    modulus, so no field can be reassigned.  Every kappa in (0, 1) from
-    ~5.8e-103 up is accepted; below, e2 - e3 ~ 0.11 kappa^3 is not a normal
-    float: DomainError.
+    closed forms of ``moduli.midpoint_gaps`` and ``half_periods_sig3``: omega;
+    ``cell``, the lattice of kappa with the Gauss ladder of k
+    (``weierstrass._Cell``); ``bridge``, the (scale, rungs, a, b) that
+    ``delta`` reads in one unpack, the ladder's scale and rungs with the
+    bridge constants a and b; and ``phase_terms``, the (c, r, k'^2) of
+    ``delta_phase``'s closed form: c = 1 + b - a/3, r = sqrt(e1 - e3) and
+    k'^2 = (e1 - e2)/(e1 - e3) = 1 - alpha(p).  ``dn3`` shares one context
+    per modulus; as a tuple, no field can be reassigned.  Every kappa in
+    (0, 1) from ~5.8e-103 up is accepted; below, e2 - e3 ~ 0.11 kappa^3 is
+    not a normal float: DomainError.
     """
 
-    __slots__ = ("modulus", "omega", "bridge_scale", "bridge_a", "bridge_b", "cell", "phase_terms")
+    __slots__ = ()
 
-    def __init__(self, modulus: ModulusSet):
+    def __new__(cls, modulus: ModulusSet):
         low, high, shift = midpoint_gaps(modulus)
         spread = low + high  # e1 - e3
         r, k2_comp = math.sqrt(spread), high / spread
         periods = half_periods_sig3(modulus)
         cell = _cell(periods, r, low / spread, k2_comp)
         a, b = (4.0 / 9.0) * modulus.kappa * modulus.kappa / spread, shift / spread
-        fields = {
-            "modulus": modulus,
-            "omega": periods.omega,
-            "bridge_scale": cell.scale,
-            "bridge_a": a,
-            "bridge_b": b,
-            "cell": cell,
-            "phase_terms": (1.0 + b - a / 3.0, r, k2_comp),
-        }
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"DeltaContext is read-only: cannot change {name!r}")
-
-    __delattr__ = __setattr__
+        bridge = (cell.scale, cell.rungs, a, b)
+        return super().__new__(cls, modulus, periods.omega, cell, bridge, (1.0 + b - a / 3.0, r, k2_comp))
 
     def __repr__(self) -> str:
         return f"DeltaContext({self.modulus!r})"
@@ -211,7 +201,13 @@ def _reference_delta(T: float, ctx: DeltaContext) -> tuple[float, float]:
 
 def delta_integral(T: float, ctx: DeltaContext) -> float:
     """G(T): the arc integral of F(1/3, 2/3; 1/2; kappa^2 sin^2 t) up to T (odd in T).
-    A T that is not finite raises DomainError."""
+    A T that is not finite raises DomainError.
+
+    Its reach is set by ``quadrature.MAX_INTERVALS``: to meet the absolute
+    QUAD_TOL the partition needs about one interval per unit of T at
+    kappa = 0.6 and two and a half at 0.99, so T = 100 returns and T = 300
+    raises NonConvergence at 0.6, and T = 30 returns and T = 100 raises at
+    0.99.  The profile of ``sig3 delta --samples`` integrates up to pi."""
     if not math.isfinite(T):
         raise DomainError(f"phase {T} is not finite")
     return integrate(_arc(ctx.modulus.kappa), 0.0, T, QUAD_TOL)
@@ -241,7 +237,8 @@ def _phase_in_quarter(w: float, ctx: DeltaContext) -> float:
     if not rest:
         return 0.5 * math.pi
     c, r, k2_comp = ctx.phase_terms
-    v = _inv_sn(min(w, rest) * ctx.bridge_scale, ctx.cell.rungs)
+    scale, rungs, _, _ = ctx.bridge
+    v = _inv_sn(min(w, rest) * scale, rungs)
     t = v * v - 1.0
     if rest < w:
         t = k2_comp / t
@@ -290,11 +287,12 @@ def delta(u: float, ctx: DeltaContext) -> float:
     """
     if not abs(u) < WP_MAX_MODULUS:
         raise DomainError(f"argument {u} is not finite, or too large to reduce onto the period")
-    phi = u * ctx.bridge_scale
+    scale, rungs, a, b = ctx.bridge
+    phi = u * scale
     if not phi:
         return 1.0
-    v = _inv_sn(phi, ctx.cell.rungs)
-    return 1.0 - ctx.bridge_a / (ctx.bridge_b + v * v)
+    v = _inv_sn(phi, rungs)
+    return 1.0 - a / (b + v * v)
 
 
 def dn3(z: complex, mod: ModulusSet) -> complex:
@@ -314,9 +312,10 @@ def dn3(z: complex, mod: ModulusSet) -> complex:
     """
     ctx = _context(mod)
     shifted = _shifted(z, ctx)
-    if abs(shifted) <= 1e-8 * ctx.bridge_b:
+    _, _, a, b = ctx.bridge
+    if abs(shifted) <= 1e-8 * b:
         raise PoleError(f"dn3 pole: 1/3 + wp({z}) is within 1e-8 (1/3 + e3) of 0")
-    return 1.0 - ctx.bridge_a / shifted
+    return 1.0 - a / shifted
 
 
 def _shifted(z: complex, ctx: DeltaContext) -> complex:
@@ -326,7 +325,7 @@ def _shifted(z: complex, ctx: DeltaContext) -> complex:
     ``verify_trimidiation`` share."""
     cell = ctx.cell
     v = _inv_sn(_centred(z, cell), cell.rungs, cmath.sin)
-    return ctx.bridge_b + v * v
+    return ctx.bridge[3] + v * v
 
 
 def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> tuple[float, float, float]:
@@ -356,8 +355,9 @@ def verify_ode_delta(ctx: DeltaContext, u_grid: Sequence[float]) -> tuple[float,
     """
     if not u_grid:
         raise ConfigError("verify_ode_delta needs at least one u; u_grid is empty")
-    kernel = _arc(ctx.modulus.kappa)
-    lam2 = ctx.modulus.lam ** 2
+    kappa = ctx.modulus.kappa
+    kernel = _arc(kappa)
+    lam2 = (1.0 - kappa) * (1.0 + kappa)
     gap = residual = phase_gap = 0.0
     G = T_prev = 0.0
     for u in sorted(u_grid):

@@ -1,9 +1,10 @@
 """Signature-three moduli and the p-parametrization.
 
-A configuration is fixed by a modulus kappa in (0, 1) with complementary
-modulus lambda = sqrt(1 - kappa^2) and modular angle theta = arcsin kappa.
-Trisecting the angle, s = sin(theta/3) and c = cos(theta/3), rationalizes
-everything: the one-parameter family
+A configuration is fixed by its modulus kappa in (0, 1) alone, the one
+field of ``ModulusSet``; the complementary modulus lambda = sqrt(1 - kappa^2)
+and the modular angle theta = arcsin kappa follow from it.  Trisecting the
+angle, s = sin(theta/3) and c = cos(theta/3) (formed in one place,
+``_trisected``), rationalizes everything: the one-parameter family
 
     s = (sqrt3/2) p / sqrt(1+p+p^2),   c = (1/2)(2+p) / sqrt(1+p+p^2)
 
@@ -40,19 +41,21 @@ SQRT3 = math.sqrt(3.0)
 _FLOAT_MIN = sys.float_info.min
 
 
-class ModulusSet(NamedTuple("ModulusSet", [("kappa", float), ("lam", float), ("theta", float)])):
-    """Modulus kappa, complementary modulus, and modular angle (radians)."""
+class ModulusSet(NamedTuple("ModulusSet", [("kappa", float)])):
+    """The modulus kappa in (0, 1), which alone fixes the configuration; the
+    complementary modulus and the transfer parameter are derived from it."""
 
     __slots__ = ()
 
-    def __new__(cls, kappa: float, lam: float, theta: float):
+    def __new__(cls, kappa: float):
         if not 0.0 < kappa < 1.0:
             raise DomainError(f"modulus must lie in (0, 1), got {kappa}")
-        if abs(lam - math.sqrt((1.0 - kappa) * (1.0 + kappa))) > 1e-15:
-            raise DomainError(f"complementary modulus {lam} does not match {kappa}")
-        if abs(kappa - math.sin(theta)) > 1e-15:
-            raise DomainError(f"modular angle {theta} does not match {kappa}")
-        return super().__new__(cls, kappa, lam, theta)
+        return super().__new__(cls, kappa)
+
+    @property
+    def lam(self) -> float:
+        """The complementary modulus sqrt((1 - kappa)(1 + kappa))."""
+        return math.sqrt((1.0 - self.kappa) * (1.0 + self.kappa))
 
     @property
     def complement(self) -> "ModulusSet":
@@ -64,9 +67,14 @@ class ModulusSet(NamedTuple("ModulusSet", [("kappa", float), ("lam", float), ("t
 
             p = 2(s^2 + sqrt3 s c)/(3 - 4 s^2),  s, c = sin, cos(theta/3).
         """
-        third = self.theta / 3.0
-        s, c = math.sin(third), math.cos(third)
+        s, c = _trisected(self.kappa)
         return 2.0 * (s * s + SQRT3 * s * c) / (3.0 - 4.0 * s * s)
+
+
+def _trisected(kappa: float) -> tuple[float, float]:
+    """s, c = sin, cos(theta/3) of the modular angle theta = arcsin kappa."""
+    third = math.asin(kappa) / 3.0
+    return math.sin(third), math.cos(third)
 
 
 class TransferParams(NamedTuple):
@@ -89,11 +97,8 @@ class TransferParams(NamedTuple):
 
 
 def modulus_from_kappa(kappa: float) -> ModulusSet:
-    """Build the (kappa, lambda, theta) triple for 0 < kappa < 1."""
-    if not 0.0 < kappa < 1.0:
-        raise DomainError(f"modulus must lie in (0, 1), got {kappa}")
-    lam = math.sqrt((1.0 - kappa) * (1.0 + kappa))
-    return ModulusSet(kappa=kappa, lam=lam, theta=math.asin(kappa))
+    """The ``ModulusSet`` of 0 < kappa < 1."""
+    return ModulusSet(kappa)
 
 
 def params_from_p(p: float) -> TransferParams:
@@ -157,9 +162,9 @@ def midpoint_gaps(mod: ModulusSet) -> tuple[float, float, float]:
     ends of (0, 1).  Below kappa ~ 5.8e-103, e2 - e3 ~ 0.11 kappa^3 is not
     a normal float: DomainError.
     """
-    kappa, lam, theta = mod
-    s, c = math.sin(theta / 3.0), math.cos(theta / 3.0)
-    phi = 2.0 * math.atan2(lam, kappa) / 3.0
+    kappa = mod.kappa
+    s, c = _trisected(kappa)
+    phi = 2.0 * math.atan2(mod.lam, kappa) / 3.0
     low = (16.0 * SQRT3 / 9.0) * s * s * s * c
     if low < _FLOAT_MIN:
         raise DomainError(f"modulus {kappa} is too small: e2 - e3 ~ 0.11 kappa^3 underflows")

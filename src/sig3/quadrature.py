@@ -1,11 +1,11 @@
 """Adaptive Gauss-Kronrod quadrature on QUADPACK's 21-point rule (qk21).
 
 The 21 Kronrod nodes hold the 10-point Gauss nodes as every other one, so
-one evaluation of a panel gives both sums, and the difference of the two
-estimates its error (R. Piessens, E. de Doncker-Kapenga, C. W. Ueberhuber,
-D. K. Kahaner, QUADPACK, Springer 1983).  One error budget serves the whole
-integral: the interval with the largest estimate is split until the
-estimates sum to the tolerance.
+one evaluation of a panel gives both sums, and their difference, rescaled
+as qk21 rescales it, estimates the panel's error (R. Piessens, E. de
+Doncker-Kapenga, C. W. Ueberhuber, D. K. Kahaner, QUADPACK, Springer 1983).
+One error budget serves the whole integral: the interval with the largest
+estimate is split until the estimates sum to the tolerance.
 """
 
 from __future__ import annotations
@@ -39,32 +39,45 @@ KRONROD_CENTRE = 0.149445554002916905664936468389821
 
 def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float]:
     """[a, b] as (error, a, b, integral): the 21-point Kronrod sum K21 is the
-    integral and |K21 - G10| its error, which leads so that ``max`` picks
-    the worst interval.  Each of the 21 nodes is evaluated once."""
+    integral, and the error leads so that ``max`` picks the worst interval.
+    The error is QUADPACK's qk21 estimate: |K21 - G10| rescaled by the
+    panel's spread resasc = |half| sum wk |f - K21/2| over the 21 nodes to
+    resasc min(1, (200 |K21 - G10| / resasc)^1.5), so it measures the
+    Kronrod sum's error rather than the embedded Gauss sum's.  QUADPACK's
+    floor at 50 eps resabs is left out: it is set by the size of the
+    integrand, and ``integrate``'s tolerance is absolute.  Each of the 21
+    nodes is evaluated once."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    kronrod = KRONROD_CENTRE * f(mid)
+    centre = f(mid)
+    pairs = [(f(mid - half * x), f(mid + half * x)) for x, _, _ in QK21]
+    kronrod = KRONROD_CENTRE * centre
     gauss = 0.0
-    for x, wk, wg in QK21:
-        pair = f(mid - half * x) + f(mid + half * x)
-        kronrod += wk * pair
-        gauss += wg * pair
-    return abs(half * (kronrod - gauss)), a, b, half * kronrod
+    for (_, wk, wg), (left, right) in zip(QK21, pairs):
+        kronrod += wk * (left + right)
+        gauss += wg * (left + right)
+    mean = 0.5 * kronrod
+    spread = KRONROD_CENTRE * abs(centre - mean)
+    for (_, wk, _), (left, right) in zip(QK21, pairs):
+        spread += wk * (abs(left - mean) + abs(right - mean))
+    error = abs(kronrod - gauss)
+    if spread and error:
+        error = spread * min(1.0, (200.0 * error / spread) ** 1.5)
+    return abs(half) * error, a, b, half * kronrod
 
 
 def integrate(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Integrate f over [a, b] to absolute tolerance ``tol``.
 
     Global error control, as QUADPACK's QAG does it: each interval of the
-    partition carries its 21-point Kronrod sum and the estimate |K21 - G10|.
+    partition carries its 21-point Kronrod sum and ``_panel``'s estimate.
     While the summed estimate exceeds ``tol``, the interval with the largest
     estimate is replaced by its two halves, each evaluated once: 1 panel
     when the first interval is accepted, 2 more per split.  A non-finite
     estimate never counts as converged.  The estimate assumes an integrand
     smooth on each panel; at an endpoint singularity it can undershoot
-    (t^-1/2 on [0, 1] at ``tol`` = 1e-13 returns 2 - 5.9e-14, within the
-    tolerance but not by the margin the estimate claims).  The reference
-    kernel of ``delta`` has no such singularity.
+    (t^-1/2 on [0, 1] at ``tol`` = 1e-13 returns 2 - 2.7e-15, within the
+    tolerance).  The reference kernel of ``delta`` has no such singularity.
     An empty interval integrates to 0.0, and b < a to minus the integral
     over [b, a].  Raises NonConvergence, naming the interval and the error
     left, once the partition would grow past ``MAX_INTERVALS`` intervals.

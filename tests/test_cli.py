@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import os
+import platform
 import subprocess
 import sys
 import types
@@ -324,6 +326,19 @@ def test_delta_profile_reaches_kappa_one_minus_1e_12(capsys):
     assert max(float(row[4]) for row in rows) <= 5e-11
 
 
+def test_delta_profile_reaches_kappa_one_minus_1e_13(capsys):
+    # The raw |K21 - G10| estimate filled MAX_INTERVALS here on the row
+    # u = 2 omega, whose one integral runs over [0, pi]; qk21's rescaled
+    # estimate converges.  |delta - inv| is measured 2.50e-15 and
+    # |G(T) - u| 2.76e-10, under F(T) ulp(T) = ulp(pi/2)/delta(omega)
+    # = 4.3e-10 at u = omega.
+    assert main(["delta", "--kappa", "0.9999999999999", "--samples", "17"]) == 0
+    rows = [row.split() for row in capsys.readouterr().out.splitlines()[2:19]]
+    assert len(rows) == 17
+    assert max(float(row[2]) for row in rows) <= 3e-15
+    assert max(float(row[4]) for row in rows) <= 3.5e-10
+
+
 def test_delta_profile_that_fails_prints_no_rows(capsys, monkeypatch):
     # A budget of one interval leaves G(pi/2) unresolved at kappa = 0.99, so
     # the third of five points raises NonConvergence after two rows are
@@ -473,3 +488,22 @@ def test_io_failure_exits_one(tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "out.csv"
     code = main(["verify", "--grid", "0.5:0.5:0.1", "--quiet", "--out", str(target)])
     assert code == 1
+
+
+# The SHA-256 of the standard output of four commands.  A change that moves
+# one of these outputs on purpose edits its digest here.
+CONTRACT_OUTPUTS = {
+    "verify": "e4df1654793993c9acf2ae6839f4c515a247184e486545d327db1bbbcdb883eb",
+    "verify --grid 0.001:0.999:0.001 --quiet": "692fda07c8c9de9ff7edac1c1f9f130257de5ec6dad245b35728261b386cac3f",
+    "periods --kappa 0.05:0.95:0.05": "7b7e95949b2eb290b9fa964d9b82f274e253b9578bfb8c966d5ddaf115402c1a",
+    "delta --kappa 0.6 --samples 17": "211291181a5ecfbfff7cd1f6aa0394ff15acf30aaee6fc7e71443e036e96718f",
+}
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or platform.machine() != "x86_64",
+                    reason="the digests were taken with glibc's libm on x86-64; another libm rounds differently")
+@pytest.mark.parametrize("command", list(CONTRACT_OUTPUTS))
+def test_contract_outputs_are_pinned(capsys, command):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONTRACT_OUTPUTS[command]

@@ -194,13 +194,14 @@ def test_gauss_kronrod_table_is_exact():
 
 
 def test_quadrature_panel_reads_its_gauss_sum():
-    # On [0, 1] the panel's estimate |K21 - G10| is roundoff while G10 is
-    # exact (n <= 19) and jumps at n = 20, where it is not.
+    # On [0, 1] the panel's estimate, |K21 - G10| rescaled as qk21 does, is
+    # roundoff while G10 is exact (n <= 19) and jumps at n = 20, where it
+    # is not (measured 1.67e-14).
     for n in range(20):
         error, a, b, kronrod = sig3.quadrature._panel(lambda t: t ** n, 0.0, 1.0)
         assert (a, b) == (0.0, 1.0)
         assert error <= 2e-16 and abs(kronrod - 1.0 / (n + 1)) <= 8 * math.ulp(1.0 / (n + 1))
-    assert sig3.quadrature._panel(lambda t: t ** 20, 0.0, 1.0)[0] > 1e-13
+    assert sig3.quadrature._panel(lambda t: t ** 20, 0.0, 1.0)[0] > 1e-14
 
 
 def test_quadrature_meets_its_tolerance_at_an_endpoint_singularity():
@@ -379,8 +380,9 @@ def test_delta_is_the_bridge_through_sn_bitwise():
             if i == 0:
                 assert delta(u, ctx) == 1.0
                 continue
-            v = _inv_sn(u * ctx.bridge_scale, ctx.cell.rungs)
-            assert delta(u, ctx) == 1.0 - ctx.bridge_a / (ctx.bridge_b + v * v), (kappa, u)
+            scale, rungs, a, b = ctx.bridge
+            v = _inv_sn(u * scale, rungs)
+            assert delta(u, ctx) == 1.0 - a / (b + v * v), (kappa, u)
             if abs(u) < ctx.omega:
                 assert dn3(u, ctx.modulus) == delta(u, ctx), (kappa, u)
 
@@ -666,7 +668,7 @@ def _period_gap(ctx):
     """|omega scale/(pi/2) - 1|: omega from agm3 against the context's
     Gauss ladder, whose scale is sqrt(e1 - e3)/prod(1 + k_n) = r (pi/2)/K.
     This is identity (56) on the lattice that delta and dn3 use."""
-    return abs(ctx.omega * ctx.bridge_scale / (0.5 * math.pi) - 1.0)
+    return abs(ctx.omega * ctx.cell.scale / (0.5 * math.pi) - 1.0)
 
 
 def test_the_ladder_certifies_the_period():

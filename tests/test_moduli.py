@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sig3.errors import DomainError
 from sig3.moduli import (
     ModulusSet,
+    _trisected,
     invariants,
     midpoint_gaps,
     modulus_from_kappa,
@@ -41,7 +42,8 @@ def exact_invariants(kappa):
 def test_modulus_self_complementary_point():
     mod = modulus_from_kappa(1.0 / math.sqrt(2.0))
     assert rel_err(mod.lam, 1.0 / math.sqrt(2.0)) < 1e-15
-    assert rel_err(mod.theta, math.pi / 4.0) < 1e-15
+    assert rel_err(mod.complement.kappa, mod.kappa) < 1e-15
+    assert rel_err(_trisected(mod.kappa)[0], math.sin(math.pi / 12.0)) < 1e-15
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, -0.3, 1.7])
@@ -51,17 +53,21 @@ def test_modulus_rejects_endpoints(kappa):
 
 
 def test_modulus_set_checks_its_fields():
-    theta = math.asin(0.6)
-    assert modulus_from_kappa(0.6) == ModulusSet(0.6, 0.8, theta) == (0.6, 0.8, theta)
-    for fields in ((0.6, 0.7, theta), (0.6, 0.8, 0.6), (1.0, 0.0, 0.5 * math.pi)):
+    # kappa is the one field; lambda is derived from it, so there is nothing
+    # left to check but 0 < kappa < 1.
+    assert modulus_from_kappa(0.6) == ModulusSet(0.6) == (0.6,)
+    assert rel_err(ModulusSet(0.6).lam, 0.8) < 1e-15
+    for kappa in (0.0, 1.0, -0.3, math.nan):
         with pytest.raises(DomainError):
-            ModulusSet(*fields)
+            ModulusSet(kappa)
+    with pytest.raises(TypeError):
+        ModulusSet(0.6, 0.8)
 
 
 def test_modulus_at_transfer_half():
     # kappa(p=1/2) = 9 sqrt(21)/49; its trisected sine is sqrt3/(2 sqrt7).
     mod = modulus_from_kappa(9.0 * math.sqrt(21.0) / 49.0)
-    assert rel_err(math.sin(mod.theta / 3.0), SQRT3 / (2.0 * SQRT7)) < 1e-15
+    assert rel_err(_trisected(mod.kappa)[0], SQRT3 / (2.0 * SQRT7)) < 1e-15
 
 
 def test_modulus_complement_is_involutive():

@@ -148,12 +148,12 @@ def test_reference_certificate_gap_at_kappa_0_99999():
 
 @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
 def test_reference_certificate_sees_a_biased_bridge(kappa):
-    # bridge_a moved by one part in 1e13 reads 4.0e-15, 1.8e-14 and 5.3e-14
-    # at kappa = 0.3, 0.6 and 0.9.  The phase and so the ODE residual and
-    # G(T(u)) - u do not move at all: only the gap sees the bias.
+    # The bridge constant a moved by one part in 1e13 reads 4.0e-15, 1.8e-14
+    # and 5.3e-14 at kappa = 0.3, 0.6 and 0.9.  The phase and so the ODE
+    # residual and G(T(u)) - u do not move at all: only the gap sees the bias.
     ctx = DeltaContext(modulus_from_kappa(kappa))
-    biased = DeltaContext(ctx.modulus)
-    object.__setattr__(biased, "bridge_a", ctx.bridge_a * (1.0 + 1e-13))
+    scale, rungs, a, b = ctx.bridge
+    biased = ctx._replace(bridge=(scale, rungs, a * (1.0 + 1e-13), b))
     gap, residual, phase_gap = _profile_certificate(biased)
     assert gap >= 1e-15 and gap > _UNBIASED_GAP
     assert (residual, phase_gap) == _profile_certificate(ctx)[1:]
@@ -161,13 +161,13 @@ def test_reference_certificate_sees_a_biased_bridge(kappa):
 
 @pytest.mark.parametrize("kappa", [0.05, 0.3, 0.6, 0.9])
 def test_reference_certificate_sees_a_biased_scale(kappa):
-    # bridge_scale, from u to the argument of sn, moved by one part in 1e13:
-    # delta and the phase move together, and G(T(u)) - u reads 7.9e-14 to
-    # 1.1e-13, against <= 8.9e-16 unbiased.  That is the check the Halley
+    # The bridge's scale, from u to the argument of sn, moved by one part in
+    # 1e13: delta and the phase move together, and G(T(u)) - u reads 7.9e-14
+    # to 1.1e-13, against <= 8.9e-16 unbiased.  That is the check the Halley
     # inversion made, now made of the closed form.
     ctx = DeltaContext(modulus_from_kappa(kappa))
-    biased = DeltaContext(ctx.modulus)
-    object.__setattr__(biased, "bridge_scale", ctx.bridge_scale * (1.0 + 1e-13))
+    scale, rungs, a, b = ctx.bridge
+    biased = ctx._replace(bridge=(scale * (1.0 + 1e-13), rungs, a, b))
     assert _profile_certificate(ctx)[2] <= 1e-15
     assert _profile_certificate(biased)[2] >= 5e-14
 
@@ -235,8 +235,8 @@ def test_trimidiation_sees_a_wrong_bridge_constant(monkeypatch, kappa):
         if m != mod:
             return built(m)
         ctx = DeltaContext(m)
-        object.__setattr__(ctx, "bridge_b", ctx.bridge_b * (1.0 + 1e-12))
-        return ctx
+        scale, rungs, a, b = ctx.bridge
+        return ctx._replace(bridge=(scale, rungs, a, b * (1.0 + 1e-12)))
 
     monkeypatch.setattr(delta_module, "_context", moved)
     assert verify_trimidiation(kappa, _seeded_samples()) >= 1e-14
