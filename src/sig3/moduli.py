@@ -43,7 +43,8 @@ _FLOAT_MIN = sys.float_info.min
 
 class ModulusSet(NamedTuple("ModulusSet", [("kappa", float)])):
     """The modulus kappa in (0, 1), which alone fixes the configuration; the
-    complementary modulus and the transfer parameter are derived from it."""
+    complementary modulus ``lam`` and the transfer parameter ``p`` are
+    derived from it, and lambda's own configuration is ``ModulusSet(lam)``."""
 
     __slots__ = ()
 
@@ -56,10 +57,6 @@ class ModulusSet(NamedTuple("ModulusSet", [("kappa", float)])):
     def lam(self) -> float:
         """The complementary modulus sqrt((1 - kappa)(1 + kappa))."""
         return math.sqrt((1.0 - self.kappa) * (1.0 + self.kappa))
-
-    @property
-    def complement(self) -> "ModulusSet":
-        return modulus_from_kappa(self.lam)
 
     @property
     def p(self) -> float:

@@ -132,16 +132,16 @@ def _cell(periods: HalfPeriodPair, r: float, m: float, m_comp: float) -> _Cell:
 
 def _centred(z: complex, cell: _Cell) -> complex:
     """The circular argument scale (z - P) at the foot of ``cell``'s ladder,
-    P the lattice point nearest z.  Raises DomainError for a z that is not
-    finite or has |z| >= ``WP_MAX_MODULUS``, PoleError within
-    ``POLE_THRESHOLD`` of a lattice point."""
-    w = complex(z)
-    if not abs(w) < WP_MAX_MODULUS:
+    P the lattice point nearest z.  z may be complex, float or int: its
+    abs, real and imaginary parts are read as they come.  Raises DomainError
+    for a z that is not finite or has |z| >= ``WP_MAX_MODULUS``, PoleError
+    within ``POLE_THRESHOLD`` of a lattice point."""
+    if not abs(z) < WP_MAX_MODULUS:
         raise DomainError(f"argument {z} is not finite, or too large to reduce onto the lattice")
     period_re, period_im, scale, _ = cell
     # Exact: z minus the nearest lattice point, ties to the even multiple.
-    x = math.remainder(w.real, period_re)
-    y = math.remainder(w.imag, period_im)
+    x = math.remainder(z.real, period_re)
+    y = math.remainder(z.imag, period_im)
     if math.hypot(x, y) < POLE_THRESHOLD:
         raise PoleError(f"argument {z} is within {POLE_THRESHOLD} of a lattice point")
     return complex(x * scale, y * scale)

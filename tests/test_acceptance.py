@@ -113,10 +113,10 @@ def test_criterion_7_trimidiation():
     samples = (0.3 + 0.0j, 0.2 + 0.1j, 0.5 + 0.3j)
     ok = True
     for kappa in (0.4, 0.7, 1.0 / math.sqrt(2.0)):
-        ok = ok and verify_trimidiation(kappa, samples) <= 1e-8
-        cell = DeltaContext(modulus_from_kappa(kappa)).cell
-        shift = complex(7.0 * cell.period_re, 5.0 * cell.period_im / 3.0)
-        ok = ok and verify_trimidiation(kappa, [z + shift for z in samples]) <= 1e-10
+        ctx = DeltaContext(modulus_from_kappa(kappa))
+        ok = ok and verify_trimidiation(ctx, samples) <= 1e-8
+        shift = complex(7.0 * ctx.cell.period_re, 5.0 * ctx.cell.period_im / 3.0)
+        ok = ok and verify_trimidiation(ctx, [z + shift for z in samples]) <= 1e-10
     report(7, "trimidiation identity", ok)
 
 

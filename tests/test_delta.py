@@ -19,7 +19,7 @@ from sig3.delta import (
 )
 from sig3.errors import DomainError, NonConvergence, PoleError
 from sig3.hypergeom import f_half
-from sig3.moduli import modulus_from_kappa, params_from_p
+from sig3.moduli import ModulusSet, modulus_from_kappa, params_from_p
 from sig3.quadrature import KRONROD_CENTRE, QK21, integrate
 from sig3.transfer import grid_report
 from sig3.weierstrass import WP_MAX_MODULUS, wp, _inv_sn, _jacobi_half_periods, _lattice
@@ -57,7 +57,7 @@ def test_complementary_rotation_relation():
     for kappa in (0.2, 0.55, 0.83):
         mod = modulus_from_kappa(kappa)
         lhs = half_periods_sig3(mod).omega_prime.imag
-        rhs = math.sqrt(3.0) * half_periods_sig3(mod.complement).omega
+        rhs = math.sqrt(3.0) * half_periods_sig3(ModulusSet(mod.lam)).omega
         assert rel_err(lhs, rhs) < 1e-14
 
 
@@ -125,6 +125,36 @@ def test_arc_integral_is_strictly_increasing(ctx06):
 
 def test_arc_integral_odd_in_t(ctx06):
     assert abs(delta_integral(-0.8, ctx06) + delta_integral(0.8, ctx06)) < 1e-13
+
+
+@pytest.mark.parametrize("kappa", [0.6, 0.99])
+def test_arc_integral_reaches_far_phases(kappa):
+    # G(T) = G(r) + 2n G(pi/2) with r = T - n pi: past pi/2 the integral is
+    # reduced modulo pi, so T = 1e4 no longer fills MAX_INTERVALS (T = 300
+    # raised NonConvergence at 0.6).  Against 2n omega plus the quadrature
+    # over the exact remainder in 40 digits: measured 1.05e-16 at 0.6 and
+    # 1.22e-16 at 0.99.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    k2 = mpmath.mpf(kappa) ** 2
+    third = mpmath.mpf(1) / 3
+    T = mpmath.mpf(1e4)
+    turns = int(mpmath.nint(T / mpmath.pi))
+    exact = turns * mpmath.pi * mpmath.hyp2f1(third, 2 * third, 1, k2) + mpmath.quad(
+        lambda t: mpmath.hyp2f1(third, 2 * third, 0.5, k2 * mpmath.sin(t) ** 2), [0, T - turns * mpmath.pi])
+    ctx = DeltaContext(ModulusSet(kappa))
+    assert float(abs(delta_integral(1e4, ctx) - exact) / exact) <= 2e-16
+    assert delta_integral(-1e4, ctx) == -delta_integral(1e4, ctx)
+
+
+@pytest.mark.parametrize("kappa", [0.6, 0.99])
+@pytest.mark.parametrize("u", [1e3, 1e5])
+def test_arc_integral_inverts_the_phase_far_out(kappa, u):
+    # G(T(u)) = u, the paper's definition of T, a thousand and a hundred
+    # thousand units out: measured within one ulp of u (1.1e-13 at 1e3,
+    # <= 1.5e-11 at 1e5).
+    ctx = DeltaContext(ModulusSet(kappa))
+    assert abs(delta_integral(delta_phase(u, ctx), ctx) - u) <= 2.0 * math.ulp(u)
 
 
 def test_quadrature_budget_failure(monkeypatch):
@@ -428,6 +458,20 @@ def test_dn3_matches_delta_on_the_real_axis():
         for i in range(1, 32):
             u = 2.0 * ctx.omega * i / 32
             assert abs(dn3(u, ctx.modulus) - delta(u, ctx)) <= 1e-14, (kappa, u)
+
+
+def test_real_and_integer_arguments_reduce_as_complex_ones(ctx06):
+    # The lattice reduction reads abs, .real and .imag of z as it comes,
+    # which floats and ints have too: the same bits as at complex(z).
+    mod = ctx06.modulus
+    inv = sig3.moduli.invariants(mod)
+
+    def bits(value):
+        return value.real.hex(), value.imag.hex()
+
+    assert bits(dn3(0.7, mod)) == bits(dn3(complex(0.7), mod))
+    assert bits(dn3(1, mod)) == bits(dn3(complex(1), mod))
+    assert bits(wp(0.7, inv)) == bits(wp(complex(0.7), inv))
 
 
 def test_dn3_tends_to_one_at_the_origin(ctx06):

@@ -42,7 +42,7 @@ def exact_invariants(kappa):
 def test_modulus_self_complementary_point():
     mod = modulus_from_kappa(1.0 / math.sqrt(2.0))
     assert rel_err(mod.lam, 1.0 / math.sqrt(2.0)) < 1e-15
-    assert rel_err(mod.complement.kappa, mod.kappa) < 1e-15
+    assert rel_err(ModulusSet(mod.lam).kappa, mod.kappa) < 1e-15
     assert rel_err(_trisected(mod.kappa)[0], math.sin(math.pi / 12.0)) < 1e-15
 
 
@@ -72,7 +72,7 @@ def test_modulus_at_transfer_half():
 
 def test_modulus_complement_is_involutive():
     mod = modulus_from_kappa(0.3)
-    assert rel_err(mod.complement.complement.kappa, 0.3) < 1e-15
+    assert rel_err(ModulusSet(ModulusSet(mod.lam).lam).kappa, 0.3) < 1e-15
 
 
 # ------------------------------------------------ parametrization ----

@@ -11,10 +11,9 @@ import sig3.moduli
 import sig3.transfer
 import sig3.weierstrass
 from sig3.cli import emit_csv
-from sig3.delta import (DeltaContext, half_periods_sig3, period_route_gap, verify_ode_delta,
-                        verify_trimidiation)
+from sig3.delta import DeltaContext, period_route_gap, verify_ode_delta, verify_trimidiation
 from sig3.errors import ConfigError
-from sig3.moduli import modulus_from_kappa, params_from_p
+from sig3.moduli import ModulusSet, modulus_from_kappa, params_from_p
 from sig3.transfer import (
     DEFAULT_TOL,
     MAX_GRID_POINTS,
@@ -24,7 +23,6 @@ from sig3.transfer import (
     verify_identity57,
     verify_identity58,
 )
-from sig3.weierstrass import HalfPeriodPair
 from oracles import HALF, ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err, toward_both_ends
 
 delta_module = importlib.import_module("sig3.delta")  # sig3.delta is the function
@@ -183,7 +181,7 @@ def test_delta_ode_refuses_an_empty_sample():
 
 @pytest.mark.parametrize("kappa", [0.4, 0.7, 1.0 / math.sqrt(2.0)])
 def test_trimidiation_identity(kappa):
-    assert verify_trimidiation(kappa, TRIMID_SAMPLES) <= 1e-8
+    assert verify_trimidiation(DeltaContext(ModulusSet(kappa)), TRIMID_SAMPLES) <= 1e-8
 
 
 @pytest.mark.parametrize("kappa", [0.4, 0.7, 0.9])
@@ -191,9 +189,9 @@ def test_trimidiation_identity_cells_out(kappa):
     # Both sides reduce their arguments onto their own lattices.  The Velu
     # sum has kappa's real period and a third of its imaginary one, so the
     # shift is a period of the left side and, turned by sqrt3 i, of the right.
-    cell = DeltaContext(modulus_from_kappa(kappa)).cell
-    shift = complex(7.0 * cell.period_re, 5.0 * cell.period_im / 3.0)
-    assert verify_trimidiation(kappa, [z + shift for z in TRIMID_SAMPLES]) <= 1e-10
+    ctx = DeltaContext(ModulusSet(kappa))
+    shift = complex(7.0 * ctx.cell.period_re, 5.0 * ctx.cell.period_im / 3.0)
+    assert verify_trimidiation(ctx, [z + shift for z in TRIMID_SAMPLES]) <= 1e-10
 
 
 def _seeded_samples(count=60):
@@ -203,60 +201,46 @@ def _seeded_samples(count=60):
 
 @pytest.mark.parametrize("kappa", [1e-3, 0.05, 0.3, 0.6, 0.9, 0.99, 0.9999])
 def test_trimidiation_holds_to_roundoff(kappa):
-    assert verify_trimidiation(kappa, _seeded_samples()) <= 1e-14
+    assert verify_trimidiation(DeltaContext(ModulusSet(kappa)), _seeded_samples()) <= 1e-14
 
 
 @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
-def test_trimidiation_sees_a_third_of_a_wrong_imaginary_period(monkeypatch, kappa):
+def test_trimidiation_sees_a_third_of_a_wrong_imaginary_period(kappa):
     # The check ties omega' from F3(1 - kappa^2) to the lattice of lambda:
-    # a w = 2 omega'/3 off by one part in 1e12 reads a decade above the
-    # roundoff bound of the test before.
-    def moved(mod):
-        periods = half_periods_sig3(mod)
-        return HalfPeriodPair(periods.omega, periods.omega_prime * (1.0 + 1e-12))
-
-    # Contexts built before the patch keep both cells on their true
-    # lattices, so the patch moves w alone.
-    mod = modulus_from_kappa(kappa)
-    delta_module._context(mod)
-    delta_module._context(mod.complement)
-    monkeypatch.setattr(delta_module, "half_periods_sig3", moved)
-    assert verify_trimidiation(kappa, _seeded_samples()) >= 1e-13
+    # w = 2 omega'/3, read off the cell of kappa, off by one part in 1e12
+    # reads a decade above the roundoff bound of the test before.
+    ctx = DeltaContext(ModulusSet(kappa))
+    moved = ctx._replace(cell=ctx.cell._replace(period_im=ctx.cell.period_im * (1.0 + 1e-12)))
+    assert verify_trimidiation(moved, _seeded_samples()) >= 1e-13
 
 
 @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
-def test_trimidiation_sees_a_wrong_bridge_constant(monkeypatch, kappa):
+def test_trimidiation_sees_a_wrong_bridge_constant(kappa):
     # Both sides run dn3's own bridge b + v^2: a b off by one part in 1e12
     # on the lattice of kappa alone reads above the roundoff bound.
-    mod = modulus_from_kappa(kappa)
-    built = delta_module._context
-
-    def moved(m):
-        if m != mod:
-            return built(m)
-        ctx = DeltaContext(m)
-        scale, rungs, a, b = ctx.bridge
-        return ctx._replace(bridge=(scale, rungs, a, b * (1.0 + 1e-12)))
-
-    monkeypatch.setattr(delta_module, "_context", moved)
-    assert verify_trimidiation(kappa, _seeded_samples()) >= 1e-14
+    ctx = DeltaContext(ModulusSet(kappa))
+    scale, rungs, a, b = ctx.bridge
+    moved = ctx._replace(bridge=(scale, rungs, a, b * (1.0 + 1e-12)))
+    assert verify_trimidiation(moved, _seeded_samples()) >= 1e-14
 
 
 def test_trimidiation_reads_each_lattice_once(monkeypatch):
-    # The spread e1 - e3 of each modulus is read once per call, not per z.
-    mod = modulus_from_kappa(0.6)
-    delta_module._context(mod)
-    delta_module._context(mod.complement)
+    # Every constant of either lattice is read off its context: with both
+    # contexts built, a call derives no midpoint gap and no half period.
+    ctx = delta_module._context(ModulusSet(0.6))
+    delta_module._context(ModulusSet(ctx.modulus.lam))
     calls = []
-    gaps = delta_module.midpoint_gaps
 
-    def counting(m):
-        calls.append(m)
-        return gaps(m)
+    def counting(route):
+        def counted(m):
+            calls.append(m)
+            return route(m)
+        return counted
 
-    monkeypatch.setattr(delta_module, "midpoint_gaps", counting)
-    assert verify_trimidiation(0.6, _seeded_samples()) <= 1e-14
-    assert calls == [mod, mod.complement]
+    monkeypatch.setattr(delta_module, "midpoint_gaps", counting(delta_module.midpoint_gaps))
+    monkeypatch.setattr(delta_module, "half_periods_sig3", counting(delta_module.half_periods_sig3))
+    assert verify_trimidiation(ctx, _seeded_samples()) <= 1e-14
+    assert calls == []
 
 
 def test_trimidiation_builds_no_invariants_and_calls_no_wp(monkeypatch):
@@ -267,18 +251,17 @@ def test_trimidiation_builds_no_invariants_and_calls_no_wp(monkeypatch):
     monkeypatch.setattr(sig3.weierstrass, "_lattice", refuse)
     monkeypatch.setattr(sig3.weierstrass, "wp_and_derivative", refuse)
     importlib.import_module("sig3.delta")._context.cache_clear()
-    assert verify_trimidiation(0.6, TRIMID_SAMPLES) <= 1e-14
+    assert verify_trimidiation(DeltaContext(ModulusSet(0.6)), TRIMID_SAMPLES) <= 1e-14
 
 
 def test_trimidiation_refuses_an_empty_sample():
     with pytest.raises(ConfigError, match="z_samples is empty"):
-        verify_trimidiation(0.4, [])
+        verify_trimidiation(DeltaContext(ModulusSet(0.4)), [])
 
 
 def test_trimidiation_is_even_in_z():
-    plus = verify_trimidiation(0.4, (0.2 + 0.1j,))
-    minus = verify_trimidiation(0.4, (-0.2 - 0.1j,))
-    assert plus == minus
+    ctx = DeltaContext(ModulusSet(0.4))
+    assert verify_trimidiation(ctx, (0.2 + 0.1j,)) == verify_trimidiation(ctx, (-0.2 - 0.1j,))
 
 
 # ------------------------------------------------ period routes ----
