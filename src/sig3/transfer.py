@@ -18,12 +18,18 @@ toward 1.  Every rhs there is at least 0.08 (rhs58 is 0.0815 at
 p = 1 - 2^-53), so a residual is |lhs - rhs| / rhs with no guard.
 
 A grid point costs one ``params_from_p`` call, of which it reads four
-fields, and four complement kernels; the kernels are most of it.  The point
-becomes one ``VerificationRow``, built by ``tuple.__new__`` past the named
-tuple's Python-level constructor, and ``grid_report`` takes its maxima and
-verdict column by column over the rows.  Rows, reports and the
+fields, and four complement kernels; the kernels are most of a row.  The
+point becomes one ``VerificationRow``, built by ``tuple.__new__`` past the
+named tuple's Python-level constructor, and ``grid_report`` takes its
+maxima and verdict column by column over the rows.  Rows, reports and the
 per-identity ``IdentityCheck`` are named tuples: they unpack, index and
 compare equal to plain tuples.
+
+The kernels are not most of a ``sig3 verify`` call.  On the grid
+0.001:0.999:0.001 one call in process takes ~14.5 ms: ``grid_report``
+~6.0 ms and the CSV writer ``cli.emit_csv`` ~6.9 ms, nearly all of it
+``repr`` of the floats (min of 200 rounds, shared 2-CPU VM, Python
+3.11.7).
 
 Besides the identities the module holds only the grid.  The other
 certificates, ``period_route_gap`` of the two half-period routes and

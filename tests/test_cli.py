@@ -1,10 +1,13 @@
 import hashlib
 import importlib.util
+import io
+import math
 import os
 import platform
 import subprocess
 import sys
 import types
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ from sig3.delta import DeltaContext, delta, half_periods_sig3, period_route_gap,
 from sig3.errors import ConfigError
 from sig3.hypergeom import f2
 from sig3.moduli import modulus_from_kappa
-from sig3.transfer import VerificationRow, grid_points, grid_report
+from sig3.transfer import VerificationReport, VerificationRow, grid_points, grid_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 delta_module = importlib.import_module("sig3.delta")  # sig3.delta is the function
@@ -479,9 +482,75 @@ def test_emit_csv_refuses_empty_report():
     report = grid_report(0.5, 0.5, 0.1)
     empty = type(report)(rows=(), tol=report.tol, all_pass=True, max_relerr={})
     with pytest.raises(ConfigError):
-        import io
-
         emit_csv(empty, io.StringIO())
+
+
+def _reference_csv(report) -> list[str]:
+    """The CSV lines as plain repr and lowercase verdicts, no text shared."""
+    return [HEADER] + [
+        ",".join(map(repr, row[:12])) + "".join("," + str(v).lower() for v in row[12:])
+        for row in report.rows
+    ]
+
+
+# Side pairs that a shared text must not blur: equal, unequal, the two
+# zeros either way round, equal infinities, NaN against itself and a value.
+SIDE_PAIRS = (
+    (1.5, 1.5), (1.5, math.nextafter(1.5, 2.0)), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0),
+    (math.inf, math.inf), (-math.inf, -math.inf), (math.nan, math.nan), (math.nan, 2.0),
+    (5e-324, 5e-324), (-1e300, -1e300),
+)
+
+
+def _hand_built_report() -> VerificationReport:
+    rows = []
+    for i, verdicts in enumerate(product((False, True), repeat=3)):
+        for j in range(len(SIDE_PAIRS)):
+            sides = [SIDE_PAIRS[(j + k) % len(SIDE_PAIRS)] for k in range(3)]
+            relerrs = (0.0, math.nan, 1e-17 * (i + 1))
+            rows.append(VerificationRow(
+                0.125 * i, -0.0, math.inf,
+                *[x for (lhs, rhs), e in zip(sides, relerrs) for x in (lhs, rhs, e)],
+                *verdicts,
+            ))
+    return VerificationReport(tuple(rows), 1e-10, False, {})
+
+
+@pytest.mark.parametrize("report", [grid_report(0.001, 0.999, 0.001), _hand_built_report()],
+                         ids=["benchmark_grid", "hand_built"])
+def test_emit_csv_matches_the_plain_repr_writer(report):
+    sink = io.StringIO()
+    emit_csv(report, sink)
+    assert sink.getvalue().split("\n") == _reference_csv(report) + [""]
+
+
+def test_emit_csv_prints_an_equal_pair_once():
+    # A float whose repr counts itself: equal nonzero sides take one repr,
+    # zeros and unequal sides take their own.
+    calls = []
+
+    class Counted(float):
+        def __repr__(self):
+            calls.append(self)
+            return float.__repr__(self)
+
+    row = VerificationRow(0.5, 0.25, 0.75, *map(Counted, (
+        1.25, 1.25, 0.0, 0.0, -0.0, 0.0, 2.0, 3.0, 0.0)), True, True, True)
+    sink = io.StringIO()
+    emit_csv(VerificationReport((row,), 1e-10, True, {}), sink)
+    assert sink.getvalue().split("\n")[1] == "0.5,0.25,0.75,1.25,1.25,0.0,0.0,-0.0,0.0,2.0,3.0,0.0,true,true,true"
+    assert len(calls) == 8
+
+
+def test_emit_csv_streams_one_line_per_write():
+    report = grid_report(0.001, 0.999, 0.001)
+    writes = []
+    emit_csv(report, types.SimpleNamespace(write=writes.append))
+    assert writes[0] == HEADER + "\n"
+    assert len(writes) == len(report.rows) + 1
+    for text, row in zip(writes[1:], report.rows):
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert text.split(",", 1)[0] == repr(row.p)
 
 
 def test_io_failure_exits_one(tmp_path):

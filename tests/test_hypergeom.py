@@ -49,6 +49,16 @@ F_HALF_NEAR_ONE = {
     0.9999: 86.76872837354368,
     1.0 - 2.0 ** -30: 28378.087096406896,
 }
+# Closed forms at the singular value k3^2 = (2 - sqrt3)/4, to 40 digits
+# (mpmath at 60): F3(1/2) = sqrt(pi)/(Gamma(2/3) Gamma(5/6)), K(k3) =
+# 3^(1/4) Gamma(1/3)^3/(2^(7/3) pi), F2(1/2) = sqrt(pi)/Gamma(3/4)^2, and
+# both sides of (56) at p = (sqrt3 - 1)/2, where beta = 1/2 and alpha =
+# k3^2: 3 K(k3)/pi = 3^(1/4) F3(1/2).
+F3_AT_HALF_40 = Decimal("1.159595266963928365769992051570020881945")
+K_AT_K3_40 = Decimal("1.598142002112540144460965105390112888901")
+F2_AT_HALF_40 = Decimal("1.180340599016096226045337940558488587234")
+SIDES56_AT_K3_40 = Decimal("1.526113196393934013004308130025095138993")
+P_AT_K3 = (math.sqrt(3.0) - 1.0) / 2.0
 
 
 # The float series is the oracle that the AGM and closed-form routes are
@@ -167,6 +177,35 @@ def test_agm_lemniscatic_constant():
     assert rel_err(value, AGM_1_INV_SQRT2) < 1e-14
     oracle = float(agm_decimal(Decimal(1), Decimal(2).sqrt() / 2))
     assert rel_err(value, oracle) < 1e-14
+
+
+def _anchor_errors() -> list[float]:
+    """Exact relative errors of f3(1/2), (pi/2) f2(k3^2), f2(1/2) and the
+    two sides of (56) at p = (sqrt3 - 1)/2 against their closed forms."""
+    row = transfer.grid_report(P_AT_K3, P_AT_K3, 1.0).rows[0]
+    pairs = (
+        (f3(0.5), F3_AT_HALF_40),
+        (math.pi / 2.0 * f2((2.0 - math.sqrt(3.0)) / 4.0), K_AT_K3_40),
+        (f2(0.5), F2_AT_HALF_40),
+        (row.lhs56, SIDES56_AT_K3_40),
+        (row.rhs56, SIDES56_AT_K3_40),
+    )
+    return [float(abs(Fraction(value) - Fraction(c)) / Fraction(c)) for value, c in pairs]
+
+
+def test_kernels_meet_the_singular_value_anchors():
+    # Measured 7.3e-17, 3.1e-17, 2.2e-19, 2.9e-17 and 2.9e-17; math.gamma's
+    # F2(1/2) is 3.8e-16 low, so the constants are mpmath's.
+    assert max(_anchor_errors()) <= 3e-16
+
+
+def test_the_anchors_see_a_bias_the_transfer_identities_cannot(monkeypatch):
+    # A factor common to agm and agm3 scales both sides of (56) alike.
+    agm_, agm3_ = hypergeom.agm, hypergeom.agm3
+    monkeypatch.setattr(hypergeom, "agm", lambda a, b: agm_(a, b) * (1.0 + 1e-13))
+    monkeypatch.setattr(hypergeom, "agm3", lambda a, b: agm3_(a, b) * (1.0 + 1e-13))
+    assert min(_anchor_errors()) >= 5e-14
+    assert transfer.grid_report(P_AT_K3, P_AT_K3, 1.0).max_relerr["56"] <= 3e-16
 
 
 def test_agm_handles_extreme_ratio():
