@@ -9,9 +9,10 @@ message and the exit code is the verdict, which each handler computes
 before it returns the function that writes its output.
 
 The front end imports no private name: a ``delta`` profile prints the
-reference route's gap, |G(T) - u| and ODE residual from its certificate,
-``delta.verify_ode_delta``, one call per row.  Negative numbers are values
-in every form ``float`` reads, "-1e-5" and "-inf" included.
+reference route's gap, |G(T) - u| and ODE residual from the rows of its
+certificate, ``delta.verify_ode_delta``, called once over the profile's
+grid.  Negative numbers are values in every form ``float`` reads, "-1e-5"
+and "-inf" included.
 """
 
 from __future__ import annotations
@@ -156,27 +157,26 @@ def _cmd_delta(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
 
 def _profile_lines(ctx: DeltaContext, samples: int) -> list[str]:
     """delta on a uniform grid over [0, 2 omega], its gaps to the reference
-    route and to dn3, the phase's |G(T) - u| and the ODE residual.  Each
-    row's gaps and residual are the reference route's certificate
-    ``verify_ode_delta`` at its one u: one arc integral over [0, T(u)]."""
+    route and to dn3, the phase's |G(T) - u| and the ODE residual.  The
+    gaps and residual of every row come from one call of the reference
+    route's certificate ``verify_ode_delta`` over the grid: one running
+    arc integral from 0 to pi."""
     mod = ctx.modulus
     omega = ctx.omega
     lines = [
         f"kappa = {mod.kappa}   omega = {omega!r}   period = {2 * omega!r}",
         f"{'u':>10} {'delta(u)':>20} {'|delta - inv|':>14} {'|delta - dn3|':>14} {'|G(T) - u|':>14}",
     ]
-    worst = 0.0
-    for i in range(samples):
-        u = 2.0 * omega * i / (samples - 1)
+    rows = verify_ode_delta(ctx, [2.0 * omega * i / (samples - 1) for i in range(samples)])
+    for u, inv_gap, residual, phase_gap in rows:
         d = delta(u, ctx)
-        inv_gap, residual, phase_gap = verify_ode_delta(ctx, (u,))
         # dn3 refuses the lattice points 0 and 2 omega, the poles of its
         # 1/sn^2 (dn3 itself tends to 1 there)
         near_pole = min(u, abs(2.0 * omega - u)) < 1e-6
         dn3_gap = float("nan") if near_pole else abs(dn3(u, mod) - d)
-        if not near_pole:
-            worst = max(worst, residual)
         lines.append(f"{u:10.5f} {d:20.15f} {inv_gap:14.3e} {dn3_gap:14.3e} {phase_gap:14.3e}")
+    # Rows 0 and N - 1 are the lattice points, where no residual is taken.
+    worst = max(residual for _, _, residual, _ in rows[1:-1])
     lines.append(f"\nmax scaled ODE residual over the interior grid: {worst:.3e}")
     return lines
 

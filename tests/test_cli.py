@@ -307,7 +307,7 @@ def test_delta_profile_reaches_kappa_one_minus_1e_10(capsys):
     # The Halley inversion stopped here with NonConvergence: one ulp of T
     # moves G by more than the quadrature's 1e-12.  The closed-form phase
     # has no such stop; |G(T) - u| then reads F(T) ulp(T) plus the
-    # quadrature's error, measured <= 4.1e-12.
+    # quadrature's error, measured <= 2.7e-12.
     assert main(["delta", "--kappa", "0.9999999999", "--samples", "17"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].endswith("|G(T) - u|")
@@ -320,7 +320,7 @@ def test_delta_profile_reaches_kappa_one_minus_1e_10(capsys):
 def test_delta_profile_reaches_kappa_one_minus_1e_12(capsys):
     # The panel-minus-halves estimate filled MAX_INTERVALS here: near the
     # 1/lambda peak of the kernel its differences were rounding noise.  The
-    # Kronrod estimate converges.  |G(T) - u| is measured <= 3.5e-11, under
+    # Kronrod estimate converges.  |G(T) - u| is measured <= 3.3e-11, under
     # F(T) ulp(T) = ulp(pi/2)/delta(omega) = 1.4e-10 at u = omega.
     assert main(["delta", "--kappa", "0.999999999999", "--samples", "17"]) == 0
     rows = [row.split() for row in capsys.readouterr().out.splitlines()[2:19]]
@@ -331,9 +331,9 @@ def test_delta_profile_reaches_kappa_one_minus_1e_12(capsys):
 
 def test_delta_profile_reaches_kappa_one_minus_1e_13(capsys):
     # The raw |K21 - G10| estimate filled MAX_INTERVALS here on the row
-    # u = 2 omega, whose one integral runs over [0, pi]; qk21's rescaled
+    # u = 2 omega, when its integral ran over [0, pi]; qk21's rescaled
     # estimate converges.  |delta - inv| is measured 2.50e-15 and
-    # |G(T) - u| 2.76e-10, under F(T) ulp(T) = ulp(pi/2)/delta(omega)
+    # |G(T) - u| 1.6e-10, under F(T) ulp(T) = ulp(pi/2)/delta(omega)
     # = 4.3e-10 at u = omega.
     assert main(["delta", "--kappa", "0.9999999999999", "--samples", "17"]) == 0
     rows = [row.split() for row in capsys.readouterr().out.splitlines()[2:19]]
@@ -343,10 +343,10 @@ def test_delta_profile_reaches_kappa_one_minus_1e_13(capsys):
 
 
 def test_delta_profile_that_fails_prints_no_rows(capsys, monkeypatch):
-    # A budget of one interval leaves G(pi/2) unresolved at kappa = 0.99, so
-    # the third of five points raises NonConvergence after two rows are
-    # computed.  Every row is computed before the table starts, so standard
-    # output stays empty.
+    # A budget of one interval leaves the stretch from 0 to T(omega/2)
+    # unresolved at kappa = 0.99, so the one call of the certificate raises
+    # NonConvergence at the second of five rows.  Every row is computed
+    # before the table starts, so standard output stays empty.
     monkeypatch.setattr(sig3.quadrature, "MAX_INTERVALS", 1)
     assert main(["delta", "--kappa", "0.99", "--samples", "5"]) == 1
     out, err = capsys.readouterr()
@@ -363,9 +363,9 @@ def test_delta_profile_reaches_kappa_0_9999(capsys):
 
 
 def test_delta_profile_inverts_once_per_point(capsys, monkeypatch):
-    # One closed-form phase and one arc integral over [0, T(u)] per row
-    # serve all three certificate columns.  The Halley inversion made 62
-    # reference evaluations for these 17 rows, and more integrals.
+    # One call of the certificate serves the whole profile: one closed-form
+    # phase per row and one running integral, whose 17 stretches chain from
+    # 0 to T(2 omega) = pi.  The rows used to take one integral each from 0.
     phases, integrals = [], []
     phase = delta_module.delta_phase
     integral = delta_module.integrate
@@ -382,12 +382,43 @@ def test_delta_profile_inverts_once_per_point(capsys, monkeypatch):
     monkeypatch.setattr(delta_module, "integrate", counting_integral)
     assert main(["delta", "--kappa", "0.6", "--samples", "17"]) == 0
     assert len(phases) == 17 and len(integrals) == 17
-    assert all(a == 0.0 for a, _ in integrals)
+    assert integrals[0][0] == 0.0 and integrals[-1][1] == math.pi
+    assert all(b == a for (_, b), (a, _) in zip(integrals, integrals[1:]))
     monkeypatch.undo()
     ctx = DeltaContext(modulus_from_kappa(0.6))
-    worst = verify_ode_delta(ctx, [2.0 * ctx.omega * i / 16 for i in range(1, 16)])[1]
+    rows = verify_ode_delta(ctx, [2.0 * ctx.omega * i / 16 for i in range(1, 16)])
+    worst = max(residual for _, _, residual, _ in rows)
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == f"max scaled ODE residual over the interior grid: {worst:.3e}"
+
+
+def test_delta_profile_kernel_count_near_kappa_one(capsys, monkeypatch):
+    # At kappa = 1 - 1e-12 the one pass evaluates the arc kernel 1,529
+    # times; one integral from 0 per row took 13,751.
+    calls = []
+    arc = delta_module._arc
+
+    def counting_arc(kappa):
+        kernel = arc(kappa)
+
+        def counted(t, terms=False):
+            calls.append(t)
+            return kernel(t, terms)
+
+        return counted
+
+    monkeypatch.setattr(delta_module, "_arc", counting_arc)
+    assert main(["delta", "--kappa", "0.999999999999", "--samples", "17"]) == 0
+    assert len(calls) <= 2000
+
+
+def test_delta_profile_reaches_the_float_below_one(capsys):
+    # kappa = 1 - 2.2e-16: the integral from 0 to pi of the last row ran out
+    # of MAX_INTERVALS, and the profile exited 1.  Each stretch of the one
+    # running integral converges; |G(T) - u| reads up to 4.1e-9 there, the
+    # error of the quadrature near the kernel's peak (ROADMAP item 16).
+    assert main(["delta", "--kappa", "0.9999999999999998", "--samples", "17"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 21  # title, header, 17 rows, blank, residual
 
 
 @pytest.mark.parametrize("extra, verdict", [([], 0), (["--tol", "1e-300"], 1)])
@@ -565,7 +596,7 @@ CONTRACT_OUTPUTS = {
     "verify": "e4df1654793993c9acf2ae6839f4c515a247184e486545d327db1bbbcdb883eb",
     "verify --grid 0.001:0.999:0.001 --quiet": "692fda07c8c9de9ff7edac1c1f9f130257de5ec6dad245b35728261b386cac3f",
     "periods --kappa 0.05:0.95:0.05": "7b7e95949b2eb290b9fa964d9b82f274e253b9578bfb8c966d5ddaf115402c1a",
-    "delta --kappa 0.6 --samples 17": "211291181a5ecfbfff7cd1f6aa0394ff15acf30aaee6fc7e71443e036e96718f",
+    "delta --kappa 0.6 --samples 17": "ce70f0ac239fd804b78bdfd723f445039efd646ddea6179b600a1f21f6ca81f0",
 }
 
 

@@ -361,7 +361,21 @@ def test_delta_matches_the_integral_inversion_route(kappa):
     for u in grid:
         reference = delta_module._reference_delta(delta_phase(u, ctx), ctx)[0]
         assert rel_err(delta(u, ctx), reference) <= bound, u
-    assert delta_module.verify_ode_delta(ctx, grid)[2] <= phase_unit(ctx)
+    assert max(row[3] for row in delta_module.verify_ode_delta(ctx, grid)) <= phase_unit(ctx)
+
+
+@pytest.mark.parametrize("points", [4, 16])
+def test_certificate_crosses_the_peak_at_the_float_below_one(points):
+    # kappa = 1 - 2^-53.  On an even grid the peak of the kernel at T = pi/2
+    # lies inside the stretch between the two middle points, which the
+    # running integral crosses in one call.  |G(T) - u| measures 8.7e-11 and
+    # 4.7e-9, under one phase_unit (2.6e-8): the quadrature's error near
+    # the peak (ROADMAP item 16).
+    ctx = DeltaContext(modulus_from_kappa(1.0 - 2.0 ** -53))
+    grid = [2.0 * ctx.omega * i / (points - 1) for i in range(points)]
+    rows = delta_module.verify_ode_delta(ctx, grid)
+    assert [row[0] for row in rows] == grid
+    assert max(row[3] for row in rows) <= phase_unit(ctx)
 
 
 def test_delta_periodicity(ctx06, omega06):

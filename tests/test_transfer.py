@@ -112,12 +112,13 @@ def test_identity58_error_is_dominated_by_56_and_57():
 
 def test_delta_ode_residual_at_sample_points():
     for kappa in (0.3, 0.6, 0.9):
-        assert verify_ode_delta(DeltaContext(modulus_from_kappa(kappa)), (0.2, 0.5, 0.9))[1] <= 1e-9
+        rows = verify_ode_delta(DeltaContext(modulus_from_kappa(kappa)), (0.2, 0.5, 0.9))
+        assert max(residual for _, _, residual, _ in rows) <= 1e-9
 
 
 def test_delta_ode_residual_vanishes_at_zero():
-    gap, residual, phase_gap = verify_ode_delta(DeltaContext(modulus_from_kappa(0.6)), (0.0,))
-    assert gap == 0.0 and residual < 1e-14 and phase_gap == 0.0
+    [(u, gap, residual, phase_gap)] = verify_ode_delta(DeltaContext(modulus_from_kappa(0.6)), (0.0,))
+    assert u == 0.0 and gap == 0.0 and residual < 1e-14 and phase_gap == 0.0
 
 
 # The worst unbiased |delta - inv| on the 17-point profile grid, measured
@@ -127,7 +128,10 @@ _UNBIASED_GAP = 2e-15
 
 
 def _profile_certificate(ctx):
-    return verify_ode_delta(ctx, [2.0 * ctx.omega * i / 16 for i in range(17)])
+    """The worst (gap, residual, phase_gap) over the rows of the 17-point
+    profile grid."""
+    rows = verify_ode_delta(ctx, [2.0 * ctx.omega * i / 16 for i in range(17)])
+    return tuple(max(column) for column in list(zip(*rows))[1:])
 
 
 @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9, 0.99, 0.999, 0.9999, 0.999999])
@@ -171,9 +175,25 @@ def test_reference_certificate_sees_a_biased_scale(kappa):
 
 
 def test_delta_ode_refuses_an_empty_sample():
-    # A maximum over no point would read 0.0, a pass that checked nothing.
+    # No row at all would read as a pass that checked nothing.
     with pytest.raises(ConfigError, match="u_grid is empty"):
         verify_ode_delta(DeltaContext(modulus_from_kappa(0.6)), [])
+
+
+def test_delta_ode_refuses_an_empty_generator():
+    # An empty generator is truthy: the samples are counted once drawn.
+    with pytest.raises(ConfigError, match="u_grid is empty"):
+        verify_ode_delta(DeltaContext(modulus_from_kappa(0.6)), (u for u in []))
+
+
+def test_delta_ode_running_integral_is_compensated():
+    # 1,001 stretches at kappa = 0.6: the worst |G(T) - u| reads 9.7e-16
+    # with the compensated sum and 2.7e-15 with a plain one (2.0e-14 on
+    # 10,001 points).
+    ctx = DeltaContext(modulus_from_kappa(0.6))
+    rows = verify_ode_delta(ctx, [2.0 * ctx.omega * i / 1000 for i in range(1001)])
+    assert len(rows) == 1001
+    assert max(phase_gap for _, _, _, phase_gap in rows) <= 1.5e-15
 
 
 # ---------------------------------------------- trimidiation ----
@@ -257,6 +277,11 @@ def test_trimidiation_builds_no_invariants_and_calls_no_wp(monkeypatch):
 def test_trimidiation_refuses_an_empty_sample():
     with pytest.raises(ConfigError, match="z_samples is empty"):
         verify_trimidiation(DeltaContext(ModulusSet(0.4)), [])
+
+
+def test_trimidiation_refuses_an_empty_iterator():
+    with pytest.raises(ConfigError, match="z_samples is empty"):
+        verify_trimidiation(DeltaContext(ModulusSet(0.4)), iter([]))
 
 
 def test_trimidiation_is_even_in_z():
