@@ -18,12 +18,14 @@ on the lattice of (g2, g3); ``delta.dn3``, ``delta.delta`` and
 on the real axis.
 
 The lattice of (g2, g3) has one private home, ``_lattice``: it solves
-4t^3 - g2 t - g3 = 0 for the midpoint values e1 > e2 > e3, reads the
-Jacobi modulus k^2 = (e2-e3)/(e1-e3) off them, and builds the cell from the
-half periods omega = K/sqrt(e1-e3), omega' = iK'/sqrt(e1-e3), with the
-quarter periods K and K' through the AGM (``_jacobi_half_periods``, which
-``delta.period_route_gap`` shares).  The lattice of a modulus kappa needs no
-cubic: ``delta.DeltaContext`` builds it from the closed-form midpoint gaps.
+4t^3 - g2 t - g3 = 0 for the midpoint values e1 > e2 > e3, reads
+k^2 = (e2-e3)/(e1-e3) and k'^2 = (e1-e2)/(e1-e3) off them once, and hands
+the same two floats to the half periods omega = K/sqrt(e1-e3),
+omega' = iK'/sqrt(e1-e3), with the quarter periods K and K' through the AGM
+(``_jacobi_half_periods``, which ``delta.period_route_gap`` shares), and to
+the cell's ladder.  The lattice of a modulus kappa needs no cubic:
+``delta.DeltaContext`` builds it the same way from the closed-form midpoint
+gaps.
 """
 
 from __future__ import annotations
@@ -56,20 +58,15 @@ class WeierstrassInvariants(NamedTuple("WeierstrassInvariants", [("g2", float), 
         return super().__new__(cls, g2, g3)
 
 
-class HalfPeriodPair(NamedTuple("HalfPeriodPair", [("omega", float), ("omega_prime", complex)])):
+class HalfPeriodPair(NamedTuple):
     """Half periods (omega, omega') with omega > 0 and omega' on the positive
-    imaginary axis; the fundamental periods are (2 omega, 2 omega')."""
+    imaginary axis; the fundamental periods are (2 omega, 2 omega').  Both
+    producers, ``_jacobi_half_periods`` and ``delta._sig3_half_periods``,
+    build omega and -i omega' as positive multiples of kernel values >= 1,
+    so the invariant holds by construction and nothing checks it."""
 
-    __slots__ = ()
-
-    def __new__(cls, omega: float, omega_prime: complex):
-        if not omega > 0.0:
-            raise DomainError(f"omega must be positive, got {omega}")
-        if omega_prime.real != 0.0 or not omega_prime.imag > 0.0:
-            raise DomainError(
-                f"omega' must be purely imaginary with positive imaginary part, got {omega_prime}"
-            )
-        return super().__new__(cls, omega, omega_prime)
+    omega: float
+    omega_prime: complex
 
 
 def wp_and_derivative(z: complex, inv: WeierstrassInvariants) -> tuple[complex, complex]:
@@ -80,8 +77,9 @@ def wp_and_derivative(z: complex, inv: WeierstrassInvariants) -> tuple[complex, 
     and wp' = 2 (e1-e3) v dv/dz: dv/dz = -scale cos(phi) v^2 at the foot,
     times (1 - k_n/v^2)/(1 + k_n) per rung.
 
-    Only rectangular lattices (positive discriminant) are served; others
-    raise DomainError.  Raises PoleError within ``POLE_THRESHOLD`` of
+    Only rectangular lattices (positive discriminant) are served; others,
+    and invariants so large that g2^3 or g3^2 overflows, raise DomainError
+    (``_lattice``).  Raises PoleError within ``POLE_THRESHOLD`` of
     a lattice point, and DomainError for a z that is not finite or has
     |z| >= ``WP_MAX_MODULUS``.
 
@@ -154,27 +152,29 @@ def _lattice(g2: float, g3: float) -> tuple[float, float, _Cell]:
     The midpoints e1 > e2 > e3 are the roots of 4t^3 - g2 t - g3, solved in
     trigonometric form, which is valid exactly when the discriminant
     g2^3 - 27 g3^2 is positive (a rectangular lattice); otherwise
-    DomainError.  Rounded roots with e1 <= e2, a spread e1 - e3 below 1e-14
-    of the midpoints or e2 - e3 below 1e-14 of the spread leave no period
-    lattice: DomainError too.
-    The half periods come from ``_jacobi_half_periods`` with 1 - k^2 taken
-    as (1-k)(1+k), which keeps K accurate as k -> 1; the ladder takes k^2
-    and 1 - k^2 each from its own midpoint gap."""
-    if g2 <= 0.0 or g2 ** 3 - 27.0 * g3 ** 2 <= 0.0:
-        raise DomainError(f"invariants ({g2}, {g3}) do not give three real midpoints")
+    DomainError, as also where g2^3 or g3^2 overflows a float (g2 above
+    ~5.6e102 or |g3| above ~1.3e154).  Rounded roots with
+    e1 <= e2, a spread e1 - e3 below 1e-14 of the midpoints or e2 - e3
+    below 1e-14 of the spread leave no period lattice: DomainError too.
+    k^2 = (e2-e3)/(e1-e3) and k'^2 = (e1-e2)/(e1-e3) are formed once, and
+    the half periods (``_jacobi_half_periods``) and the ladder (``_cell``)
+    take the same two floats, so the ladder's scale certifies omega."""
+    try:
+        if g2 <= 0.0 or g2 ** 3 - 27.0 * g3 ** 2 <= 0.0:
+            raise DomainError(f"invariants ({g2}, {g3}) do not give three real midpoints")
+    except OverflowError:
+        raise DomainError(f"invariants ({g2}, {g3}) are too large: g2^3 or g3^2 overflows") from None
     m = math.sqrt(g2 / 3.0)
     # cos(3 phi) = g3 (3/g2)^(3/2); |.| <= 1 follows from the discriminant.
     arg = min(1.0, max(-1.0, g3 / (m * m * m)))
     phi = math.acos(arg) / 3.0
     third = 2.0 * math.pi / 3.0
     e1, e2, e3 = m * math.cos(phi), m * math.cos(phi - third), m * math.cos(phi - 2.0 * third)
-    spread = e1 - e3
-    gap = e2 - e3
+    spread, gap = e1 - e3, e2 - e3
     if not e1 > e2 or spread <= 1e-14 * max(abs(e1), abs(e3)) or gap <= 1e-14 * spread:
         raise DomainError(f"midpoint spreads ({spread}, {gap}) too small for a period lattice")
-    k = math.sqrt(gap / spread)
-    periods = _jacobi_half_periods(k * k, (1.0 - k) * (1.0 + k), math.sqrt(spread))
-    return e3, spread, _cell(periods, math.sqrt(spread), gap / spread, (e1 - e2) / spread)
+    r, k2, k2_comp = math.sqrt(spread), gap / spread, (e1 - e2) / spread
+    return e3, spread, _cell(_jacobi_half_periods(k2, k2_comp, r), r, k2, k2_comp)
 
 
 @lru_cache(maxsize=64)

@@ -1,9 +1,12 @@
 """The package's layout: which modules import which, which private names
-cross a module boundary, that every module uses what it imports, and that
-every name the benchmark in perfbench/ reaches exists."""
+cross a module boundary, that every module uses what it imports, how many
+lines of code it holds, and that every name the benchmark in perfbench/
+reaches exists."""
 
 import ast
 import importlib
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -85,6 +88,37 @@ def test_every_module_uses_what_it_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+# Lines of src/sig3 that hold code: not blank, comment or docstring.  A
+# change that moves the count edits this pin and says so in CHANGES.md.
+CODE_LINES = 749
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def _code_lines(source):
+    """The numbers of the lines a token other than a comment or layout
+    touches (a token spanning lines touches each), less the lines of every
+    module, class and function docstring."""
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.difference_update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def test_code_line_count_is_pinned():
+    assert _code_lines('"""Doc."""\n\n# note\nx = """a\nb"""  # c\n') == {4, 5}
+    counted = sum(len(_code_lines(path.read_text(encoding="utf-8"))) for path in PACKAGE.glob("*.py"))
+    assert counted == CODE_LINES
 
 
 # ------------------------------------------- what the benchmark reaches ----

@@ -275,13 +275,50 @@ def test_half_periods_degenerate_spread():
         _lattice(2.9999999999999996, -0.9999999999999997)
 
 
-def test_half_period_pair_validation():
-    with pytest.raises(DomainError):
-        HalfPeriodPair(omega=-1.0, omega_prime=1j)
-    with pytest.raises(DomainError):
-        HalfPeriodPair(omega=1.0, omega_prime=1.0 + 1j)
-    with pytest.raises(DomainError):
-        HalfPeriodPair(omega=1.0, omega_prime=-2j)
+def _lattice_period_gap(g2, g3):
+    """|omega scale/(pi/2) - 1| on the lattice ``wp`` holds for (g2, g3):
+    omega from the AGM against the cell's Gauss ladder, whose scale is
+    sqrt(e1 - e3)/prod(1 + k_n) = r (pi/2)/K."""
+    cell = _lattice(g2, g3)[2]
+    return abs(0.5 * cell.period_re * cell.scale / (0.5 * math.pi) - 1.0)
+
+
+def test_the_ladder_certifies_the_lattice_period():
+    # 802 kappa from 0.05 to 1 - 1e-10 through the float invariants.  The
+    # half periods and the ladder read k^2 and k'^2 from the same floats:
+    # measured worst 1.1e-15.  Periods that took k'^2 as (1 - k)(1 + k)
+    # while the ladder read it off the midpoints would miss by up to 3.2e-13.
+    n = 400
+    kappas = [0.05 + 0.45 * i / n for i in range(n)]
+    kappas += [1.0 - 0.5 * 10.0 ** (-9.7 * i / n) for i in range(n + 2)]
+    assert kappas[-1] >= 1.0 - 1e-10
+    for kappa in kappas:
+        assert _lattice_period_gap(*invariants(modulus_from_kappa(kappa))) <= 2e-15, kappa
+
+
+def test_the_ladder_certifies_random_lattice_periods():
+    # 3,000 seeded lattices from roots e1 > e2 > e3 summing to 0, the spread
+    # e1 - e3 log-uniform in [1e-3, 1e3] and (e2 - e3)/(e1 - e3) in
+    # [1e-12, 1].  Below 1e-7 the rounded (g2, g3) may leave a discriminant
+    # <= 0 or e2 - e3 within 1e-14 of the spread, which _lattice refuses.
+    # Measured: 670 refused, worst on the 2,330 others 6.7e-16 (1.6e-14
+    # if the periods alone took k'^2 as (1 - k)(1 + k)).
+    rng = random.Random(35)
+    certified = 0
+    for _ in range(3000):
+        spread = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+        ratio = math.exp(rng.uniform(math.log(1e-12), 0.0))
+        e3 = -spread * (1.0 + ratio) / 3.0
+        e1, e2 = e3 + spread, e3 + ratio * spread
+        g2, g3 = 2.0 * (e1 * e1 + e2 * e2 + e3 * e3), 4.0 * e1 * e2 * e3
+        try:
+            gap = _lattice_period_gap(g2, g3)
+        except DomainError:
+            assert ratio < 1e-7, (spread, ratio)
+            continue
+        assert gap <= 2e-15, (spread, ratio)
+        certified += 1
+    assert certified >= 2000
 
 
 def test_midpoints_from_invariants_round_trip(config06):
@@ -403,6 +440,15 @@ def test_wp_forms_no_derivative_and_equals_its_value_bitwise(monkeypatch):
 def test_wp_refuses_non_rectangular_lattices():
     with pytest.raises(DomainError):
         wp(0.3 + 0.1j, WeierstrassInvariants(1.0, 1.0))
+
+
+@pytest.mark.parametrize("g2, g3", [(1e300, 0.0), (1.0, 1e160), (6e102, 1.0), (1.0, -2e154)])
+def test_wp_refuses_invariants_whose_discriminant_overflows(g2, g3):
+    # g2^3 or g3^2 overflows a float: a DomainError, not an OverflowError.
+    inv = WeierstrassInvariants(g2, g3)
+    for f in (wp, wp_and_derivative):
+        with pytest.raises(DomainError, match="too large"):
+            f(0.5, inv)
 
 
 # ----------------------------------------- 40-digit reference ----
