@@ -25,10 +25,10 @@ import sys
 from itertools import product
 from typing import IO, Callable, Sequence
 
-from .delta import DeltaContext, delta, dn3, half_periods_sig3, period_route_gap, verify_ode_delta
+from .delta import DeltaContext, delta, dn3, period_route_gap, verify_ode_delta
 from .errors import ConfigError, DomainError, Sig3Error
 from .hypergeom import f2, f3, f_half
-from .moduli import ModulusSet, modulus_from_kappa
+from .moduli import ModulusSet
 from .transfer import (
     DEFAULT_TOL,
     MAX_GRID_POINTS,
@@ -127,24 +127,24 @@ def _cmd_periods(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
     # A single kappa is the one-point grid kappa:kappa:1.  Every row is
     # computed before the table starts, so a bad grid prints no rows.
     text = args.kappa if ":" in args.kappa else f"{args.kappa}:{args.kappa}:1"
-    lines = [_period_line(modulus_from_kappa(kappa)) for kappa in grid_points(*_parse_grid(text))]
+    lines = [_period_line(DeltaContext(ModulusSet(kappa))) for kappa in grid_points(*_parse_grid(text))]
     header = f"{'kappa':>20} {'p':>22} {'omega':>18} {'-i omega_prime':>18} {'gap_re':>9} {'gap_im':>9}"
     return 0, lambda: print(header, *lines, sep="\n")
 
 
-def _period_line(mod: ModulusSet) -> str:
-    """One table row: kappa, p, omega, -i omega' and the two route gaps."""
-    p = mod.p
-    sig = half_periods_sig3(mod)
-    gap_re, gap_im = period_route_gap(p)
+def _period_line(ctx: DeltaContext) -> str:
+    """One table row: kappa, p, omega, -i omega' and the two route gaps of
+    the lattice of kappa."""
+    mod = ctx.modulus
+    gap_re, gap_im = period_route_gap(ctx)
     return (
-        f"{mod.kappa!r:>20} {p!r:>22} {sig.omega:18.15f} {sig.omega_prime.imag:18.15f} "
+        f"{mod.kappa!r:>20} {mod.p!r:>22} {ctx.omega:18.15f} {0.5 * ctx.cell.period_im:18.15f} "
         f"{gap_re:9.2e} {gap_im:9.2e}"
     )
 
 
 def _cmd_delta(args: argparse.Namespace) -> tuple[int, Callable[[], None]]:
-    ctx = DeltaContext(modulus_from_kappa(args.kappa))
+    ctx = DeltaContext(ModulusSet(args.kappa))
     if args.u is not None:
         return 0, lambda: print(repr(delta(args.u, ctx)))
     # Samples 0 and N - 1 are the lattice points 0 and 2 omega, where the ODE

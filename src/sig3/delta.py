@@ -62,10 +62,11 @@ definition and the reference kernel to the paper's ODE, with one running
 integral over its grid.
 ``verify_trimidiation`` holds ``dn3``'s own bridge b + v^2, formed in one
 place, ``_shifted``, to Velu's identity.  ``period_route_gap`` holds the
-signature-three half periods through F(1/3, 2/3; 1; .) against the
-classical route through F(1/2, 1/2; 1; .) at the transfer arguments, an
-agreement that is the analytic content of the transfer identities.  This
-is the one module that reaches into ``weierstrass``'s private names.
+context's own half periods, through F(1/3, 2/3; 1; .), against the
+classical K/r and K'/r through F(1/2, 1/2; 1; .) at the k^2, k'^2 and r of
+its ladder: the transfer principle on the lattice of kappa itself, which
+identities (56) and (57) check at the transfer arguments of p instead.
+This is the one module that reaches into ``weierstrass``'s private names.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, DomainError, PoleError
 from .hypergeom import f3_complement
-from .moduli import SQRT3, ModulusSet, midpoint_gaps, params_from_p
+from .moduli import SQRT3, ModulusSet, midpoint_gaps
 from .quadrature import integrate
 from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_sn, _jacobi_half_periods
 
@@ -107,10 +108,11 @@ class DeltaContext(NamedTuple("DeltaContext", [("modulus", ModulusSet), ("omega"
     __slots__ = ()
 
     def __new__(cls, modulus: ModulusSet):
+        # The periods first: a kappa whose square underflows is refused as such.
+        periods = half_periods_sig3(modulus)
         low, high, shift = midpoint_gaps(modulus)
         spread = low + high  # e1 - e3
         r, k2_comp = math.sqrt(spread), high / spread
-        periods = half_periods_sig3(modulus)
         cell = _cell(periods, r, low / spread, k2_comp)
         a, b = (4.0 / 9.0) * modulus.kappa * modulus.kappa / spread, shift / spread
         bridge = (cell.scale, cell.rungs, a, b)
@@ -131,39 +133,37 @@ def half_periods_sig3(mod: ModulusSet) -> HalfPeriodPair:
         omega' = i (sqrt3/2) pi F(1/3, 2/3; 1; 1 - kappa^2).
 
     Equivalently omega' = i sqrt3 omega(lambda), the complementary-modulus
-    relation behind the imaginary-period formula.  A kappa below ~1.6e-162,
-    whose square underflows to 0, raises DomainError.
+    relation behind the imaginary-period formula.  Each F3 value is taken
+    from the complement of its argument.  A kappa below ~1.6e-162, whose
+    square underflows to 0, raises DomainError.
     """
     k = mod.kappa
     k2 = k * k
     if not k2:
         raise DomainError(f"modulus kappa = {k!r} is too small: kappa^2 underflows to 0")
-    return _sig3_half_periods(k2, (1.0 - k) * (1.0 + k))
-
-
-def _sig3_half_periods(k2: float, k2_comp: float) -> HalfPeriodPair:
-    """The half periods above from kappa^2 and its complement 1 - kappa^2,
-    each F3 value taken from the complement of its argument."""
     half_pi = 0.5 * math.pi
     return HalfPeriodPair(
-        omega=half_pi * f3_complement(k2_comp),
+        omega=half_pi * f3_complement((1.0 - k) * (1.0 + k)),
         omega_prime=1j * (SQRT3 * half_pi * f3_complement(k2)),
     )
 
 
-def period_route_gap(p: float) -> tuple[float, float]:
-    """Relative disagreement of the two half-period routes at parameter p.
+def period_route_gap(ctx: DeltaContext) -> tuple[float, float]:
+    """Relative gaps for omega and for -i omega' of the lattice of kappa.
 
-    Returns the gaps for omega and for -i omega'.  This is the geometric
-    restatement of identities 56 and 57 and should track their residuals
-    to within a decade.
+    ``ctx`` holds both half periods from F(1/3, 2/3; 1; .): omega and
+    -i omega' = ``ctx.cell.period_im / 2``.  They are compared with the
+    classical K/r and K'/r through F(1/2, 1/2; 1; .), taken by the AGM at
+    k^2 = (e2 - e3)/(e1 - e3), k'^2 = (e1 - e2)/(e1 - e3) and
+    r = sqrt(e1 - e3) from the closed-form gaps the context's ladder was
+    built from.  By the transfer principle the two agree exactly, so each
+    gap is roundoff unless a gap, a kernel or the assembly is wrong.
     """
-    params = params_from_p(p)
-    sig = _sig3_half_periods(params.beta, params.beta_comp)
-    jac = _jacobi_half_periods(params.alpha, params.alpha_comp, math.sqrt(params.r2))
-    gap_re = abs(sig.omega - jac.omega) / sig.omega
-    gap_im = abs(sig.omega_prime.imag - jac.omega_prime.imag) / sig.omega_prime.imag
-    return gap_re, gap_im
+    low, high, _ = midpoint_gaps(ctx.modulus)
+    spread = low + high
+    jac = _jacobi_half_periods(low / spread, high / spread, math.sqrt(spread))
+    height = 0.5 * ctx.cell.period_im
+    return abs(ctx.omega - jac.omega) / ctx.omega, abs(height - jac.omega_prime.imag) / height
 
 
 def _arc(kappa: float):

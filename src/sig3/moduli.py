@@ -75,14 +75,12 @@ def _trisected(kappa: float) -> tuple[float, float]:
 
 
 class TransferParams(NamedTuple):
-    """The parameter p with the transfer quantities a verify row and
-    ``delta.period_route_gap`` read, as a named tuple: it unpacks,
-    indexes and compares equal to a plain tuple.
+    """The parameter p with the transfer quantities a verify row reads, as
+    a named tuple: it unpacks, indexes and compares equal to a plain tuple.
 
     alpha is the squared Jacobi modulus and beta = kappa^2; alpha_comp and
     beta_comp are 1 - alpha and 1 - beta from their own rational formulas,
-    free of the cancellation that subtraction suffers; r2 is the midpoint
-    spread e1 - e3.
+    free of the cancellation that subtraction suffers.
     """
 
     p: float
@@ -90,7 +88,6 @@ class TransferParams(NamedTuple):
     beta: float
     alpha_comp: float
     beta_comp: float
-    r2: float
 
 
 def modulus_from_kappa(kappa: float) -> ModulusSet:
@@ -104,7 +101,7 @@ def params_from_p(p: float) -> TransferParams:
 
         alpha = p^3 (2+p) / (1+2p),     1 - alpha = (1-p)(1+p)^3 / (1+2p),
         beta  = (27/4) p^2 (1+p)^2 / q^3,
-        1 - beta = ((1-p)(2+p)(1+2p))^2 / (4 q^3),   e1 - e3 = (1+2p) / q^2.
+        1 - beta = ((1-p)(2+p)(1+2p))^2 / (4 q^3).
 
     Below p ~ 2.2324e-103, alpha ~ 2p^3 is not a normal float: DomainError.
     """
@@ -129,9 +126,8 @@ def params_from_p(p: float) -> TransferParams:
     beta_comp = ((1.0 - p) * (2.0 + p) * (1.0 + 2.0 * p)) ** 2 / (4.0 * q3)
     if beta_comp > 1.0:
         beta_comp = 1.0
-    r2 = (1.0 + 2.0 * p) / (q * q)
     # tuple.__new__ skips the named tuple's Python-level __new__.
-    return tuple.__new__(TransferParams, (p, alpha, beta, alpha_comp, beta_comp, r2))
+    return tuple.__new__(TransferParams, (p, alpha, beta, alpha_comp, beta_comp))
 
 
 @lru_cache(maxsize=64)

@@ -22,10 +22,11 @@ The lattice of (g2, g3) has one private home, ``_lattice``: it solves
 k^2 = (e2-e3)/(e1-e3) and k'^2 = (e1-e2)/(e1-e3) off them once, and hands
 the same two floats to the half periods omega = K/sqrt(e1-e3),
 omega' = iK'/sqrt(e1-e3), with the quarter periods K and K' through the AGM
-(``_jacobi_half_periods``, which ``delta.period_route_gap`` shares), and to
-the cell's ladder.  The lattice of a modulus kappa needs no cubic:
-``delta.DeltaContext`` builds it the same way from the closed-form midpoint
-gaps.
+(``_jacobi_half_periods``), and to the cell's ladder.  The lattice of a
+modulus kappa needs no cubic: ``delta.DeltaContext`` builds it from the
+closed-form midpoint gaps, with its half periods through F(1/3, 2/3; 1; .),
+and ``delta.period_route_gap`` holds those against
+``_jacobi_half_periods`` at the same gaps.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class WeierstrassInvariants(NamedTuple("WeierstrassInvariants", [("g2", float), 
 class HalfPeriodPair(NamedTuple):
     """Half periods (omega, omega') with omega > 0 and omega' on the positive
     imaginary axis; the fundamental periods are (2 omega, 2 omega').  Both
-    producers, ``_jacobi_half_periods`` and ``delta._sig3_half_periods``,
+    producers, ``_jacobi_half_periods`` and ``delta.half_periods_sig3``,
     build omega and -i omega' as positive multiples of kernel values >= 1,
     so the invariant holds by construction and nothing checks it."""
 

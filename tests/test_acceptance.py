@@ -46,8 +46,8 @@ def test_criterion_1_transfer_identities():
 
 def test_criterion_2_period_cross_route():
     ok = True
-    for p in grid_points(*GRID):
-        gap_re, gap_im = period_route_gap(p)
+    for kappa in grid_points(*GRID):
+        gap_re, gap_im = period_route_gap(DeltaContext(modulus_from_kappa(kappa)))
         ok = ok and gap_re <= 1e-10 and gap_im <= 1e-10
     report(2, "half-period route agreement", ok)
 
@@ -127,7 +127,7 @@ def test_criterion_8_exact_rational_spot_values():
     ok = (
         abs(params.alpha - 5.0 / 32.0) <= 1e-14
         and abs(params.beta - 243.0 / 343.0) <= 1e-14
-        and abs(params.r2 - 32.0 / 49.0) <= 1e-14
+        and abs(low + high - 32.0 / 49.0) <= 1e-14
         and abs(shift + low + high - 1.0 / 3.0 - 59.0 / 147.0) <= 1e-14
     )
     report(8, "exact rational spot values", ok)

@@ -198,17 +198,18 @@ def periods_table(capsys, kappa):
 
 def test_periods_subcommand(capsys):
     [row] = periods_table(capsys, "0.6")
-    sig = half_periods_sig3(modulus_from_kappa(0.6))
+    ctx = DeltaContext(modulus_from_kappa(0.6))
+    sig = half_periods_sig3(ctx.modulus)
     assert row[0] == "0.6"
     assert row[2:4] == [f"{sig.omega:.15f}", f"{sig.omega_prime.imag:.15f}"]
-    assert row[4:] == [f"{gap:.2e}" for gap in period_route_gap(float(row[1]))]
+    assert row[4:] == [f"{gap:.2e}" for gap in period_route_gap(ctx)]
 
 
 def test_periods_grid_prints_the_route_gaps(capsys):
     rows = periods_table(capsys, "0.1:0.9:0.1")
     assert [row[0] for row in rows] == [repr(k) for k in grid_points(0.1, 0.9, 0.1)]
     for row in rows:
-        gaps = period_route_gap(float(row[1]))
+        gaps = period_route_gap(DeltaContext(modulus_from_kappa(float(row[0]))))
         assert row[4:] == [f"{gap:.2e}" for gap in gaps]
         assert max(gaps) <= 1e-10
 
@@ -224,6 +225,16 @@ def test_periods_names_each_modulus_exactly(capsys):
 
 def test_periods_domain_error(capsys):
     assert main(["periods", "--kappa", "1.2"]) == 2
+
+
+def test_periods_reaches_the_lattice_floor_and_names_the_modulus_below(capsys):
+    # Below kappa ~ 5.8e-103 the gap e2 - e3 of the lattice underflows; the
+    # error names the modulus given, not a transfer parameter derived from it.
+    [row] = periods_table(capsys, "6e-103")
+    assert row[0] == "6e-103"
+    assert main(["periods", "--kappa", "1e-120"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: modulus 1e-120 is too small" in err
 
 
 # 1e-300: kappa^2 underflows to 0, so half_periods_sig3 refuses the modulus;
@@ -595,7 +606,7 @@ def test_io_failure_exits_one(tmp_path):
 CONTRACT_OUTPUTS = {
     "verify": "e4df1654793993c9acf2ae6839f4c515a247184e486545d327db1bbbcdb883eb",
     "verify --grid 0.001:0.999:0.001 --quiet": "692fda07c8c9de9ff7edac1c1f9f130257de5ec6dad245b35728261b386cac3f",
-    "periods --kappa 0.05:0.95:0.05": "7b7e95949b2eb290b9fa964d9b82f274e253b9578bfb8c966d5ddaf115402c1a",
+    "periods --kappa 0.05:0.95:0.05": "7dc36e966dc1703d88898b85ee5e2925024f206a8825af4725e969cdc40ce937",
     "delta --kappa 0.6 --samples 17": "ce70f0ac239fd804b78bdfd723f445039efd646ddea6179b600a1f21f6ca81f0",
 }
 

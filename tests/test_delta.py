@@ -71,10 +71,10 @@ def test_half_periods_at_transfer_modulus():
 def _jacobi_route(p):
     """Half periods through the classical basis at transfer parameter p:
     r omega = (pi/2) F(1/2, 1/2; 1; alpha), r omega' = i (pi/2) F(1/2, 1/2;
-    1; 1 - alpha), r = sqrt(e1 - e3), as ``delta.period_route_gap`` takes
-    them."""
+    1; 1 - alpha), r^2 = e1 - e3 = (1 + 2p)/(1 + p + p^2)^2."""
     params = params_from_p(p)
-    return _jacobi_half_periods(params.alpha, params.alpha_comp, math.sqrt(params.r2))
+    q = 1.0 + p + p * p
+    return _jacobi_half_periods(params.alpha, params.alpha_comp, math.sqrt((1.0 + 2.0 * p) / (q * q)))
 
 
 def test_jacobi_route_small_p_limit():

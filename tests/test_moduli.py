@@ -108,7 +108,8 @@ def test_params_at_half_reproduce_exact_rationals():
     params = params_from_p(0.5)
     assert params.alpha == 5.0 / 32.0  # dyadic, exact
     assert rel_err(params.beta, 243.0 / 343.0) < 1e-15
-    assert rel_err(params.r2, 32.0 / 49.0) < 1e-15
+    low, high, _ = midpoint_gaps(modulus_from_kappa(math.sqrt(params.beta)))
+    assert rel_err(low + high, 32.0 / 49.0) < 1e-15  # the spread e1 - e3
     s, X, s3c, k2, _ = trisected_route(0.5)
     assert rel_err(s ** 2, 3.0 / 28.0) < 1e-15
     assert rel_err(X, 177.0 / 98.0) < 1e-15
@@ -121,7 +122,8 @@ def test_params_small_p_limits():
     params = params_from_p(1e-3)
     assert params.alpha < 1e-8
     assert params.beta < 1e-5
-    assert abs(params.r2 - 1.0) < 5e-3
+    low, high, _ = midpoint_gaps(modulus_from_kappa(math.sqrt(params.beta)))
+    assert abs(low + high - 1.0) < 5e-3  # the spread e1 - e3
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.01])
@@ -297,8 +299,7 @@ def params_plain(p):
     beta = min(1.0, 6.75 * (p * (1.0 + p)) ** 2 / (q * q * q))
     alpha_comp = min(1.0, (1.0 - p) * (1.0 + p) ** 3 / (1.0 + 2.0 * p))
     beta_comp = min(1.0, ((1.0 - p) * (2.0 + p) * (1.0 + 2.0 * p)) ** 2 / (4.0 * q * q * q))
-    r2 = (1.0 + 2.0 * p) / (q * q)
-    return p, alpha, beta, alpha_comp, beta_comp, r2
+    return p, alpha, beta, alpha_comp, beta_comp
 
 
 def test_params_match_the_plain_formulas_bit_for_bit():
@@ -355,7 +356,8 @@ def test_transfer_arguments_stay_in_range(p):
     params = params_from_p(p)
     assert 0.0 < params.alpha < 1.0
     assert 0.0 < params.beta < 1.0
-    assert params.r2 > 0.0
+    low, high, _ = midpoint_gaps(modulus_from_kappa(math.sqrt(params.beta)))
+    assert low + high > 0.0  # the spread e1 - e3
 
 
 # ------------------------------------------------------ invariants ----
@@ -456,9 +458,9 @@ def test_midpoints_are_cubic_roots(kappa):
 @given(p=st.floats(min_value=1e-3, max_value=0.95))
 @settings(max_examples=60, deadline=None)
 def test_midpoint_spread_matches_parametrization(p):
-    params = params_from_p(p)
-    low, high, _ = midpoint_gaps(modulus_from_kappa(math.sqrt(params.beta)))
-    assert abs(low + high - params.r2) <= 1e-14
+    q = 1.0 + p + p * p
+    low, high, _ = midpoint_gaps(modulus_from_kappa(math.sqrt(params_from_p(p).beta)))
+    assert abs(low + high - (1.0 + 2.0 * p) / (q * q)) <= 1e-14
 
 
 # ------------------------------------------- wp at two thirds of omega' ----

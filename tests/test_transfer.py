@@ -292,19 +292,34 @@ def test_trimidiation_is_even_in_z():
 # ------------------------------------------------ period routes ----
 
 
-def test_period_routes_agree_on_the_default_grid():
-    worst_identity = 0.0
-    worst_route = 0.0
-    for p in grid_points(*DEFAULT_GRID):
-        gap_re, gap_im = period_route_gap(p)
-        assert gap_re <= 1e-10
-        assert gap_im <= 1e-10
-        worst_route = max(worst_route, gap_re, gap_im)
-        worst_identity = max(
-            worst_identity, verify_identity56(p).relerr, verify_identity57(p).relerr
-        )
-    # The geometric restatement must track the direct residuals to a decade.
-    assert worst_route <= 10.0 * worst_identity + 1e-15
+def test_period_route_gap_certifies_the_lattice_of_kappa():
+    # omega and -i omega' of each context, from F3, against K/r and K'/r
+    # from the AGM at the k^2, k'^2 and r of its ladder: 1,031 kappa,
+    # log-spaced from 1e-99 to 1/2 and in 1 - kappa from 1/2 down to
+    # 1e-15.  Measured worst 7.1e-16 for each.
+    lo, half = -99.0, math.log10(0.5)
+    kappas = [10.0 ** (lo + (half - lo) * i / 515) for i in range(516)]
+    kappas += [1.0 - 10.0 ** (half + (-15.0 - half) * i / 515) for i in range(1, 516)]
+    assert len(kappas) == 1031 and kappas[0] < 1.1e-99 and kappas[-1] > 1.0 - 1.1e-15
+    for kappa in kappas:
+        assert max(period_route_gap(DeltaContext(ModulusSet(kappa)))) <= 2e-15, kappa
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["e2-e3", "e1-e2"])
+def test_period_route_gap_sees_a_biased_midpoint_gap(monkeypatch, which):
+    # One closed-form gap moved by 1e-12 moves the ladder's k^2 and r off
+    # the periods of F3.  Measured 7.2e-14 to 5.0e-13 over these kappa;
+    # the same gaps at the transfer arguments of p read ~4e-16 either way.
+    gaps = delta_module.midpoint_gaps
+
+    def biased(mod):
+        moved = list(gaps(mod))
+        moved[which] *= 1.0 + 1e-12
+        return tuple(moved)
+
+    monkeypatch.setattr(delta_module, "midpoint_gaps", biased)
+    for kappa in (0.05, 0.3, 0.6, 0.9, 0.999, 0.999999):
+        assert max(period_route_gap(DeltaContext(ModulusSet(kappa)))) >= 5e-14, kappa
 
 
 # ------------------------------------------------------ grids ----
