@@ -63,9 +63,10 @@ integral over its grid.
 ``verify_trimidiation`` holds ``dn3``'s own bridge b + v^2, formed in one
 place, ``_shifted``, to Velu's identity.  ``period_route_gap`` holds the
 context's own half periods, through F(1/3, 2/3; 1; .), against the
-classical K/r and K'/r through F(1/2, 1/2; 1; .) at the k^2, k'^2 and r of
-its ladder: the transfer principle on the lattice of kappa itself, which
-identities (56) and (57) check at the transfer arguments of p instead.
+lattice its ladder climbs: omega against Gauss's product (pi/2)/scale
+for K/r, with no AGM, and -i omega' against the classical K'/r through
+F(1/2, 1/2; 1; .) at the k^2 and r of the ladder.  K/r by the AGM at that
+k^2 would be identity (56) at p(kappa), which ``grid_report`` checks.
 This is the one module that reaches into ``weierstrass``'s private names.
 """
 
@@ -77,10 +78,10 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, DomainError, PoleError
-from .hypergeom import f3_complement
+from .hypergeom import f2_complement, f3_complement
 from .moduli import SQRT3, ModulusSet, midpoint_gaps
 from .quadrature import integrate
-from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_sn, _jacobi_half_periods
+from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_sn
 
 # The tolerance of the reference route: absolute, on each quadrature of G.
 QUAD_TOL = 1e-12
@@ -96,10 +97,12 @@ class DeltaContext(NamedTuple("DeltaContext", [("modulus", ModulusSet), ("omega"
     ``cell``, the lattice of kappa with the Gauss ladder of k
     (``weierstrass._Cell``); ``bridge``, the (scale, rungs, a, b) that
     ``delta`` reads in one unpack, the ladder's scale and rungs with the
-    bridge constants a and b; and ``phase_terms``, the (c, e1 - e3, k'^2) of
-    ``delta_phase``'s closed form, c = 1 + b - a/3 and
-    k'^2 = (e1 - e2)/(e1 - e3) = 1 - alpha(p), whose spread e1 - e3
-    ``verify_trimidiation`` reads too.  ``dn3`` shares one context per
+    bridge constants a and b; and ``phase_terms``, the
+    (c, e1 - e3, k^2, k'^2) of the ladder and of ``delta_phase``'s closed
+    form, c = 1 + b - a/3, k^2 = (e2 - e3)/(e1 - e3) and
+    k'^2 = (e1 - e2)/(e1 - e3) = 1 - alpha(p).  ``verify_trimidiation``
+    reads its spread e1 - e3 too, and ``period_route_gap`` its e1 - e3
+    and k^2.  ``dn3`` shares one context per
     modulus; as a tuple, no field can be reassigned.  Every kappa in
     (0, 1) from ~5.8e-103 up is accepted; below, e2 - e3 ~ 0.11 kappa^3 is
     not a normal float: DomainError.
@@ -112,11 +115,11 @@ class DeltaContext(NamedTuple("DeltaContext", [("modulus", ModulusSet), ("omega"
         periods = half_periods_sig3(modulus)
         low, high, shift = midpoint_gaps(modulus)
         spread = low + high  # e1 - e3
-        r, k2_comp = math.sqrt(spread), high / spread
-        cell = _cell(periods, r, low / spread, k2_comp)
+        k2, k2_comp = low / spread, high / spread
+        cell = _cell(periods, math.sqrt(spread), k2, k2_comp)
         a, b = (4.0 / 9.0) * modulus.kappa * modulus.kappa / spread, shift / spread
         bridge = (cell.scale, cell.rungs, a, b)
-        return super().__new__(cls, modulus, periods.omega, cell, bridge, (1.0 + b - a / 3.0, spread, k2_comp))
+        return super().__new__(cls, modulus, periods.omega, cell, bridge, (1.0 + b - a / 3.0, spread, k2, k2_comp))
 
     def __repr__(self) -> str:
         return f"DeltaContext({self.modulus!r})"
@@ -149,21 +152,26 @@ def half_periods_sig3(mod: ModulusSet) -> HalfPeriodPair:
 
 
 def period_route_gap(ctx: DeltaContext) -> tuple[float, float]:
-    """Relative gaps for omega and for -i omega' of the lattice of kappa.
+    """Relative gaps for omega and for -i omega' of the lattice of kappa,
+    read off the context alone.
 
     ``ctx`` holds both half periods from F(1/3, 2/3; 1; .): omega and
-    -i omega' = ``ctx.cell.period_im / 2``.  They are compared with the
-    classical K/r and K'/r through F(1/2, 1/2; 1; .), taken by the AGM at
-    k^2 = (e2 - e3)/(e1 - e3), k'^2 = (e1 - e2)/(e1 - e3) and
-    r = sqrt(e1 - e3) from the closed-form gaps the context's ladder was
-    built from.  By the transfer principle the two agree exactly, so each
-    gap is roundoff unless a gap, a kernel or the assembly is wrong.
+    -i omega' = ``ctx.cell.period_im / 2``.  The real gap is
+    |omega scale/(pi/2) - 1|: the ladder's scale is r prod 1/(1 + k_n),
+    r = sqrt(e1 - e3), so (pi/2)/scale is Gauss's product for K/r, and
+    omega is held to the ladder that ``delta``, ``dn3`` and the phase
+    climb, with no AGM.  The imaginary gap compares -i omega' with the
+    classical K'/r = (pi/2) F(1/2, 1/2; 1; k'^2)/r by the AGM, at the
+    k^2 and e1 - e3 of ``phase_terms``.  By the transfer principle each
+    pair agrees exactly, so each gap is roundoff unless a midpoint gap, a
+    kernel or the assembly is wrong.  A bias shared by agm and agm3 moves
+    the real gap and not (56)-(58); a bias of agm alone moves (56)-(58)
+    and can leave the real gap at roundoff.
     """
-    low, high, _ = midpoint_gaps(ctx.modulus)
-    spread = low + high
-    jac = _jacobi_half_periods(low / spread, high / spread, math.sqrt(spread))
-    height = 0.5 * ctx.cell.period_im
-    return abs(ctx.omega - jac.omega) / ctx.omega, abs(height - jac.omega_prime.imag) / height
+    _, spread, k2, _ = ctx.phase_terms
+    half_pi, height = 0.5 * math.pi, 0.5 * ctx.cell.period_im
+    classical = half_pi * f2_complement(k2) / math.sqrt(spread)  # K'/r
+    return abs(ctx.omega * ctx.cell.scale / half_pi - 1.0), abs(height - classical) / height
 
 
 def _arc(kappa: float):
@@ -236,15 +244,16 @@ def _phase_in_quarter(w: float, ctx: DeltaContext) -> float:
     gives T = atan2(c + t, r sqrt((1 + t) t (t + k'^2))), c = 1 + b - a/3.
     Past omega/2, v^2 - 1 would cancel, so t = k'^2/t(omega - w), from
     cs(K - x) = k' sc(x); omega - w is exact, and omega scale = pi/2 on the
-    ladder to a few ulps.  Below 2^-28, T = w - (4/27) kappa^2 w^3 rounds
-    to w.
+    ladder to a few ulps: the real gap of ``period_route_gap``, which
+    tests/test_delta.py's test_the_ladder_certifies_the_period holds to
+    8.5 eps.  Below 2^-28, T = w - (4/27) kappa^2 w^3 rounds to w.
     """
     if w <= 2.0 ** -28:
         return w
     rest = ctx.omega - w
     if not rest:
         return 0.5 * math.pi
-    c, spread, k2_comp = ctx.phase_terms
+    c, spread, _, k2_comp = ctx.phase_terms
     scale, rungs, _, _ = ctx.bridge
     v = _inv_sn(min(w, rest) * scale, rungs)
     t = v * v - 1.0

@@ -115,8 +115,6 @@ def params_from_p(p: float) -> TransferParams:
     alpha = p * p * p * (2.0 + p) / (1.0 + 2.0 * p)
     if alpha < _FLOAT_MIN:
         raise DomainError(f"transfer parameter {p} is too small: alpha ~ 2p^3 underflows")
-    if alpha > 1.0:
-        alpha = 1.0
     beta = 6.75 * (p * (1.0 + p)) ** 2 / q3
     if beta > 1.0:
         beta = 1.0

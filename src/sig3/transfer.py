@@ -32,11 +32,11 @@ The kernels are not most of a ``sig3 verify`` call.  On the grid
 3.11.7).
 
 Besides the identities the module holds only the grid.  The other
-certificates, ``period_route_gap`` of the two half-period routes on the
-lattice of kappa and ``verify_ode_delta`` and ``verify_trimidiation`` of
-delta and dn3, live in ``delta`` with the periods, the bridge and the
-reference route they certify; this module imports nothing from ``delta``
-or ``weierstrass``.
+certificates, ``period_route_gap`` of the half periods of kappa against
+the Gauss ladder of their own lattice and ``verify_ode_delta`` and
+``verify_trimidiation`` of delta and dn3, live in ``delta`` with the
+periods, the bridge and the reference route they certify; this module
+imports nothing from ``delta`` or ``weierstrass``.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ omega' = iK'/sqrt(e1-e3), with the quarter periods K and K' through the AGM
 (``_jacobi_half_periods``), and to the cell's ladder.  The lattice of a
 modulus kappa needs no cubic: ``delta.DeltaContext`` builds it from the
 closed-form midpoint gaps, with its half periods through F(1/3, 2/3; 1; .),
-and ``delta.period_route_gap`` holds those against
-``_jacobi_half_periods`` at the same gaps.
+and ``delta.period_route_gap`` holds omega against that ladder's scale
+and -i omega' against K'/r at the same gaps.
 """
 
 from __future__ import annotations

@@ -606,7 +606,7 @@ def test_io_failure_exits_one(tmp_path):
 CONTRACT_OUTPUTS = {
     "verify": "e4df1654793993c9acf2ae6839f4c515a247184e486545d327db1bbbcdb883eb",
     "verify --grid 0.001:0.999:0.001 --quiet": "692fda07c8c9de9ff7edac1c1f9f130257de5ec6dad245b35728261b386cac3f",
-    "periods --kappa 0.05:0.95:0.05": "7dc36e966dc1703d88898b85ee5e2925024f206a8825af4725e969cdc40ce937",
+    "periods --kappa 0.05:0.95:0.05": "24a74eb2cf358d48c902fe29ad19621df4d086cf7d6bb62ad877c2b564c0c15e",
     "delta --kappa 0.6 --samples 17": "ce70f0ac239fd804b78bdfd723f445039efd646ddea6179b600a1f21f6ca81f0",
 }
 

@@ -16,6 +16,7 @@ from sig3.delta import (
     delta_phase,
     dn3,
     half_periods_sig3,
+    period_route_gap,
 )
 from sig3.errors import DomainError, NonConvergence, PoleError
 from sig3.hypergeom import f_half
@@ -722,17 +723,13 @@ def test_delta_at_small_modulus_against_40_digit_values(kappa):
         assert abs(delta(u, ctx) - ref) <= 1e-15 * ref, u
 
 
-def _period_gap(ctx):
-    """|omega scale/(pi/2) - 1|: omega from agm3 against the context's
-    Gauss ladder, whose scale is sqrt(e1 - e3)/prod(1 + k_n) = r (pi/2)/K.
-    This is identity (56) on the lattice that delta and dn3 use."""
-    return abs(ctx.omega * ctx.cell.scale / (0.5 * math.pi) - 1.0)
-
-
 def test_the_ladder_certifies_the_period():
-    # 2,002 fresh contexts, log-spaced from kappa = 1e-100 to 1/2 and in
-    # 1 - kappa from 1/2 down to 2^-53.  Measured worst: 2.5, 3.0 and 7.0
-    # eps in the three ranges; the ladder's rounding grows with its rungs.
+    # The real column of the route gap, |omega scale/(pi/2) - 1|: omega from
+    # agm3 against the context's Gauss ladder, whose scale is
+    # sqrt(e1 - e3)/prod(1 + k_n) = r (pi/2)/K.  2,002 fresh contexts,
+    # log-spaced from kappa = 1e-100 to 1/2 and in 1 - kappa from 1/2 down
+    # to 2^-53.  Measured worst: 2.5, 3.0 and 7.0 eps in the three ranges;
+    # the ladder's rounding grows with its rungs.
     eps = 2.0 ** -52
     n = 1000
     lo, lo1, hi = math.log(1e-100), math.log(2.0 ** -53), math.log(0.5)
@@ -740,16 +737,17 @@ def test_the_ladder_certifies_the_period():
     kappas += [1.0 - math.exp(lo1 + (hi - lo1) * i / n) for i in range(n + 1)]
     for kappa in kappas:
         bound = 3.0 * eps if kappa <= 0.9 else 4.0 * eps if kappa <= 1.0 - 1e-6 else 8.5 * eps
-        assert _period_gap(DeltaContext(modulus_from_kappa(kappa))) <= bound, kappa
+        assert period_route_gap(DeltaContext(modulus_from_kappa(kappa)))[0] <= bound, kappa
 
 
 def test_the_ladder_sees_a_bias_the_transfer_identities_cannot(monkeypatch):
     # The ladder calls no AGM, so agm3 biased by 1e-13 moves omega alone.
     # Biasing agm by the same factor too moves both sides of (56)-(58)
     # alike: the grid's worst residual stays roundoff (8.41e-16, against
-    # 8.06e-16 unbiased), while the period check still reads 1.0e-13.
+    # 8.06e-16 unbiased), while the route gap's real column still reads
+    # 1.0e-13.
     def least_gap():
-        return min(_period_gap(DeltaContext(modulus_from_kappa(kappa))) for kappa in (0.3, 0.6, 0.9))
+        return min(period_route_gap(DeltaContext(modulus_from_kappa(kappa)))[0] for kappa in (0.3, 0.6, 0.9))
 
     agm, agm3 = sig3.hypergeom.agm, sig3.hypergeom.agm3
     monkeypatch.setattr(sig3.hypergeom, "agm3", lambda a, b: agm3(a, b) * (1.0 + 1e-13))
@@ -757,6 +755,18 @@ def test_the_ladder_sees_a_bias_the_transfer_identities_cannot(monkeypatch):
     monkeypatch.setattr(sig3.hypergeom, "agm", lambda a, b: agm(a, b) * (1.0 + 1e-13))
     assert least_gap() >= 5e-14
     assert max(grid_report(0.001, 0.999, 0.001).max_relerr.values()) <= 1e-15
+
+
+def test_a_bias_of_agm_alone_is_left_to_the_transfer_identities(monkeypatch):
+    # agm scaled by 1 + 1e-13 where its second argument is below 1/2, that
+    # is F2 near its singular end.  The route gap's real column calls no
+    # AGM and stays roundoff (measured <= 1.1e-16 at these kappa); (56),
+    # (57) and (58) each read 1.0e-13 on the verify grid.
+    agm = sig3.hypergeom.agm
+    monkeypatch.setattr(sig3.hypergeom, "agm", lambda a, b: agm(a, b) * (1.0 + 1e-13) if b < 0.5 else agm(a, b))
+    for kappa in (0.999, 0.999999):
+        assert period_route_gap(DeltaContext(modulus_from_kappa(kappa)))[0] <= 2e-15, kappa
+    assert max(grid_report(0.001, 0.999, 0.001).max_relerr.values()) >= 5e-14
 
 
 def test_delta_context_accepts_kappa_down_to_underflow():

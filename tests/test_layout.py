@@ -35,7 +35,6 @@ CROSS_MODULE_PRIVATE = {
     ("delta", "weierstrass", "_cell"),
     ("delta", "weierstrass", "_centred"),
     ("delta", "weierstrass", "_inv_sn"),
-    ("delta", "weierstrass", "_jacobi_half_periods"),
 }
 
 
@@ -66,7 +65,7 @@ def test_module_imports_are_pinned():
 def test_private_names_crossing_modules_are_pinned():
     private = {entry for entry in _package_imports() if entry[2].startswith("_")}
     assert private == CROSS_MODULE_PRIVATE
-    assert len(CROSS_MODULE_PRIVATE) == 4
+    assert len(CROSS_MODULE_PRIVATE) == 3
 
 
 def test_every_module_uses_what_it_imports():
@@ -92,7 +91,7 @@ def test_every_module_uses_what_it_imports():
 
 # Lines of src/sig3 that hold code: not blank, comment or docstring.  A
 # change that moves the count edits this pin and says so in CHANGES.md.
-CODE_LINES = 743
+CODE_LINES = 740
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}

@@ -311,6 +311,16 @@ def test_params_match_the_plain_formulas_bit_for_bit():
         assert [x.hex() for x in params_from_p(p)] == [x.hex() for x in params_plain(p)], p
 
 
+def test_alpha_stays_below_one_unclamped():
+    # params_from_p clamps beta and the complements to 1, not alpha: its
+    # rounding never reaches 1.  At the float below 1, alpha = 1 - 3 2^-53.
+    p = 1.0
+    for _ in range(2 ** 16):
+        p = math.nextafter(p, 0.0)
+        assert params_from_p(p).alpha < 1.0, p
+    assert params_from_p(math.nextafter(1.0, 0.0)).alpha == 1.0 - 3.0 * 2.0 ** -53
+
+
 # ------------------------------------------------ modulus to p ----
 
 
