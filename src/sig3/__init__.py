@@ -16,9 +16,7 @@ from .hypergeom import (
 )
 from .weierstrass import (
     WeierstrassInvariants,
-    sn,
     wp,
-    wp_and_derivative,
 )
 from .moduli import (
     ModulusSet,
@@ -40,9 +38,6 @@ from .delta import (
 from .transfer import (
     DEFAULT_TOL,
     grid_report,
-    verify_identity56,
-    verify_identity57,
-    verify_identity58,
 )
 
 __version__ = "0.1.0"

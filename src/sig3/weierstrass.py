@@ -82,7 +82,10 @@ def wp_and_derivative(z: complex, inv: WeierstrassInvariants) -> tuple[complex, 
     and invariants so large that g2^3 or g3^2 overflows, raise DomainError
     (``_lattice``).  Raises PoleError within ``POLE_THRESHOLD`` of
     a lattice point, and DomainError for a z that is not finite or has
-    |z| >= ``WP_MAX_MODULUS``.
+    |z| >= ``WP_MAX_MODULUS``; on a lattice with periods below ~pi both
+    radii hold for z scaled to the foot of the ladder (``_centred``), so
+    wp(z; g2, g3) = mu^2 wp(mu z; g2/mu^4, g3/mu^6) is served on small
+    lattices too.
 
     Against 40-digit values on the exact roots of (g2, g3), the relative
     error is below 1e-14 times max(1, |z wp'/wp|) for kappa in [0.3, 0.99],
@@ -132,16 +135,22 @@ def _cell(periods: HalfPeriodPair, r: float, m: float, m_comp: float) -> _Cell:
 def _centred(z: complex, cell: _Cell) -> complex:
     """The circular argument scale (z - P) at the foot of ``cell``'s ladder,
     P the lattice point nearest z.  z may be complex, float or int: its
-    abs, real and imaginary parts are read as they come.  Raises DomainError
-    for a z that is not finite or has |z| >= ``WP_MAX_MODULUS``, PoleError
-    within ``POLE_THRESHOLD`` of a lattice point."""
-    if not abs(z) < WP_MAX_MODULUS:
-        raise DomainError(f"argument {z} is not finite, or too large to reduce onto the lattice")
+    abs, real and imaginary parts are read as they come.
+
+    Raises DomainError for a z that is not finite or has |z| >=
+    ``WP_MAX_MODULUS``, PoleError within ``POLE_THRESHOLD`` of a lattice
+    point.  Where the scale exceeds 1 (periods below ~pi) both radii are
+    read in the foot's units instead, |z| scale and |z - P| scale, so a
+    lattice with periods of 1e-9 still has points to evaluate.  Every
+    lattice of a modulus kappa has scale <= 1 and sees the absolute radii."""
     period_re, period_im, scale, _ = cell
+    if not abs(z) < WP_MAX_MODULUS or (scale > 1.0 and not abs(z) * scale < WP_MAX_MODULUS):
+        raise DomainError(f"argument {z} is not finite, or too large to reduce onto the lattice")
     # Exact: z minus the nearest lattice point, ties to the even multiple.
     x = math.remainder(z.real, period_re)
     y = math.remainder(z.imag, period_im)
-    if math.hypot(x, y) < POLE_THRESHOLD:
+    h = math.hypot(x, y)
+    if h < POLE_THRESHOLD and h * scale < POLE_THRESHOLD:
         raise PoleError(f"argument {z} is within {POLE_THRESHOLD} of a lattice point")
     return complex(x * scale, y * scale)
 

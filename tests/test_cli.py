@@ -472,14 +472,13 @@ def test_public_names_are_pinned():
     assert names == {
         "ConfigError", "DomainError", "NonConvergence", "PoleError", "Sig3Error",
         "agm", "agm3", "f2", "f3", "f_half",
-        "WeierstrassInvariants", "sn", "wp", "wp_and_derivative",
+        "WeierstrassInvariants", "wp",
         "ModulusSet", "invariants", "modulus_from_kappa",
         "params_from_p",
         "DeltaContext", "delta", "delta_integral", "delta_phase", "dn3",
         "half_periods_sig3",
         "DEFAULT_TOL", "grid_report",
-        "period_route_gap", "verify_identity56", "verify_identity57", "verify_identity58",
-        "verify_ode_delta", "verify_trimidiation",
+        "period_route_gap", "verify_ode_delta", "verify_trimidiation",
     }
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sig3 import hypergeom, transfer
+from sig3.delta import DeltaContext, period_route_gap
 from sig3.errors import DomainError, NonConvergence
 from sig3.hypergeom import (
     agm,
@@ -18,6 +19,7 @@ from sig3.hypergeom import (
     f3_complement,
     f_half,
 )
+from sig3.moduli import modulus_from_kappa
 from oracles import (
     HALF,
     ONE,
@@ -347,6 +349,25 @@ def test_agm_prescale_is_exact():
             assert agm(math.ldexp(a, k), math.ldexp(b, k)) == math.ldexp(agm(a, b), k)
             value = agm3(math.ldexp(a, k), math.ldexp(b, k))
             assert abs(value - math.ldexp(agm3(a, b), k)) <= math.ulp(value)
+
+
+def test_the_kernels_never_take_the_prescale_path(monkeypatch):
+    # Every pair the package forms lies in the unscaled window: the
+    # smallest, (1, sqrt(5e-324)) with product 2.2e-162, is far above
+    # 2^-670, and no argument exceeds 1.
+    def refuse(*args):
+        raise AssertionError(f"prescale path taken for {args[2:]}")
+
+    monkeypatch.setattr(hypergeom, "_rescaled", refuse)
+    for y in (TINY, 2.0 ** -1022, 1e-300, 0.5, 1.0):
+        f2_complement(y)
+        f3_complement(y)
+    for x in (0.0, 1.0 - 2.0 ** -53):
+        f2(x)
+        f3(x)
+    transfer.grid_report(0.001, 0.999, 0.001)
+    for kappa in (1e-100, 1.0 - 2.0 ** -53):
+        period_route_gap(DeltaContext(modulus_from_kappa(kappa)))
 
 
 # 40-digit check of f3_complement on seeded y plus twelve that moved by 2 ulp

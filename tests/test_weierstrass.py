@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sig3.weierstrass
-from sig3.delta import DeltaContext
+from sig3.delta import DeltaContext, dn3
 from sig3.errors import DomainError, NonConvergence, PoleError
 from sig3.moduli import invariants, midpoint_gaps, modulus_from_kappa
 from sig3.weierstrass import (
@@ -415,6 +415,50 @@ def test_wp_rejects_unreducible_arguments(config06, z):
     for evaluate in (wp, wp_and_derivative):
         with pytest.raises(DomainError):
             evaluate(z, inv)
+
+
+def test_wp_serves_lattices_with_small_periods():
+    # (1e36, 0): real period 3.7e-9 and ladder scale 8.5e8, so every z is
+    # within 1e-8 of a lattice point; the radius is read as |z - P| scale.
+    inv = WeierstrassInvariants(1e36, 0.0)
+    periods = _periods(inv)
+    assert 2.0 * periods.omega < 1e-8 and _lattice(*inv)[2].scale > 1e8
+    z = 0.3 * 2.0 * periods.omega + 0.2 * 2.0 * periods.omega_prime
+    assert math.isfinite(abs(wp(z, inv)))
+    with pytest.raises(PoleError):
+        wp(1e-9 * 2.0 * periods.omega, inv)
+
+
+@pytest.mark.parametrize("mu", [2.0 ** -40, 2.0 ** -10, 2.0 ** 10])
+def test_wp_is_homogeneous_bitwise(mu):
+    # wp(z; g2, g3) = mu^2 wp(mu z; g2/mu^4, g3/mu^6): every step of the
+    # cubic solve, the periods, the ladder and the reduction scales by a
+    # power of two exactly.  At mu = 2^-40 the periods are ~1e-12.
+    inv = WeierstrassInvariants(1.2, 0.2)
+    scaled = WeierstrassInvariants(inv.g2 / mu ** 4, inv.g3 / mu ** 6)
+    periods = _periods(inv)
+    for a, b in ((0.3, 0.2), (0.45, -0.1), (-0.2, 0.4)):
+        z = a * 2.0 * periods.omega + b * 2.0 * periods.omega_prime
+        assert mu * mu * wp(mu * z, scaled) == wp(z, inv), (mu, z)
+
+
+def test_every_lattice_of_a_modulus_keeps_the_absolute_radii():
+    # Periods 2 omega >= pi put the scale at or below 1, where the radii of
+    # _centred are those of z itself: wp and dn3 refuse within 1e-8 in z.
+    for kappa in (1e-100, 1e-6, 0.05, 0.6, 0.95, 0.999999, 1.0 - 2.0 ** -53):
+        mod = modulus_from_kappa(kappa)
+        assert DeltaContext(mod).cell.scale <= 1.0, kappa
+        if 0.05 <= kappa <= 0.999999:
+            assert _lattice(*invariants(mod))[2].scale <= 1.0, kappa
+    mod = modulus_from_kappa(0.999999)
+    inv = invariants(mod)
+    point = 2.0 * _periods(inv).omega
+    with pytest.raises(PoleError):
+        wp(point + 0.99e-8, inv)
+    assert math.isfinite(abs(wp(point + 1.01e-8, inv)))
+    with pytest.raises(PoleError):
+        dn3(complex(0.99e-8, 0.0), mod)
+    assert math.isfinite(abs(dn3(complex(1.01e-8, 0.0), mod)))
 
 
 def test_wp_forms_no_derivative_and_equals_its_value_bitwise(monkeypatch):
