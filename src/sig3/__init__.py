@@ -8,8 +8,6 @@ from .errors import (
     Sig3Error,
 )
 from .hypergeom import (
-    agm,
-    agm3,
     f2,
     f3,
     f_half,

@@ -471,7 +471,7 @@ def test_public_names_are_pinned():
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert names == {
         "ConfigError", "DomainError", "NonConvergence", "PoleError", "Sig3Error",
-        "agm", "agm3", "f2", "f3", "f_half",
+        "f2", "f3", "f_half",
         "WeierstrassInvariants", "wp",
         "ModulusSet", "invariants", "modulus_from_kappa",
         "params_from_p",

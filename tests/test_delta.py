@@ -735,6 +735,9 @@ def test_the_ladder_certifies_the_period():
     lo, lo1, hi = math.log(1e-100), math.log(2.0 ** -53), math.log(0.5)
     kappas = [math.exp(lo + (hi - lo) * i / n) for i in range(n + 1)]
     kappas += [1.0 - math.exp(lo1 + (hi - lo1) * i / n) for i in range(n + 1)]
+    # A seeded search's worst: the real column reads 1.887379141862766e-15
+    # at kappa = 1 - 67 * 2^-53, exactly the 8.5 eps bound.
+    kappas.append(1.0 - 67 * 2.0 ** -53)
     for kappa in kappas:
         bound = 3.0 * eps if kappa <= 0.9 else 4.0 * eps if kappa <= 1.0 - 1e-6 else 8.5 * eps
         assert period_route_gap(DeltaContext(modulus_from_kappa(kappa)))[0] <= bound, kappa

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sig3 import hypergeom, transfer
-from sig3.delta import DeltaContext, period_route_gap
+from sig3 import cli, hypergeom, transfer
+from sig3.delta import DeltaContext, half_periods_sig3, period_route_gap
 from sig3.errors import DomainError, NonConvergence
 from sig3.hypergeom import (
     agm,
@@ -19,7 +20,7 @@ from sig3.hypergeom import (
     f3_complement,
     f_half,
 )
-from sig3.moduli import modulus_from_kappa
+from sig3.moduli import ModulusSet, modulus_from_kappa
 from oracles import (
     HALF,
     ONE,
@@ -210,11 +211,6 @@ def test_the_anchors_see_a_bias_the_transfer_identities_cannot(monkeypatch):
     assert transfer.grid_report(P_AT_K3, P_AT_K3, 1.0).max_relerr["56"] <= 3e-16
 
 
-def test_agm_handles_extreme_ratio():
-    # Maps through f2 to the x -> 1 singularity; the iteration itself converges.
-    assert 0.0 < agm(1.0, 1e-300) < 0.01
-
-
 def test_agm_rejects_nonpositive_input():
     bad = (0.0, 1.0), (1.0, -2.0), (1.0, -0.0), (-1.0, -1.0), (math.inf, 1.0), (1.0, math.inf), (
         math.inf, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan)
@@ -305,11 +301,25 @@ def test_agm3_truncation_bound_at_its_worst(a, b):
 
 # The smallest AGM_MAX_ITERS that each computation runs in: one stop test per
 # step plus the final one.  Each stop is the first at which the mean is its
-# limit, so a budget one smaller fails.
+# limit, so a budget one smaller fails.  The window's corner (2^339, 2^-1008)
+# takes the docstrings' maxima, 12 agm and 8 agm3 steps, and (1, 2^-669)
+# takes 11 and 7; so do the pairs one float inside each edge.
+BELOW_SUM_MAX = math.nextafter(2.0 ** 340, 0.0)
+ABOVE_PRODUCT_MIN = math.nextafter(2.0 ** -670, 1.0)
+
+
 @pytest.mark.parametrize("budget,compute", [
     (7, lambda: transfer.grid_report(0.001, 0.999, 0.001)),
     (4, lambda: f2_complement(0.5)),
     (3, lambda: f3_complement(0.5)),
+    pytest.param(13, lambda: agm(2.0 ** 339, 2.0 ** -1008), id="agm-corner"),
+    pytest.param(9, lambda: agm3(2.0 ** 339, 2.0 ** -1008), id="agm3-corner"),
+    pytest.param(12, lambda: agm(1.0, 2.0 ** -669), id="agm-product"),
+    pytest.param(8, lambda: agm3(1.0, 2.0 ** -669), id="agm3-product"),
+    pytest.param(13, lambda: agm(BELOW_SUM_MAX, 2.0 ** -1008), id="agm-sum-edge"),
+    pytest.param(9, lambda: agm3(BELOW_SUM_MAX, 2.0 ** -1008), id="agm3-sum-edge"),
+    pytest.param(12, lambda: agm(1.0, ABOVE_PRODUCT_MIN), id="agm-product-edge"),
+    pytest.param(8, lambda: agm3(1.0, ABOVE_PRODUCT_MIN), id="agm3-product-edge"),
 ])
 def test_agm_step_counts(monkeypatch, budget, compute):
     monkeypatch.setattr(hypergeom, "AGM_MAX_ITERS", budget)
@@ -321,50 +331,34 @@ def test_agm_step_counts(monkeypatch, budget, compute):
 
 TINY = 5e-324
 HUGE = 1.7976931348623157e308
+WINDOW = r"a0 b0 > 2\^-670 and a0 \+ b0 < 2\^340"
 
 
 @pytest.mark.parametrize("a,b", [
     (1e308, 1e308), (1e308, 1.0), (1.0, 1e308), (1.0, TINY), (TINY, 1.0),
     (HUGE, TINY), (TINY, HUGE), (TINY, TINY), (HUGE, HUGE), (1e-300, 3e-310),
+    (1.0, 1e-300), (1.0, 2.0 ** -670), (2.0 ** 340, 1.0),
 ])
-def test_agm_answers_every_finite_positive_pair(a, b):
-    for mean, oracle in ((agm, agm_decimal), (agm3, agm3_decimal)):
-        got = mean(a, b)
-        limit = oracle(Decimal(a), Decimal(b))
-        assert 0.0 < got < math.inf
-        if got >= 2.2250738585072014e-308:
-            assert abs(Decimal(got) - limit) <= Decimal(2 * math.ulp(got)), (mean, a, b)
-        else:  # a subnormal answer holds to its last place
-            assert abs(Decimal(got) - limit) <= Decimal(TINY), (mean, a, b)
-    assert agm(1e308, 1e308) == agm3(1e308, 1e308) == 1e308
+def test_agm_refuses_every_pair_outside_the_window(a, b):
+    # Each pair's product is at most 2^-670 or its sum at least 2^340, and
+    # the error names the window.  The last two are one float across its
+    # edges, whose neighbours inside are held by test_agm_step_counts.
+    for mean in (agm, agm3):
+        with pytest.raises(DomainError, match=WINDOW):
+            mean(a, b)
 
 
-def test_agm_prescale_is_exact():
-    # A pair outside the unscaled window is scaled by a power of two, which
-    # commutes with every step of the quadratic mean.
-    rng = random.Random(5)
-    for _ in range(40):
-        a, b = rng.uniform(1e-3, 1e3), rng.uniform(1e-3, 1e3)
-        for k in (900, -900):
-            assert agm(math.ldexp(a, k), math.ldexp(b, k)) == math.ldexp(agm(a, b), k)
-            value = agm3(math.ldexp(a, k), math.ldexp(b, k))
-            assert abs(value - math.ldexp(agm3(a, b), k)) <= math.ulp(value)
-
-
-def test_the_kernels_never_take_the_prescale_path(monkeypatch):
-    # Every pair the package forms lies in the unscaled window: the
-    # smallest, (1, sqrt(5e-324)) with product 2.2e-162, is far above
-    # 2^-670, and no argument exceeds 1.
-    def refuse(*args):
-        raise AssertionError(f"prescale path taken for {args[2:]}")
-
-    monkeypatch.setattr(hypergeom, "_rescaled", refuse)
+def test_no_kernel_reaches_the_refusal(capsys):
+    # Every pair the package forms lies in the window: the smallest,
+    # (1, sqrt(5e-324)) with product 2.2e-162, is far above 2^-670, and no
+    # argument exceeds 1.  sig3 eval accepts x < 1, so 1 - x >= 2^-53.
     for y in (TINY, 2.0 ** -1022, 1e-300, 0.5, 1.0):
         f2_complement(y)
         f3_complement(y)
-    for x in (0.0, 1.0 - 2.0 ** -53):
-        f2(x)
-        f3(x)
+    half_periods_sig3(ModulusSet(1e-160))  # kappa^2 is subnormal
+    for fn, x in itertools.product(("f2", "f3"), (0.0, TINY, 0.5, 1.0 - 2.0 ** -53)):
+        assert cli.main(["eval", fn, repr(x)]) == 0, (fn, x)
+    assert capsys.readouterr().err == ""
     transfer.grid_report(0.001, 0.999, 0.001)
     for kappa in (1e-100, 1.0 - 2.0 ** -53):
         period_route_gap(DeltaContext(modulus_from_kappa(kappa)))

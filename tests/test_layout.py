@@ -1,11 +1,12 @@
 """The package's layout: which modules import which, which private names
 cross a module boundary, that every module uses what it imports, how many
-lines of code it holds, and that every name the benchmark in perfbench/
-reaches exists."""
+lines of code it holds, which functions neither the CLI nor a certificate
+enters, and that every name the benchmark in perfbench/ reaches exists."""
 
 import ast
 import importlib
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -91,7 +92,7 @@ def test_every_module_uses_what_it_imports():
 
 # Lines of src/sig3 that hold code: not blank, comment or docstring.  A
 # change that moves the count edits this pin and says so in CHANGES.md.
-CODE_LINES = 736
+CODE_LINES = 718
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
@@ -118,6 +119,109 @@ def test_code_line_count_is_pinned():
     assert _code_lines('"""Doc."""\n\n# note\nx = """a\nb"""  # c\n') == {4, 5}
     counted = sum(len(_code_lines(path.read_text(encoding="utf-8"))) for path in PACKAGE.glob("*.py"))
     assert counted == CODE_LINES
+
+
+# ---------------------------------- what the CLI and certificates reach ----
+
+# The functions of src/sig3 that no CLI subcommand and no certificate
+# enters: tests and perfbench are their only callers.  A change that
+# shrinks the set edits this pin.  cli.run is entered only as the console
+# script.
+UNREACHED = {
+    "cli.run",
+    "delta.DeltaContext.__repr__",
+    "delta.delta_integral",
+    "moduli.invariants",
+    "moduli.modulus_from_kappa",
+    "transfer.verify_identity56",
+    "transfer.verify_identity57",
+    "transfer.verify_identity58",
+    "weierstrass.WeierstrassInvariants.__new__",
+    "weierstrass._jacobi_half_periods",
+    "weierstrass._lattice",
+    "weierstrass.sn",
+    "weierstrass.wp",
+    "weierstrass.wp_and_derivative",
+}
+
+CLI_RUNS = (
+    ["verify"],
+    ["verify", "--grid", "0.001:0.999:0.001"],
+    ["periods", "--kappa", "0.05:0.95:0.05"],
+    ["periods", "--kappa", "0.6"],
+    ["delta", "--kappa", "0.6", "--u", "0.3"],
+    ["delta", "--kappa", "0.999999", "--samples", "17"],
+    ["eval", "f2", "0.5"],
+    ["eval", "f3", "0.5"],
+    ["eval", "fhalf", "0.5"],
+    ["eval", "f2", "1.5"],
+    ["verify", "--grid", "0.9:0.1:0.1"],
+)
+
+
+def _defined_functions():
+    """(module, first line, name) -> dotted name of every function defined
+    in src/sig3.  The first line is the code object's ``co_firstlineno``:
+    that of the first decorator, if any."""
+    found = {}
+
+    def walk(node, stem, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(stem, first, child.name)] = f"{prefix}{child.name}"
+                walk(child, stem, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, stem, f"{prefix}{child.name}.")
+            else:
+                walk(child, stem, prefix)
+
+    for path in PACKAGE.glob("*.py"):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, f"{path.stem}.")
+    return found
+
+
+def test_functions_neither_the_cli_nor_a_certificate_enters_are_pinned(capsys):
+    # Qualified names come from the source, not from co_qualname, which is
+    # Python 3.11+.  Class bodies run at import, before the trace starts,
+    # so only functions are counted.
+    import sig3.cli
+    from sig3.delta import DeltaContext, period_route_gap, verify_trimidiation
+    from sig3.moduli import ModulusSet
+
+    entered = set()
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(str(PACKAGE)):
+            entered.add((Path(code.co_filename).stem, code.co_firstlineno, code.co_name))
+
+    # A cached function's body runs only on a miss, and earlier tests may
+    # have filled the caches.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sig3."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    codes = []
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for argv in CLI_RUNS:
+            codes.append(sig3.cli.main(argv))
+        for kappa in (0.05, 0.6, 0.999999):
+            ctx = DeltaContext(ModulusSet(kappa))
+            period_route_gap(ctx)
+            verify_trimidiation(ctx, [0.1 + 0.05j, 0.3 + 0.2j, 0.2 - 0.1j])
+    finally:
+        sys.settrace(previous)
+    capsys.readouterr()
+    assert codes == [0] * 9 + [2, 2]
+    defined = _defined_functions()
+    # Every function entered is found in the source: lambdas and
+    # comprehensions aside, a first line the walk got wrong would show here.
+    assert {key for key in entered if not key[2].startswith("<")} <= defined.keys()
+    assert {name for key, name in defined.items() if key not in entered} == UNREACHED
 
 
 # ------------------------------------------- what the benchmark reaches ----
