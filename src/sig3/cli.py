@@ -22,7 +22,6 @@ import functools
 import os
 import re
 import sys
-from itertools import product
 from typing import IO, Callable, Sequence
 
 from .delta import DeltaContext, delta, dn3, period_route_gap, verify_ode_delta
@@ -41,12 +40,6 @@ from .transfer import (
 # CSV columns are the VerificationRow fields: the floats, then from pass56
 # on the verdicts.
 CSV_HEADER = ",".join(VerificationRow._fields)
-_FIRST_VERDICT = VerificationRow._fields.index("pass56")
-# Line endings by verdicts, e.g. (True, False, True) -> ",true,false,true\n".
-_LINE_ENDS = {
-    verdicts: "".join("," + str(v).lower() for v in verdicts) + "\n"
-    for verdicts in product((False, True), repeat=len(VerificationRow._fields) - _FIRST_VERDICT)
-}
 
 EVAL_FUNCTIONS = {"f2": f2, "f3": f3, "fhalf": f_half}
 
@@ -73,15 +66,14 @@ def emit_csv(report: VerificationReport, sink: IO[str]) -> None:
     if not report.rows:
         raise ConfigError("refusing to emit an empty report")
     sink.write(CSV_HEADER + "\n")
-    for r in report.rows:
-        p, alpha, beta, lhs56, rhs56, e56, lhs57, rhs57, e57, lhs58, rhs58, e58 = r[:_FIRST_VERDICT]
+    for p, alpha, beta, lhs56, rhs56, e56, lhs57, rhs57, e57, lhs58, rhs58, e58, ok56, ok57, ok58 in report.rows:
         t56, t57, t58 = repr(lhs56), repr(lhs57), repr(lhs58)
         sink.write(
             f"{p!r},{alpha!r},{beta!r},"
             f"{t56},{t56 if lhs56 == rhs56 and lhs56 else repr(rhs56)},{e56!r},"
             f"{t57},{t57 if lhs57 == rhs57 and lhs57 else repr(rhs57)},{e57!r},"
-            f"{t58},{t58 if lhs58 == rhs58 and lhs58 else repr(rhs58)},{e58!r}"
-            f"{_LINE_ENDS[r[_FIRST_VERDICT:]]}"
+            f"{t58},{t58 if lhs58 == rhs58 and lhs58 else repr(rhs58)},{e58!r},"
+            f"{'true' if ok56 else 'false'},{'true' if ok57 else 'false'},{'true' if ok58 else 'false'}\n"
         )
 
 
@@ -242,7 +234,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (Sig3Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def run() -> None:
-    raise SystemExit(main())

@@ -121,9 +121,6 @@ class DeltaContext(NamedTuple("DeltaContext", [("modulus", ModulusSet), ("omega"
         bridge = (cell.scale, cell.rungs, a, b)
         return super().__new__(cls, modulus, periods.omega, cell, bridge, (1.0 + b - a / 3.0, spread, k2, k2_comp))
 
-    def __repr__(self) -> str:
-        return f"DeltaContext({self.modulus!r})"
-
 
 # dn3's contexts, one per modulus, bounded as ``weierstrass._lattice`` is.
 _context = lru_cache(maxsize=64)(DeltaContext)

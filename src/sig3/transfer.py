@@ -26,8 +26,8 @@ per-identity ``IdentityCheck`` are named tuples: they unpack, index and
 compare equal to plain tuples.
 
 The kernels are not most of a ``sig3 verify`` call.  On the grid
-0.001:0.999:0.001 one call in process takes ~14.5 ms: ``grid_report``
-~6.0 ms and the CSV writer ``cli.emit_csv`` ~6.9 ms, nearly all of it
+0.001:0.999:0.001 one call in process takes ~11.4 ms: ``grid_report``
+~5.5 ms and the CSV writer ``cli.emit_csv`` ~5.7 ms, nearly all of it
 ``repr`` of the floats (min of 200 rounds, shared 2-CPU VM, Python
 3.11.7).
 

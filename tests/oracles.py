@@ -5,12 +5,14 @@ run in exact rational and in compensated float arithmetic, the two AGM oracles
 in 50-digit decimal, the sn oracle integrates the Jacobi differential system
 directly, and the wp oracle sums the Laurent series of the invariants and
 doubles its way back out.  ``toward_both_ends`` is the p set that several
-tests walk to the edges of the transfer domain.
+tests walk to the edges of the transfer domain, and ``clear_sig3_caches``
+empties the package's caches for the tests that patch or trace it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +21,17 @@ HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
 ONE = Fraction(1)
+
+
+def clear_sig3_caches() -> None:
+    """Clear every ``lru_cache`` of every loaded sig3 module: a cached
+    function's body runs only on a miss, and a cached lattice or context
+    built under a patch would outlive it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sig3."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 def toward_both_ends(n: int = 5000) -> list[float]:

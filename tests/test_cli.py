@@ -4,6 +4,7 @@ import io
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import types
@@ -513,6 +514,17 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split("\n")[1].split()[0] == "0.6"
+
+
+def test_console_script_target_returns_the_exit_code(capsys):
+    # The console-script wrapper passes the target's return value to
+    # sys.exit.  A regex reads the table: Python 3.10 has no tomllib.
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, name = re.search(r'^\[project\.scripts\]\nsig3 = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    target = getattr(importlib.import_module(module), name)
+    assert target(["eval", "f2", "0.5"]) == 0
+    assert target(["verify", "--tol", "nan"]) == 2
+    assert capsys.readouterr().out == f"{f2(0.5)!r}\n"
 
 
 def test_csv_header_is_the_row_fields():

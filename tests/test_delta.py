@@ -529,10 +529,6 @@ def test_dn3_builds_one_context_per_modulus():
     assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
 
 
-def test_delta_context_repr_names_its_modulus(ctx06):
-    assert repr(ctx06) == f"DeltaContext({modulus_from_kappa(0.6)!r})"
-
-
 def test_delta_context_is_read_only(ctx06):
     # dn3 shares one context per modulus.
     with pytest.raises(AttributeError):

@@ -399,3 +399,21 @@ def test_cbrt_keeps_its_digits_on_subnormals():
         for x in xs:
             ref = mpmath.cbrt(mpmath.mpf(x))
             assert abs(mpmath.mpf(hypergeom._cbrt(x)) - ref) <= 2.0 ** -52 * ref, x
+
+
+def test_cbrt_is_within_one_ulp_and_mostly_nearest():
+    # y is the nearest float when x lies between the cubes of the midpoints
+    # to y's two neighbours, and within one ulp when it lies between the
+    # neighbours' own cubes.  Measured: never more than one ulp off, and
+    # not the nearest float for 1,106 of the 10,000 x.
+    rng = random.Random(29)
+    not_nearest = 0
+    for _ in range(10_000):
+        x = 2.0 ** rng.uniform(-1022.0, 1023.0)
+        y = hypergeom._cbrt(x)
+        exact = Fraction(x)
+        low, mid, high = (Fraction(t) for t in (math.nextafter(y, 0.0), y, math.nextafter(y, math.inf)))
+        if not (low + mid) ** 3 <= 8 * exact <= (high + mid) ** 3:
+            not_nearest += 1
+            assert low ** 3 < exact < high ** 3, x
+    assert not_nearest <= 1_500
