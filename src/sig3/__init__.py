@@ -25,7 +25,6 @@ from .moduli import (
 from .delta import (
     DeltaContext,
     delta,
-    delta_integral,
     delta_phase,
     dn3,
     half_periods_sig3,

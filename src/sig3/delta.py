@@ -163,7 +163,11 @@ def period_route_gap(ctx: DeltaContext) -> tuple[float, float]:
     pair agrees exactly, so each gap is roundoff unless a midpoint gap, a
     kernel or the assembly is wrong.  A bias shared by agm and agm3 moves
     the real gap and not (56)-(58); a bias of agm alone moves (56)-(58)
-    and can leave the real gap at roundoff.
+    and can leave the real gap at roundoff.  Both gaps are below 2e-15
+    from kappa = 1e-99 to 1 - 2^-53: tests/test_transfer.py holds that on
+    a grid, in test_period_route_gap_certifies_the_lattice_of_kappa, and
+    at the worst imaginary gap that a seeded search finds, in
+    test_period_route_gap_holds_at_a_searched_worst_case.
     """
     _, spread, k2, _ = ctx.phase_terms
     half_pi, height = 0.5 * math.pi, 0.5 * ctx.cell.period_im
@@ -242,8 +246,11 @@ def _phase_in_quarter(w: float, ctx: DeltaContext) -> float:
     Past omega/2, v^2 - 1 would cancel, so t = k'^2/t(omega - w), from
     cs(K - x) = k' sc(x); omega - w is exact, and omega scale = pi/2 on the
     ladder to a few ulps: the real gap of ``period_route_gap``, which
-    tests/test_delta.py's test_the_ladder_certifies_the_period holds to
-    8.5 eps.  Below 2^-28, T = w - (4/27) kappa^2 w^3 rounds to w.
+    tests/test_delta.py holds to 8.5 eps on a grid of kappa, in
+    test_the_ladder_certifies_the_period, and at the worst kappa that a
+    seeded search finds, in
+    test_the_ladder_holds_the_period_at_a_searched_worst_case.  Below
+    2^-28, T = w - (4/27) kappa^2 w^3 rounds to w.
     """
     if w <= 2.0 ** -28:
         return w

@@ -13,9 +13,14 @@ the row/column identifiers used throughout the CSV report format.
 The identities are exact, so every observed relative error is pure
 implementation noise: below 1e-15 on all of (0, 1), 8.1e-16 at worst on the
 grid 0.001:0.999:0.001, so the default tolerance 1e-10 leaves five decades.
-The tests hold both bounds, the first on 10,002 p log-spaced toward 0 and
-toward 1.  Every rhs there is at least 0.08 (rhs58 is 0.0815 at
-p = 1 - 2^-53), so a residual is |lhs - rhs| / rhs with no guard.
+tests/test_transfer.py holds both bounds.  The first holds on 10,002 p
+log-spaced toward 0 and toward 1, in
+test_identities_hold_to_roundoff_toward_both_ends_of_the_domain, and at
+the worst p that a seeded search finds, in
+test_identities_hold_to_roundoff_at_a_searched_worst_case; the second in
+test_grid_report_holds_to_roundoff_on_the_fine_grid.  Every rhs there is
+at least 0.08 (rhs58 is 0.0815 at p = 1 - 2^-53), so a residual is
+|lhs - rhs| / rhs with no guard.
 
 A grid point costs one ``params_from_p`` call, of which it reads four
 fields, and four complement kernels; the kernels are most of a row.  The
@@ -170,9 +175,9 @@ def grid_report(
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"tolerance must be finite and non-negative, got {tol}")
     points = grid_points(p_start, p_stop, p_step)
-    for p in points:
-        if not 0.0 < p < 1.0:
-            raise ConfigError(f"grid point {p} outside (0, 1)")
+    # The points ascend, so the two ends bound every other.
+    if not (0.0 < points[0] and points[-1] < 1.0):
+        raise ConfigError(f"grid from {points[0]} to {points[-1]} is not inside (0, 1)")
     rows = tuple(_transfer_row(p, tol) for p in points)
     # One column per field; the grid is never empty, so each max has a value.
     _, _, _, _, _, e56, _, _, e57, _, _, e58, ok56, ok57, ok58 = zip(*rows)

@@ -11,11 +11,14 @@ Landen (Gauss) transformation (DLMF 22.7.1) read for the reciprocal,
 
     1/sn(w, k) = (v1 + k1/v1)/(1 + k1),   v1 = 1/sn(w/(1 + k1), k1),
 
-on one cached ladder k > k1 > k2 > ... per modulus: v starts as 1/sin at
-the foot and climbs the rungs, at real or complex w alike.  ``wp`` runs it
-on the lattice of (g2, g3); ``delta.dn3``, ``delta.delta`` and
+on one ladder k > k1 > k2 > ... per lattice: v starts as 1/sin at the foot
+and climbs the rungs, at real or complex w alike.  ``wp`` runs it on the
+lattice of (g2, g3); ``delta.dn3``, ``delta.delta`` and
 ``delta.verify_trimidiation`` on the lattice of their modulus; ``sn``
-on the real axis.
+on the real axis.  ``_ladder`` caches nothing itself: each lattice builds
+its ladder once, in ``_cell``, and keeps it, ``wp``'s in the cache of
+``_lattice`` and a modulus's in its ``DeltaContext``, which ``dn3`` caches
+per modulus (``delta._context``).  Only ``sn`` builds a ladder per call.
 
 The lattice of (g2, g3) has one private home, ``_lattice``: it solves
 4t^3 - g2 t - g3 = 0 for the midpoint values e1 > e2 > e3, reads
@@ -187,7 +190,6 @@ def _lattice(g2: float, g3: float) -> tuple[float, float, _Cell]:
     return e3, spread, _cell(_jacobi_half_periods(k2, k2_comp, r), r, k2, k2_comp)
 
 
-@lru_cache(maxsize=64)
 def _ladder(m: float, m_comp: float, height: float) -> tuple[tuple[tuple[float, float], ...], float]:
     """Descending Landen (Gauss) ladder of k, k^2 = m, k'^2 = m_comp
     (DLMF 22.7.1): the rungs (k_n, 1 + k_n), foot first, and the scale
@@ -229,10 +231,10 @@ def _inv_sn(phi, rungs: tuple[tuple[float, float], ...], sin=math.sin):
 
 def sn(u: float, k: float) -> float:
     """Jacobi sn(u, k) for real u and modulus 0 < k < 1, by the descending
-    Landen transformation on the cached real-axis ladder of k.  Periodicity
-    sn(u + 4K) = sn(u) is inherited exactly from the sine.  A u that is not
-    finite or has |u| >= ``WP_MAX_MODULUS`` (~4.5e7), where the rounding of
-    u alone leaves few correct digits, raises DomainError."""
+    Landen transformation on the real-axis ladder of k, built per call.
+    Periodicity sn(u + 4K) = sn(u) is inherited exactly from the sine.  A u
+    that is not finite or has |u| >= ``WP_MAX_MODULUS`` (~4.5e7), where the
+    rounding of u alone leaves few correct digits, raises DomainError."""
     if not 0.0 < k < 1.0:
         raise DomainError(f"modulus must lie in (0, 1), got {k}")
     if not abs(u) < WP_MAX_MODULUS:

@@ -5,13 +5,16 @@ run in exact rational and in compensated float arithmetic, the two AGM oracles
 in 50-digit decimal, the sn oracle integrates the Jacobi differential system
 directly, and the wp oracle sums the Laurent series of the invariants and
 doubles its way back out.  ``toward_both_ends`` is the p set that several
-tests walk to the edges of the transfer domain, and ``clear_sig3_caches``
-empties the package's caches for the tests that patch or trace it.
+tests walk to the edges of the transfer domain, ``search_worst`` finds the
+point of (0, 1) where a documented bound is closest to breaking, and
+``clear_sig3_caches`` empties the package's caches for the tests that patch
+or trace it.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -41,6 +44,33 @@ def toward_both_ends(n: int = 5000) -> list[float]:
     lo, lo1, hi = math.log(2.24e-103), math.log(2.0 ** -53), math.log(0.5)
     points = [math.exp(lo + (hi - lo) * i / n) for i in range(n + 1)]
     return points + [1.0 - math.exp(lo1 + (hi - lo1) * i / n) for i in range(n + 1)]
+
+
+def search_worst(f, seed: int, floor: float, draws: int, steps: int) -> tuple[float, float]:
+    """Seeded search for the x in [floor, 1 - 2^-53] where f is largest;
+    returns (f(x), x).  Of the ``draws``, 30% are log-spaced toward 0 (down
+    to ``floor``), 30% toward 1 (1 - x down to 2^-53) and 40% uniform.  Then
+    ``steps`` refinements from the best draw: each scales x, or 1 - x above
+    1/2, by exp(N(0, s)) with s falling from 1 to 1e-6, and keeps a better
+    point.  The same seed and f give the same point."""
+    rng = random.Random(seed)
+    near0, near1, half, top = math.log(floor), math.log(2.0 ** -53), math.log(0.5), 1.0 - 2.0 ** -53
+
+    def draw():
+        u = rng.random()
+        if u < 0.3:
+            return math.exp(rng.uniform(near0, half))
+        if u < 0.6:
+            return 1.0 - math.exp(rng.uniform(near1, half))
+        return max(floor, rng.random())
+
+    value, x = max((f(x), x) for x in (draw() for _ in range(draws)))
+    for i in range(steps):
+        factor = math.exp(rng.gauss(0.0, 10.0 ** (-6.0 * i / steps)))
+        y = x * factor if x <= 0.5 else 1.0 - (1.0 - x) * factor
+        if floor <= y <= top and (fy := f(y)) > value:
+            value, x = fy, y
+    return value, x
 
 
 def hyp2f1_exact(a: Fraction, b: Fraction, c: Fraction, x: Fraction,

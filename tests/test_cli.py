@@ -476,7 +476,7 @@ def test_public_names_are_pinned():
         "WeierstrassInvariants", "wp",
         "ModulusSet", "invariants", "modulus_from_kappa",
         "params_from_p",
-        "DeltaContext", "delta", "delta_integral", "delta_phase", "dn3",
+        "DeltaContext", "delta", "delta_phase", "dn3",
         "half_periods_sig3",
         "DEFAULT_TOL", "grid_report",
         "period_route_gap", "verify_ode_delta", "verify_trimidiation",

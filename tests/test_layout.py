@@ -94,7 +94,7 @@ def test_every_module_uses_what_it_imports():
 
 # Lines of src/sig3 that hold code: not blank, comment or docstring.  A
 # change that moves the count edits this pin and says so in CHANGES.md.
-CODE_LINES = 707
+CODE_LINES = 704
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}

@@ -23,7 +23,7 @@ from sig3.transfer import (
     verify_identity57,
     verify_identity58,
 )
-from oracles import HALF, ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err, toward_both_ends
+from oracles import HALF, ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err, search_worst, toward_both_ends
 
 delta_module = importlib.import_module("sig3.delta")  # sig3.delta is the function
 DEFAULT_GRID = (0.05, 0.95, 0.05)
@@ -306,6 +306,20 @@ def test_period_route_gap_certifies_the_lattice_of_kappa():
         assert max(period_route_gap(DeltaContext(ModulusSet(kappa)))) <= 2e-15, kappa
 
 
+def test_period_route_gap_holds_at_a_searched_worst_case():
+    # The 2e-15 of the test above, at the worst imaginary column that
+    # search_worst finds from kappa = 1e-99 (seed 1, 10,000 draws, 1,000
+    # refinements, ~0.1 s): above the grid's 7.1e-16, below the bound.  The
+    # real column has its own search in tests/test_delta.py.
+    def gaps(kappa):
+        return period_route_gap(DeltaContext(ModulusSet(kappa)))
+
+    _, kappa = search_worst(lambda k: gaps(k)[1], seed=1, floor=1e-99, draws=10_000, steps=1_000)
+    assert max(gaps(kappa)) <= 2e-15, kappa
+    # The point it found: the imaginary column read 1.1499537152622767e-15.
+    assert max(gaps(6.031397319333802e-43)) <= 2e-15
+
+
 @pytest.mark.parametrize("which", [0, 1], ids=["e2-e3", "e1-e2"])
 def test_period_route_gap_sees_a_biased_midpoint_gap(monkeypatch, which):
     # One closed-form gap moved by 1e-12 moves the ladder's k^2 and r off
@@ -367,8 +381,11 @@ def test_grid_report_default_grid_all_pass():
 
 
 def test_grid_report_rejects_out_of_range_grid():
-    with pytest.raises(ConfigError):
-        grid_report(1.5, 2.0, 0.1)
+    # The whole grid, then only its last point, then only its first: the
+    # check reads the two ends, and either end alone lets one through.
+    for grid in ((1.5, 2.0, 0.1), (0.5, 1.0, 0.25), (0.0, 0.5, 0.25)):
+        with pytest.raises(ConfigError):
+            grid_report(*grid)
 
 
 def test_grid_report_evaluates_near_the_endpoints():
@@ -399,6 +416,20 @@ def test_identities_hold_to_roundoff_toward_both_ends_of_the_domain():
         row = sig3.transfer._transfer_row(p, sig3.transfer.DEFAULT_TOL)
         assert max(row.relerr56, row.relerr57, row.relerr58) <= 1e-15, p
         assert min(row.rhs56, row.rhs57, row.rhs58) >= 0.08, p
+
+
+def test_identities_hold_to_roundoff_at_a_searched_worst_case():
+    # The module docstring's "below 1e-15 on all of (0, 1)", at the worst
+    # residual that search_worst finds above the underflow floor of
+    # params_from_p (seed 1, 15,000 draws, 2,000 refinements, ~0.12 s).
+    def worst(p):
+        row = sig3.transfer._transfer_row(p, sig3.transfer.DEFAULT_TOL)
+        return max(row.relerr56, row.relerr57, row.relerr58)
+
+    value, p = search_worst(worst, seed=1, floor=2.24e-103, draws=15_000, steps=2_000)
+    assert value <= 1e-15, p
+    # The point it found: the worst of the three read 9.474798984407555e-16.
+    assert worst(0.9998679887545867) <= 1e-15
 
 
 def test_grid_report_summary_is_a_pass_over_its_rows():
