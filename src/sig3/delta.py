@@ -52,9 +52,14 @@ keeps its digits at the peak t = pi/2.  The phase is within 1e-14 of
 50-digit values from kappa = 1e-100 to 1 - 2^-52.  delta agrees with 1/F at
 T(u) to 1e-14 relative up to kappa = 0.999 and to 1.9e-13 up to
 kappa = 0.999999, the conditioning of delta near u = omega and its final
-subtraction.  Near kappa = 1, G' = F ~ 1/lambda, so |G(T(u)) - u| grows as
-F(T) ulp(T): on the 17-point profile 2.7e-12 at kappa = 1 - 1e-10,
-3.3e-11 at 1 - 1e-12, 1.5e-9 at 1 - 1e-15 and 4.1e-9 at 1 - 2.2e-16.
+subtraction, on the grid of tests/test_delta.py.  A seeded search breaks
+both just below the top of each range, with delta the side that is off:
+test_delta_holds_1e_14_up_to_kappa_0_999_at_a_searched_worst_case and
+test_delta_holds_1_9e_13_up_to_kappa_0_999999_at_a_searched_worst_case
+are strict xfails at 1.47e-14 and 4.23e-13.  Near kappa = 1,
+G' = F ~ 1/lambda, so |G(T(u)) - u| grows as F(T) ulp(T): on the
+17-point profile 2.7e-12 at kappa = 1 - 1e-10, 3.3e-11 at 1 - 1e-12,
+1.5e-9 at 1 - 1e-15 and 4.1e-9 at 1 - 2.2e-16.
 
 Three certificates live here with what they certify.
 ``verify_ode_delta`` holds ``delta`` and the phase against the paper's
@@ -93,11 +98,14 @@ class DeltaContext(NamedTuple("DeltaContext", [("modulus", ModulusSet), ("omega"
     named tuple built from the modulus alone: ``DeltaContext(modulus)``.
 
     Every field but the modulus is derived once, at construction, from the
-    closed forms of ``moduli.midpoint_gaps`` and ``half_periods_sig3``: omega;
+    closed forms of ``moduli.midpoint_gaps`` and ``half_periods_sig3``:
     ``cell``, the lattice of kappa with the Gauss ladder of k
-    (``weierstrass._Cell``); ``bridge``, the (scale, rungs, a, b) that
-    ``delta`` reads in one unpack, the ladder's scale and rungs with the
-    bridge constants a and b; and ``phase_terms``, the
+    (``weierstrass._Cell``); omega, half the cell's real period, so the
+    phase, the route gap and the reduction into the cell read one float;
+    ``bridge``, the (scale, rungs, a, b) that ``delta`` reads in one unpack:
+    the ladder's scale and rungs, copied from the cell because reading them
+    off it by name makes each ``delta`` call 7-13% slower, with the bridge
+    constants a and b; and ``phase_terms``, the
     (c, e1 - e3, k^2, k'^2) of the ladder and of ``delta_phase``'s closed
     form, c = 1 + b - a/3, k^2 = (e2 - e3)/(e1 - e3) and
     k'^2 = (e1 - e2)/(e1 - e3) = 1 - alpha(p).  ``verify_trimidiation``
@@ -118,8 +126,8 @@ class DeltaContext(NamedTuple("DeltaContext", [("modulus", ModulusSet), ("omega"
         k2, k2_comp = low / spread, high / spread
         cell = _cell(periods, math.sqrt(spread), k2, k2_comp)
         a, b = (4.0 / 9.0) * modulus.kappa * modulus.kappa / spread, shift / spread
-        bridge = (cell.scale, cell.rungs, a, b)
-        return super().__new__(cls, modulus, periods.omega, cell, bridge, (1.0 + b - a / 3.0, spread, k2, k2_comp))
+        return super().__new__(cls, modulus, 0.5 * cell.period_re, cell, (cell.scale, cell.rungs, a, b),
+                               (1.0 + b - a / 3.0, spread, k2, k2_comp))
 
 
 # dn3's contexts, one per modulus, bounded as ``weierstrass._lattice`` is.
@@ -152,14 +160,14 @@ def period_route_gap(ctx: DeltaContext) -> tuple[float, float]:
     """Relative gaps for omega and for -i omega' of the lattice of kappa,
     read off the context alone.
 
-    ``ctx`` holds both half periods from F(1/3, 2/3; 1; .): omega and
-    -i omega' = ``ctx.cell.period_im / 2``.  The real gap is
-    |omega scale/(pi/2) - 1|: the ladder's scale is r prod 1/(1 + k_n),
-    r = sqrt(e1 - e3), so (pi/2)/scale is Gauss's product for K/r, and
-    omega is held to the ladder that ``delta``, ``dn3`` and the phase
-    climb, with no AGM.  The imaginary gap compares -i omega' with the
-    classical K'/r = (pi/2) F(1/2, 1/2; 1; k'^2)/r by the AGM, at the
-    k^2 and e1 - e3 of ``phase_terms``.  By the transfer principle each
+    ``ctx`` holds both half periods from F(1/3, 2/3; 1; .): omega =
+    ``ctx.cell.period_re / 2`` and -i omega' = ``ctx.cell.period_im / 2``.
+    The real gap is |omega scale/(pi/2) - 1|: the ladder's scale is
+    r prod 1/(1 + k_n), r = sqrt(e1 - e3), so (pi/2)/scale is Gauss's
+    product for K/r, and omega is held to the ladder that ``delta``,
+    ``dn3`` and the phase climb, with no AGM.  The imaginary gap compares
+    -i omega' with the classical K'/r = (pi/2) F(1/2, 1/2; 1; k'^2)/r by
+    the AGM, at the k^2 and e1 - e3 of ``phase_terms``.  By the transfer principle each
     pair agrees exactly, so each gap is roundoff unless a midpoint gap, a
     kernel or the assembly is wrong.  A bias shared by agm and agm3 moves
     the real gap and not (56)-(58); a bias of agm alone moves (56)-(58)

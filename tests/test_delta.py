@@ -365,6 +365,39 @@ def test_delta_matches_the_integral_inversion_route(kappa):
     assert max(row[3] for row in delta_module.verify_ode_delta(ctx, grid)) <= phase_unit(ctx)
 
 
+def _inversion_gap(kappa):
+    """The worst relative gap of delta to the reference route at 15 u =
+    2 omega (j + 0.37)/16, off the grid above."""
+    ctx = DeltaContext(ModulusSet(kappa))
+    us = [2.0 * ctx.omega * (j + 0.37) / 16 for j in range(15)]
+    return max(rel_err(delta(u, ctx), delta_module._reference_delta(delta_phase(u, ctx), ctx)[0]) for u in us)
+
+
+# The two searches below (seed 3, 1,500 draws, 500 refinements, ~0.12 s
+# each) break the docstring's bounds next to the top of each range, both
+# at u = 2 omega 8.37/16, just past omega.  Against 30-digit values delta
+# is the side that is off: its quotient a/(b + v^2) carries 3.6-3.7 eps, and
+# the final subtraction 1 - a/(b + v^2) multiplies that by (1 - delta)/delta
+# (ROADMAP item 1).  Seeds 1 and 2 find 1.40e-14 and 1.35e-14 below 0.999,
+# and 3.6e-13 and 3.9e-13 below 0.999999.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="FOUND: 1.47e-14 at kappa = 0.9988071803680321, over 1e-14")
+def test_delta_holds_1e_14_up_to_kappa_0_999_at_a_searched_worst_case():
+    # There delta is 1.36e-14 and the reference 1.1e-15 off; (1 - delta)/delta = 16.5.
+    value, kappa = search_worst(lambda k: _inversion_gap(k) if k <= 0.999 else 0.0, seed=3, floor=5.8e-103,
+                                draws=1_500, steps=500)
+    assert max(value, _inversion_gap(0.9988071803680321)) <= 1e-14, kappa
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="FOUND: 4.23e-13 at kappa = 0.9999989972096096, over 1.9e-13")
+def test_delta_holds_1_9e_13_up_to_kappa_0_999999_at_a_searched_worst_case():
+    # There delta is 4.49e-13 and the reference 2.6e-14 off; (1 - delta)/delta = 569.
+    value, kappa = search_worst(lambda k: _inversion_gap(k) if k <= 0.999999 else 0.0, seed=3, floor=5.8e-103,
+                                draws=1_500, steps=500)
+    assert max(value, _inversion_gap(0.9999989972096096)) <= 1.9e-13, kappa
+
+
 @pytest.mark.parametrize("points", [4, 16])
 def test_certificate_crosses_the_peak_at_the_float_below_one(points):
     # kappa = 1 - 2^-53.  On an even grid the peak of the kernel at T = pi/2
@@ -536,6 +569,19 @@ def test_delta_context_is_read_only(ctx06):
     with pytest.raises(AttributeError):
         del ctx06.bridge_a
     assert not hasattr(ctx06, "__dict__")
+
+
+def test_delta_context_omega_is_half_the_cells_period_bitwise():
+    # The context reads omega off its cell, which stores 2 omega: on 2,002
+    # seeded kappa, log-spaced toward both ends of (5.8e-103, 1), it is the
+    # float half_periods_sig3 gives.
+    rng = random.Random(44)
+    near0, near1, half = math.log(5.8e-103), math.log(2.0 ** -53), math.log(0.5)
+    kappas = ([5.8e-103, 1.0 - 2.0 ** -53] + [math.exp(rng.uniform(near0, half)) for _ in range(1000)]
+              + [1.0 - math.exp(rng.uniform(near1, half)) for _ in range(1000)])
+    for kappa in kappas:
+        mod = ModulusSet(kappa)
+        assert DeltaContext(mod).omega == half_periods_sig3(mod).omega, kappa
 
 
 @pytest.mark.parametrize("kappa", [0.9999, 0.99999])

@@ -94,7 +94,8 @@ FAULTS = {
     "1/3 + e3": ([(delta_module, "midpoint_gaps", _scaled(moduli.midpoint_gaps, 2))], "gap V"),
     "omega": ([(delta_module, "half_periods_sig3", _scaled(delta_module.half_periods_sig3, 0))], "re gap ph V"),
     "omega'": ([(delta_module, "half_periods_sig3", _scaled(delta_module.half_periods_sig3, 1))], "im V"),
-    "the cell's real period": ([(delta_module, "_cell", _scaled(delta_module._cell, 0))], "V"),
+    # The context's omega is half this period, the same float: the row is omega's.
+    "the cell's real period": ([(delta_module, "_cell", _scaled(delta_module._cell, 0))], "re gap ph V"),
     "the ladder's top rung k": ([(delta_module, "_cell", _top_rung(delta_module._cell))], "gap ph V"),
     "the ladder's scale": ([(delta_module, "_cell", _scaled(delta_module._cell, 2))], "re gap ph V"),
     "_inv_sn": ([(delta_module, "_inv_sn", _scaled(delta_module._inv_sn))], "gap ph V"),

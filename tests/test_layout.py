@@ -94,7 +94,7 @@ def test_every_module_uses_what_it_imports():
 
 # Lines of src/sig3 that hold code: not blank, comment or docstring.  A
 # change that moves the count edits this pin and says so in CHANGES.md.
-CODE_LINES = 704
+CODE_LINES = 701
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
@@ -133,7 +133,6 @@ def test_code_line_count_is_pinned():
 UNREACHED = {
     "delta.delta_integral",
     "moduli.invariants",
-    "moduli.modulus_from_kappa",
     "transfer.verify_identity56",
     "transfer.verify_identity57",
     "transfer.verify_identity58",

@@ -55,7 +55,8 @@ def test_modulus_rejects_endpoints(kappa):
 def test_modulus_set_checks_its_fields():
     # kappa is the one field; lambda is derived from it, so there is nothing
     # left to check but 0 < kappa < 1.
-    assert modulus_from_kappa(0.6) == ModulusSet(0.6) == (0.6,)
+    assert modulus_from_kappa is ModulusSet
+    assert ModulusSet(0.6) == (0.6,)
     assert rel_err(ModulusSet(0.6).lam, 0.8) < 1e-15
     for kappa in (0.0, 1.0, -0.3, math.nan):
         with pytest.raises(DomainError):
