@@ -12,22 +12,19 @@ from .hypergeom import (
     f3,
     f_half,
 )
-from .weierstrass import (
-    WeierstrassInvariants,
-    wp,
-)
+from .weierstrass import wp
 from .moduli import (
+    DeltaContext,
     ModulusSet,
+    half_periods_sig3,
     invariants,
     modulus_from_kappa,
     params_from_p,
 )
 from .delta import (
-    DeltaContext,
     delta,
     delta_phase,
     dn3,
-    half_periods_sig3,
     period_route_gap,
     verify_ode_delta,
     verify_trimidiation,

@@ -24,10 +24,10 @@ import re
 import sys
 from typing import IO, Callable, Sequence
 
-from .delta import DeltaContext, delta, dn3, period_route_gap, verify_ode_delta
+from .delta import delta, dn3, period_route_gap, verify_ode_delta
 from .errors import ConfigError, DomainError, Sig3Error
 from .hypergeom import f2, f3, f_half
-from .moduli import ModulusSet
+from .moduli import DeltaContext, ModulusSet
 from .transfer import (
     DEFAULT_TOL,
     MAX_GRID_POINTS,

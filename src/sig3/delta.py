@@ -26,12 +26,13 @@ values of the configuration, turns this into
 
 the same expression on the real axis giving delta(u).
 
-``DeltaContext`` holds these constants for one modulus, from the closed
-forms of e2 - e3, e1 - e2 and 1/3 + e3 in ``moduli.midpoint_gaps``: no
-midpoint is subtracted from another.  ``delta`` at real u and ``dn3`` at
-complex z, reduced into the centred cell of the lattice of kappa itself,
-take v = 1/sn from the Gauss recursion ``weierstrass._inv_sn`` on the
-context's ladder.  Neither calls ``wp`` or builds invariants.
+``moduli.DeltaContext`` holds these constants for one modulus, from the
+closed forms of e2 - e3, e1 - e2 and 1/3 + e3 in ``moduli.midpoint_gaps``:
+no midpoint is subtracted from another.  Its cell is the one lattice of
+the configuration.  ``delta`` at real u and ``dn3`` at complex z, reduced
+into the centred cell, take v = 1/sn from the Gauss recursion
+``weierstrass._inv_sn`` on the context's ladder; ``dn3`` forms b + v^2
+in ``weierstrass._shifted``, as ``wp`` does.
 
 The paper's construction is the reference route.  Its phase T(u) has a
 closed form in the sn that ``delta`` already computes, since the transfer
@@ -66,94 +67,27 @@ Three certificates live here with what they certify.
 definition and the reference kernel to the paper's ODE, with one running
 integral over its grid.
 ``verify_trimidiation`` holds ``dn3``'s own bridge b + v^2, formed in one
-place, ``_shifted``, to Velu's identity.  ``period_route_gap`` holds the
-context's own half periods, through F(1/3, 2/3; 1; .), against the
-lattice its ladder climbs: omega against Gauss's product (pi/2)/scale
+place, ``weierstrass._shifted``, to Velu's identity.  ``period_route_gap``
+holds the context's own half periods, through F(1/3, 2/3; 1; .), against
+the lattice its ladder climbs: omega against Gauss's product (pi/2)/scale
 for K/r, with no AGM, and -i omega' against the classical K'/r through
 F(1/2, 1/2; 1; .) at the k^2 and r of the ladder.  K/r by the AGM at that
 k^2 would be identity (56) at p(kappa), which ``grid_report`` checks.
-This is the one module that reaches into ``weierstrass``'s private names.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import ConfigError, DomainError, PoleError
-from .hypergeom import f2_complement, f3_complement
-from .moduli import SQRT3, ModulusSet, midpoint_gaps
+from .hypergeom import f2_complement
+from .moduli import SQRT3, DeltaContext, ModulusSet, context
 from .quadrature import integrate
-from .weierstrass import WP_MAX_MODULUS, HalfPeriodPair, _cell, _centred, _inv_sn
+from .weierstrass import WP_MAX_MODULUS, _inv_sn, _shifted
 
 # The tolerance of the reference route: absolute, on each quadrature of G.
 QUAD_TOL = 1e-12
-
-
-class DeltaContext(NamedTuple("DeltaContext", [("modulus", ModulusSet), ("omega", float), ("cell", tuple),
-                                               ("bridge", tuple), ("phase_terms", tuple)])):
-    """A modulus kappa with the constants of the production route, as a
-    named tuple built from the modulus alone: ``DeltaContext(modulus)``.
-
-    Every field but the modulus is derived once, at construction, from the
-    closed forms of ``moduli.midpoint_gaps`` and ``half_periods_sig3``:
-    ``cell``, the lattice of kappa with the Gauss ladder of k
-    (``weierstrass._Cell``); omega, half the cell's real period, so the
-    phase, the route gap and the reduction into the cell read one float;
-    ``bridge``, the (scale, rungs, a, b) that ``delta`` reads in one unpack:
-    the ladder's scale and rungs, copied from the cell because reading them
-    off it by name makes each ``delta`` call 7-13% slower, with the bridge
-    constants a and b; and ``phase_terms``, the
-    (c, e1 - e3, k^2, k'^2) of the ladder and of ``delta_phase``'s closed
-    form, c = 1 + b - a/3, k^2 = (e2 - e3)/(e1 - e3) and
-    k'^2 = (e1 - e2)/(e1 - e3) = 1 - alpha(p).  ``verify_trimidiation``
-    reads its spread e1 - e3 too, and ``period_route_gap`` its e1 - e3
-    and k^2.  ``dn3`` shares one context per
-    modulus; as a tuple, no field can be reassigned.  Every kappa in
-    (0, 1) from ~5.8e-103 up is accepted; below, e2 - e3 ~ 0.11 kappa^3 is
-    not a normal float: DomainError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, modulus: ModulusSet):
-        # The periods first: a kappa whose square underflows is refused as such.
-        periods = half_periods_sig3(modulus)
-        low, high, shift = midpoint_gaps(modulus)
-        spread = low + high  # e1 - e3
-        k2, k2_comp = low / spread, high / spread
-        cell = _cell(periods, math.sqrt(spread), k2, k2_comp)
-        a, b = (4.0 / 9.0) * modulus.kappa * modulus.kappa / spread, shift / spread
-        return super().__new__(cls, modulus, 0.5 * cell.period_re, cell, (cell.scale, cell.rungs, a, b),
-                               (1.0 + b - a / 3.0, spread, k2, k2_comp))
-
-
-# dn3's contexts, one per modulus, bounded as ``weierstrass._lattice`` is.
-_context = lru_cache(maxsize=64)(DeltaContext)
-
-
-def half_periods_sig3(mod: ModulusSet) -> HalfPeriodPair:
-    """Half periods in the signature-three basis:
-
-        omega  = (pi/2) F(1/3, 2/3; 1; kappa^2),
-        omega' = i (sqrt3/2) pi F(1/3, 2/3; 1; 1 - kappa^2).
-
-    Equivalently omega' = i sqrt3 omega(lambda), the complementary-modulus
-    relation behind the imaginary-period formula.  Each F3 value is taken
-    from the complement of its argument.  A kappa below ~1.6e-162, whose
-    square underflows to 0, raises DomainError.
-    """
-    k = mod.kappa
-    k2 = k * k
-    if not k2:
-        raise DomainError(f"modulus kappa = {k!r} is too small: kappa^2 underflows to 0")
-    half_pi = 0.5 * math.pi
-    return HalfPeriodPair(
-        omega=half_pi * f3_complement((1.0 - k) * (1.0 + k)),
-        omega_prime=1j * (SQRT3 * half_pi * f3_complement(k2)),
-    )
 
 
 def period_route_gap(ctx: DeltaContext) -> tuple[float, float]:
@@ -331,30 +265,21 @@ def dn3(z: complex, mod: ModulusSet) -> complex:
                = 1 - a / (b + v^2),    v = 1/sn(z sqrt(e1 - e3), k),
 
     the Jacobi bridge of ``delta`` on the lattice of kappa itself, with the
-    constants of a ``DeltaContext`` cached per modulus.  z is reduced into
-    the centred cell and v taken at complex argument as in
-    ``weierstrass.wp``.  Agrees with ``delta`` on the real axis.  Poles of
-    the quotient sit where wp = -1/3 (for instance two thirds of the way up
-    the imaginary half-period); PoleError is raised at lattice points and
-    where |1/3 + wp| <= 1e-8 (1/3 + e3), a margin that shrinks with
-    1/3 + e3 ~ (4/27) kappa^2, the size of 1/3 + wp near omega'.
+    constants of the context that ``moduli.context`` caches per modulus.
+    z is reduced into the centred cell and v taken at complex argument by
+    ``weierstrass._shifted``, as for ``wp``.  Agrees with ``delta`` on the
+    real axis.  Poles of the quotient sit where wp = -1/3 (for instance two
+    thirds of the way up the imaginary half-period); PoleError is raised at
+    lattice points and where |1/3 + wp| <= 1e-8 (1/3 + e3), a margin that
+    shrinks with 1/3 + e3 ~ (4/27) kappa^2, the size of 1/3 + wp near
+    omega'.
     """
-    ctx = _context(mod)
+    ctx = context(mod)
     shifted = _shifted(z, ctx)
     _, _, a, b = ctx.bridge
     if abs(shifted) <= 1e-8 * b:
         raise PoleError(f"dn3 pole: 1/3 + wp({z}) is within 1e-8 (1/3 + e3) of 0")
     return 1.0 - a / shifted
-
-
-def _shifted(z: complex, ctx: DeltaContext) -> complex:
-    """(1/3 + wp(z))/(e1 - e3) = b + v^2 on the lattice of ``ctx``'s modulus:
-    z reduced into the centred cell, v = 1/sn by the Gauss recursion on its
-    ladder.  The one home of the bridge that ``dn3`` and
-    ``verify_trimidiation`` share."""
-    cell = ctx.cell
-    v = _inv_sn(_centred(z, cell), cell.rungs, cmath.sin)
-    return ctx.bridge[3] + v * v
 
 
 def verify_ode_delta(ctx: DeltaContext, u_grid: Iterable[float]) -> list[tuple[float, float, float, float]]:
@@ -423,15 +348,15 @@ def verify_trimidiation(ctx: DeltaContext, z_samples: Iterable[complex]) -> floa
     summed first.  Both sides run ``dn3``'s own bridge, with its constant b,
     on a context: ``ctx`` for kappa and the cached context of lambda, so
     omega from F3(kappa^2) meets omega from F3(lambda^2).  w and each
-    e1 - e3 are read off the two contexts: nothing is derived again, no
-    invariants are built and no ``wp`` is called.  Samples must keep z,
-    z +- w and sqrt3 i z off the lattices (PoleError otherwise).  An empty
+    e1 - e3 are read off the two contexts: nothing is derived again and
+    no ``wp`` is called.  Samples must keep z, z +- w and sqrt3 i z off
+    the lattices (PoleError otherwise).  An empty
     ``z_samples``, an iterable of any kind, raises ConfigError.
     """
     z_samples = list(z_samples)
     if not z_samples:
         raise ConfigError("verify_trimidiation needs at least one z; z_samples is empty")
-    ctx_comp = _context(ModulusSet(ctx.modulus.lam))
+    ctx_comp = context(ModulusSet(ctx.modulus.lam))
     spread, spread_comp = ctx.phase_terms[1], ctx_comp.phase_terms[1]  # e1 - e3 of each
     w = 1j * ctx.cell.period_im / 3.0
     rot = SQRT3 * 1j

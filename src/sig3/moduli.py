@@ -14,17 +14,18 @@ transfer arguments
     alpha = p^3 (2+p) / (1+2p)          (the Jacobi modulus squared)
     beta  = (27/4) p^2 (1+p)^2 / (1+p+p^2)^3   (= kappa^2)
 
-become rational in p.  This module owns those maps plus the invariant pair
-(g2, g3) and the closed-form midpoint gaps e2 - e3, e1 - e2 and 1/3 + e3.
-The gaps fix the lattice of kappa, on which ``delta``, ``dn3`` and
-``delta.verify_trimidiation`` run; the invariants serve only ``wp``,
-which rebuilds a lattice from them.  ``ModulusSet.p`` goes back from
-kappa to p.
+become rational in p.  This module owns those maps, the closed-form
+midpoint gaps e2 - e3, e1 - e2 and 1/3 + e3 and the half periods in the
+signature-three basis.  Together they fix the lattice of kappa, the one
+lattice of a configuration: ``DeltaContext`` builds it once, with its
+Gauss ladder (``weierstrass._cell``), and ``context`` caches one context
+per modulus.  ``delta``, ``dn3``, ``weierstrass.wp`` and the lattice
+certificates run on it.  ``ModulusSet.p`` goes back from kappa to p.
 
 Each value has one formula here.  The identities that tie the formulas
 together (alpha as the midpoint-route modulus, beta as the square of the
-trisected sine route, each complement as one minus its argument, and the
-complementary forms of the invariants) are proven exactly in the tests.
+trisected sine route, and each complement as one minus its argument) are
+proven exactly in the tests.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError
-from .weierstrass import WeierstrassInvariants
+from .hypergeom import f3_complement
+from .weierstrass import _cell
 
 SQRT3 = math.sqrt(3.0)
 _FLOAT_MIN = sys.float_info.min
@@ -127,19 +129,6 @@ def params_from_p(p: float) -> TransferParams:
     return tuple.__new__(TransferParams, (p, alpha, beta, alpha_comp, beta_comp))
 
 
-@lru_cache(maxsize=64)
-def invariants(mod: ModulusSet) -> WeierstrassInvariants:
-    """Invariant pair of the configuration, cached per modulus:
-
-        g2 = (4/27)(9 - 8 kappa^2),
-        g3 = (8/729)(27 - 36 kappa^2 + 8 kappa^4).
-    """
-    t = mod.kappa * mod.kappa
-    g2 = (4.0 / 27.0) * (9.0 - 8.0 * t)
-    g3 = (8.0 / 729.0) * (27.0 - (36.0 - 8.0 * t) * t)
-    return WeierstrassInvariants(g2=g2, g3=g3)
-
-
 def midpoint_gaps(mod: ModulusSet) -> tuple[float, float, float]:
     """e2 - e3, e1 - e2 and 1/3 + e3 of the configuration, in closed form:
 
@@ -161,3 +150,81 @@ def midpoint_gaps(mod: ModulusSet) -> tuple[float, float, float]:
     high = (4.0 * SQRT3 / 9.0) * math.sin(phi) * (1.0 + math.cos(phi))
     shift = (4.0 / 9.0) * s * s * (3.0 - 2.0 * s * s - 2.0 * SQRT3 * s * c)
     return low, high, shift
+
+
+class HalfPeriodPair(NamedTuple):
+    """Half periods (omega, omega') with omega > 0 and omega' on the positive
+    imaginary axis; the fundamental periods are (2 omega, 2 omega').  Its
+    producer, ``half_periods_sig3``, builds omega and -i omega' as positive
+    multiples of kernel values >= 1, so the invariant holds by
+    construction and nothing checks it."""
+
+    omega: float
+    omega_prime: complex
+
+
+def half_periods_sig3(mod: ModulusSet) -> HalfPeriodPair:
+    """Half periods in the signature-three basis:
+
+        omega  = (pi/2) F(1/3, 2/3; 1; kappa^2),
+        omega' = i (sqrt3/2) pi F(1/3, 2/3; 1; 1 - kappa^2).
+
+    Equivalently omega' = i sqrt3 omega(lambda), the complementary-modulus
+    relation behind the imaginary-period formula.  Each F3 value is taken
+    from the complement of its argument.  A kappa below ~1.6e-162, whose
+    square underflows to 0, raises DomainError.
+    """
+    k = mod.kappa
+    k2 = k * k
+    if not k2:
+        raise DomainError(f"modulus kappa = {k!r} is too small: kappa^2 underflows to 0")
+    half_pi = 0.5 * math.pi
+    return HalfPeriodPair(
+        omega=half_pi * f3_complement((1.0 - k) * (1.0 + k)),
+        omega_prime=1j * (SQRT3 * half_pi * f3_complement(k2)),
+    )
+
+
+class DeltaContext(NamedTuple("DeltaContext", [("modulus", ModulusSet), ("omega", float), ("cell", tuple),
+                                               ("bridge", tuple), ("phase_terms", tuple)])):
+    """A modulus kappa with the constants of its lattice, as a named tuple
+    built from the modulus alone: ``DeltaContext(modulus)``.
+
+    Every field but the modulus is derived once, at construction, from the
+    closed forms of ``midpoint_gaps`` and ``half_periods_sig3``:
+    ``cell``, the lattice of kappa with the Gauss ladder of k
+    (``weierstrass._Cell``); omega, half the cell's real period, so the
+    phase, the route gap and the reduction into the cell read one float;
+    ``bridge``, the (scale, rungs, a, b) that ``delta.delta`` reads in one
+    unpack: the ladder's scale and rungs, copied from the cell because
+    reading them off it by name makes each ``delta`` call 7-13% slower,
+    with the bridge constants a = (4/9) kappa^2/(e1 - e3) and
+    b = (1/3 + e3)/(e1 - e3); and ``phase_terms``, the
+    (c, e1 - e3, k^2, k'^2) of the ladder and of ``delta_phase``'s closed
+    form, c = 1 + b - a/3, k^2 = (e2 - e3)/(e1 - e3) and
+    k'^2 = (e1 - e2)/(e1 - e3) = 1 - alpha(p).  ``wp`` and
+    ``verify_trimidiation`` read its spread e1 - e3 too, and
+    ``period_route_gap`` its e1 - e3 and k^2.  ``context`` shares one
+    context per modulus; as a tuple, no field can be reassigned.  Every
+    kappa in (0, 1) from ~5.8e-103 up is accepted; below, e2 - e3 ~ 0.11
+    kappa^3 is not a normal float: DomainError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, modulus: ModulusSet):
+        # The periods first: a kappa whose square underflows is refused as such.
+        periods = half_periods_sig3(modulus)
+        low, high, shift = midpoint_gaps(modulus)
+        spread = low + high  # e1 - e3
+        k2, k2_comp = low / spread, high / spread
+        cell = _cell(periods, math.sqrt(spread), k2, k2_comp)
+        a, b = (4.0 / 9.0) * modulus.kappa * modulus.kappa / spread, shift / spread
+        return super().__new__(cls, modulus, 0.5 * cell.period_re, cell, (cell.scale, cell.rungs, a, b),
+                               (1.0 + b - a / 3.0, spread, k2, k2_comp))
+
+
+# The contexts of dn3, wp and Velu's complementary lattice, one per modulus.
+context = lru_cache(maxsize=64)(DeltaContext)
+# The same cache under the name that perfbench/ calls, wp(z, invariants(mod)).
+invariants = context

@@ -1,35 +1,26 @@
-"""Weierstrass and Jacobi elliptic machinery over real invariant pairs.
+"""The Jacobi bridge, and the Weierstrass function on the lattice of kappa.
 
-The central evaluator is ``wp``: the Weierstrass function from its
-invariants (g2, g3) on a rectangular lattice.  The argument is reduced
-into the centred period cell, and the classical Jacobi bridge
+On a rectangular lattice with midpoint values e1 > e2 > e3 the classical
+Jacobi bridge (DLMF 23.6(i)) reads
 
     wp(z) = e3 + (e1 - e3) v^2,    v = 1/sn(z sqrt(e1 - e3), k),
 
-is evaluated there at complex argument.  v comes from the descending
-Landen (Gauss) transformation (DLMF 22.7.1) read for the reciprocal,
+k^2 = (e2 - e3)/(e1 - e3).  v comes from the descending Landen (Gauss)
+transformation (DLMF 22.7.1) read for the reciprocal,
 
     1/sn(w, k) = (v1 + k1/v1)/(1 + k1),   v1 = 1/sn(w/(1 + k1), k1),
 
 on one ladder k > k1 > k2 > ... per lattice: v starts as 1/sin at the foot
-and climbs the rungs, at real or complex w alike.  ``wp`` runs it on the
-lattice of (g2, g3); ``delta.dn3``, ``delta.delta`` and
-``delta.verify_trimidiation`` on the lattice of their modulus; ``sn``
-on the real axis.  ``_ladder`` caches nothing itself: each lattice builds
-its ladder once, in ``_cell``, and keeps it, ``wp``'s in the cache of
-``_lattice`` and a modulus's in its ``DeltaContext``, which ``dn3`` caches
-per modulus (``delta._context``).  Only ``sn`` builds a ladder per call.
+and climbs the rungs, at real or complex w alike.  The argument is first
+reduced into the centred period cell (``_centred``).
 
-The lattice of (g2, g3) has one private home, ``_lattice``: it solves
-4t^3 - g2 t - g3 = 0 for the midpoint values e1 > e2 > e3, reads
-k^2 = (e2-e3)/(e1-e3) and k'^2 = (e1-e2)/(e1-e3) off them once, and hands
-the same two floats to the half periods omega = K/sqrt(e1-e3),
-omega' = iK'/sqrt(e1-e3), with the quarter periods K and K' through the AGM
-(``_jacobi_half_periods``), and to the cell's ladder.  The lattice of a
-modulus kappa needs no cubic: ``delta.DeltaContext`` builds it from the
-closed-form midpoint gaps, with its half periods through F(1/3, 2/3; 1; .),
-and ``delta.period_route_gap`` holds omega against that ladder's scale
-and -i omega' against K'/r at the same gaps.
+The lattice is that of a modulus kappa, held by its ``moduli.DeltaContext``:
+``_cell`` builds the context's cell and ladder once, from the closed-form
+midpoint gaps, and ``_shifted`` forms the bridge (1/3 + wp)/(e1 - e3) =
+b + v^2 on it, the one home that ``wp``, ``delta.dn3`` and
+``delta.verify_trimidiation`` share.  ``delta.delta`` and the phase climb
+the same ladder on the real axis through ``_inv_sn``, and ``sn`` on the
+real-axis ladder of any modulus k, built per call.
 """
 
 from __future__ import annotations
@@ -37,11 +28,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError, NonConvergence, PoleError
-from .hypergeom import f2_complement
 
 POLE_THRESHOLD = 1e-8  # |z| below this: 1/z^2 noise exceeds 1e16
 SN_MODULUS_FLOOR = 2.0 ** -27  # stop the Landen descent at k_N cosh(Y) <= this
@@ -51,69 +40,43 @@ SN_MAX_DEPTH = 12
 WP_MAX_MODULUS = POLE_THRESHOLD / sys.float_info.epsilon
 
 
-class WeierstrassInvariants(NamedTuple("WeierstrassInvariants", [("g2", float), ("g3", float)])):
-    """Invariant pair (g2, g3) of a Weierstrass function."""
-
-    __slots__ = ()
-
-    def __new__(cls, g2: float, g3: float):
-        if not (math.isfinite(g2) and math.isfinite(g3)):
-            raise DomainError(f"invariants must be finite, got ({g2}, {g3})")
-        return super().__new__(cls, g2, g3)
-
-
-class HalfPeriodPair(NamedTuple):
-    """Half periods (omega, omega') with omega > 0 and omega' on the positive
-    imaginary axis; the fundamental periods are (2 omega, 2 omega').  Both
-    producers, ``_jacobi_half_periods`` and ``delta.half_periods_sig3``,
-    build omega and -i omega' as positive multiples of kernel values >= 1,
-    so the invariant holds by construction and nothing checks it."""
-
-    omega: float
-    omega_prime: complex
-
-
-def wp_and_derivative(z: complex, inv: WeierstrassInvariants) -> tuple[complex, complex]:
-    """Weierstrass function and its derivative at z for invariants (g2, g3).
+def wp_and_derivative(z: complex, ctx) -> tuple[complex, complex]:
+    """Weierstrass function of the configuration's invariants (g2, g3), and
+    its derivative, at z on the lattice of ``ctx``, a ``moduli.DeltaContext``
+    (``moduli.context`` caches one per modulus; ``moduli.invariants`` is
+    the same cache).
 
     z = x + iy is reduced into the centred cell |x| <= omega, |y| <= |omega'|,
-    where wp = e3 + (e1-e3) v^2, v = 1/sn(z sqrt(e1-e3), k) by ``_inv_sn``,
-    and wp' = 2 (e1-e3) v dv/dz: dv/dz = -scale cos(phi) v^2 at the foot,
-    times (1 - k_n/v^2)/(1 + k_n) per rung.
+    where wp = (e1 - e3)(b + v^2) - 1/3, v = 1/sn(z sqrt(e1 - e3), k) by
+    the recursion of ``_inv_sn``, and wp' = 2 (e1 - e3) v dv/dz:
+    dv/dz = -scale cos(phi) v^2 at the foot, times (1 - k_n/v^2)/(1 + k_n)
+    per rung.  Raises PoleError within ``POLE_THRESHOLD`` of a lattice
+    point, and DomainError for a z that is not finite or has
+    |z| >= ``WP_MAX_MODULUS``.
 
-    Only rectangular lattices (positive discriminant) are served; others,
-    and invariants so large that g2^3 or g3^2 overflows, raise DomainError
-    (``_lattice``).  Raises PoleError within ``POLE_THRESHOLD`` of
-    a lattice point, and DomainError for a z that is not finite or has
-    |z| >= ``WP_MAX_MODULUS``; on a lattice with periods below ~pi both
-    radii hold for z scaled to the foot of the ladder (``_centred``), so
-    wp(z; g2, g3) = mu^2 wp(mu z; g2/mu^4, g3/mu^6) is served on small
-    lattices too.
-
-    Against 40-digit values on the exact roots of (g2, g3), the relative
-    error is below 1e-14 times max(1, |z wp'/wp|) for kappa in [0.3, 0.99],
-    in every cell: the reduction adds only ~|z| eps to the argument.  At
-    kappa = 0.05 the trigonometric cubic solve of the midpoints limits it
-    to ~6e-13.
+    Against 40-digit values on kappa's exact lattice, the relative error is
+    below 1e-14 times max(1, |z wp'/wp|) out to 20 cells, at kappa from
+    1e-100 to 0.999999: tests/test_weierstrass.py holds that in
+    test_wp_against_40_digit_jacobi_values.
     """
-    e3, spread, cell = _lattice(inv.g2, inv.g3)
+    cell = ctx.cell
     phi = _centred(z, cell)
     v = 1.0 / cmath.sin(phi)
     dv = -cell.scale * cmath.cos(phi) * (v * v)
     for k, k_up in cell.rungs:
         dv *= (1.0 - k / (v * v)) / k_up
         v = (v + k / v) / k_up
-    return e3 + spread * (v * v), 2.0 * spread * v * dv
+    spread = ctx.phase_terms[1]
+    return spread * (ctx.bridge[3] + v * v) - 1.0 / 3.0, 2.0 * spread * v * dv
 
 
-def wp(z: complex, inv: WeierstrassInvariants) -> complex:
-    """Weierstrass function wp(z; g2, g3), with the domain, errors and
-    accuracy of ``wp_and_derivative``.  It forms no derivative: the value
-    is the same expression e3 + (e1-e3) v^2 from the same recursion, so it
-    equals ``wp_and_derivative(z, inv)[0]`` bitwise."""
-    e3, spread, cell = _lattice(inv.g2, inv.g3)
-    v = _inv_sn(_centred(z, cell), cell.rungs, cmath.sin)
-    return e3 + spread * (v * v)
+def wp(z: complex, ctx) -> complex:
+    """Weierstrass function wp(z; g2, g3) of ``ctx``'s modulus, with the
+    domain, errors and accuracy of ``wp_and_derivative``.  It forms no
+    derivative: the value is the same expression (e1 - e3)(b + v^2) - 1/3
+    from the same recursion, through ``_shifted``, so it equals
+    ``wp_and_derivative(z, ctx)[0]`` bitwise."""
+    return ctx.phase_terms[1] * _shifted(z, ctx) - 1.0 / 3.0
 
 
 class _Cell(NamedTuple):
@@ -127,8 +90,9 @@ class _Cell(NamedTuple):
     rungs: tuple[tuple[float, float], ...]
 
 
-def _cell(periods: HalfPeriodPair, r: float, m: float, m_comp: float) -> _Cell:
-    """The ``_Cell`` of ``periods``, r = sqrt(e1 - e3), m = k^2 and
+def _cell(periods, r: float, m: float, m_comp: float) -> _Cell:
+    """The ``_Cell`` of the half periods ``periods`` (a
+    ``moduli.HalfPeriodPair``), r = sqrt(e1 - e3), m = k^2 and
     m_comp = 1 - k^2, its ladder good up to |Im z r| = |omega'| r = K'."""
     height = periods.omega_prime.imag
     rungs, scale = _ladder(m, m_comp, r * height)
@@ -142,52 +106,27 @@ def _centred(z: complex, cell: _Cell) -> complex:
 
     Raises DomainError for a z that is not finite or has |z| >=
     ``WP_MAX_MODULUS``, PoleError within ``POLE_THRESHOLD`` of a lattice
-    point.  Where the scale exceeds 1 (periods below ~pi) both radii are
-    read in the foot's units instead, |z| scale and |z - P| scale, so a
-    lattice with periods of 1e-9 still has points to evaluate.  Every
-    lattice of a modulus kappa has scale <= 1 and sees the absolute radii."""
+    point.  Both radii are those of z itself: every lattice of a modulus
+    kappa has periods 2 omega >= pi and scale <= 1."""
     period_re, period_im, scale, _ = cell
-    if not abs(z) < WP_MAX_MODULUS or (scale > 1.0 and not abs(z) * scale < WP_MAX_MODULUS):
+    if not abs(z) < WP_MAX_MODULUS:
         raise DomainError(f"argument {z} is not finite, or too large to reduce onto the lattice")
     # Exact: z minus the nearest lattice point, ties to the even multiple.
     x = math.remainder(z.real, period_re)
     y = math.remainder(z.imag, period_im)
-    h = math.hypot(x, y)
-    if h < POLE_THRESHOLD and h * scale < POLE_THRESHOLD:
+    if math.hypot(x, y) < POLE_THRESHOLD:
         raise PoleError(f"argument {z} is within {POLE_THRESHOLD} of a lattice point")
     return complex(x * scale, y * scale)
 
 
-@lru_cache(maxsize=64)
-def _lattice(g2: float, g3: float) -> tuple[float, float, _Cell]:
-    """e3, e1 - e3 and the ``_Cell`` of ``wp`` for (g2, g3).
-
-    The midpoints e1 > e2 > e3 are the roots of 4t^3 - g2 t - g3, solved in
-    trigonometric form, which is valid exactly when the discriminant
-    g2^3 - 27 g3^2 is positive (a rectangular lattice); otherwise
-    DomainError, as also where g2^3 or g3^2 overflows a float (g2 above
-    ~5.6e102 or |g3| above ~1.3e154).  Rounded roots with
-    e1 <= e2, a spread e1 - e3 below 1e-14 of the midpoints or e2 - e3
-    below 1e-14 of the spread leave no period lattice: DomainError too.
-    k^2 = (e2-e3)/(e1-e3) and k'^2 = (e1-e2)/(e1-e3) are formed once, and
-    the half periods (``_jacobi_half_periods``) and the ladder (``_cell``)
-    take the same two floats, so the ladder's scale certifies omega."""
-    try:
-        if g2 <= 0.0 or g2 ** 3 - 27.0 * g3 ** 2 <= 0.0:
-            raise DomainError(f"invariants ({g2}, {g3}) do not give three real midpoints")
-    except OverflowError:
-        raise DomainError(f"invariants ({g2}, {g3}) are too large: g2^3 or g3^2 overflows") from None
-    m = math.sqrt(g2 / 3.0)
-    # cos(3 phi) = g3 (3/g2)^(3/2); |.| <= 1 follows from the discriminant.
-    arg = min(1.0, max(-1.0, g3 / (m * m * m)))
-    phi = math.acos(arg) / 3.0
-    third = 2.0 * math.pi / 3.0
-    e1, e2, e3 = m * math.cos(phi), m * math.cos(phi - third), m * math.cos(phi - 2.0 * third)
-    spread, gap = e1 - e3, e2 - e3
-    if not e1 > e2 or spread <= 1e-14 * max(abs(e1), abs(e3)) or gap <= 1e-14 * spread:
-        raise DomainError(f"midpoint spreads ({spread}, {gap}) too small for a period lattice")
-    r, k2, k2_comp = math.sqrt(spread), gap / spread, (e1 - e2) / spread
-    return e3, spread, _cell(_jacobi_half_periods(k2, k2_comp, r), r, k2, k2_comp)
+def _shifted(z: complex, ctx) -> complex:
+    """(1/3 + wp(z))/(e1 - e3) = b + v^2 on the lattice of the
+    ``moduli.DeltaContext`` ``ctx``: z reduced into the centred cell, v =
+    1/sn by the Gauss recursion on its ladder.  The one home of the bridge
+    that ``wp``, ``delta.dn3`` and ``delta.verify_trimidiation`` share."""
+    cell = ctx.cell
+    v = _inv_sn(_centred(z, cell), cell.rungs, cmath.sin)
+    return ctx.bridge[3] + v * v
 
 
 def _ladder(m: float, m_comp: float, height: float) -> tuple[tuple[tuple[float, float], ...], float]:
@@ -243,13 +182,3 @@ def sn(u: float, k: float) -> float:
         return u  # sn(u) = u - (1+k^2) u^3/6 + ... to the last bit; 1/sin would overflow
     rungs, scale = _ladder(k * k, (1.0 - k) * (1.0 + k), 0.0)
     return 1.0 / _inv_sn(scale * u, rungs)
-
-
-def _jacobi_half_periods(m: float, m_comp: float, r: float) -> HalfPeriodPair:
-    """omega = K/r and omega' = iK'/r, K = (pi/2) F(1/2,1/2;1;m) and K' at
-    m_comp = 1 - m, each from ``f2_complement`` of the other argument."""
-    half_pi = 0.5 * math.pi
-    return HalfPeriodPair(
-        omega=half_pi * f2_complement(m_comp) / r,
-        omega_prime=1j * (half_pi * f2_complement(m) / r),
-    )

@@ -4,11 +4,13 @@ Nothing here touches the package's own evaluation paths: the series oracles
 run in exact rational and in compensated float arithmetic, the two AGM oracles
 in 50-digit decimal, the sn oracle integrates the Jacobi differential system
 directly, and the wp oracle sums the Laurent series of the invariants and
-doubles its way back out.  ``toward_both_ends`` is the p set that several
-tests walk to the edges of the transfer domain, ``search_worst`` finds the
-point of (0, 1) where a documented bound is closest to breaking, and
-``clear_sig3_caches`` empties the package's caches for the tests that patch
-or trace it.
+doubles its way back out.  ``sig3_invariants`` gives the paper's (g2, g3)
+of a modulus, and ``exact_midpoints`` the midpoint values of its lattice at
+any mpmath precision, with no root-finder.  ``toward_both_ends`` is the p
+set that several tests walk to the edges of the transfer domain,
+``search_worst`` finds the point of (0, 1) where a documented bound is
+closest to breaking, and ``clear_sig3_caches`` empties the package's
+caches for the tests that patch or trace it.
 """
 
 from __future__ import annotations
@@ -27,14 +29,41 @@ ONE = Fraction(1)
 
 
 def clear_sig3_caches() -> None:
-    """Clear every ``lru_cache`` of every loaded sig3 module: a cached
-    function's body runs only on a miss, and a cached lattice or context
-    built under a patch would outlive it."""
+    """Clear every cache of every loaded sig3 module: ``moduli.context``,
+    which holds the one lattice of each configuration (``invariants`` is
+    the same cache), and the CLI's parser.  A cached function's body runs
+    only on a miss, and a context built under a patch would outlive it."""
     for name, module in list(sys.modules.items()):
         if name.startswith("sig3."):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
+
+
+def sig3_invariants(kappa: float) -> tuple[float, float]:
+    """The invariants of the configuration kappa, in floats:
+
+        g2 = (4/27)(9 - 8 kappa^2),
+        g3 = (8/729)(27 - 36 kappa^2 + 8 kappa^4).
+    """
+    t = kappa * kappa
+    return (4.0 / 27.0) * (9.0 - 8.0 * t), (8.0 / 729.0) * (27.0 - (36.0 - 8.0 * t) * t)
+
+
+def exact_midpoints(kappa: float, mpmath):
+    """e1 > e2 > e3 of the lattice of the binary value of kappa, at
+    mpmath's working precision, in closed form: with s, c = sin,
+    cos(arcsin(kappa)/3), x = 3 - 12 s^2 + 8 s^4 and g = 8 sqrt3 s^3 c,
+
+        e1 = 2x/9,   e2 = (g - x)/9,   e3 = -(g + x)/9.
+
+    No root of the cubic is sought, so e2 - e3 = g/9 ~ (4/27) kappa^3
+    keeps its digits at any kappa."""
+    third = mpmath.asin(mpmath.mpf(kappa)) / 3
+    s, c = mpmath.sin(third), mpmath.cos(third)
+    x = (8 * s * s - 12) * s * s + 3
+    gap = 8 * mpmath.sqrt(3) * s ** 3 * c
+    return 2 * x / 9, (gap - x) / 9, -(gap + x) / 9
 
 
 def toward_both_ends(n: int = 5000) -> list[float]:

@@ -11,16 +11,15 @@ from sig3.delta import (
     delta,
     delta_integral,
     dn3,
-    half_periods_sig3,
     period_route_gap,
     verify_ode_delta,
     verify_trimidiation,
 )
 from sig3.hypergeom import f2, f3
-from sig3.moduli import invariants, midpoint_gaps, modulus_from_kappa, params_from_p
+from sig3.moduli import context, half_periods_sig3, midpoint_gaps, modulus_from_kappa, params_from_p
 from sig3.transfer import grid_points, grid_report
 from sig3.weierstrass import wp
-from oracles import hyp2f1_series, wp_duplication
+from oracles import hyp2f1_series, sig3_invariants, wp_duplication
 
 GRID = (0.05, 0.95, 0.05)
 KAPPAS = (0.3, 0.6, 0.9)
@@ -65,31 +64,32 @@ def test_criterion_4_invariant_structure():
     ok = True
     for kappa in KAPPAS:
         mod = modulus_from_kappa(kappa)
-        inv = invariants(mod)
+        g2, g3 = sig3_invariants(kappa)
         low, high, shift = midpoint_gaps(mod)
         e3 = shift - 1.0 / 3.0
         e2 = e3 + low
         e1 = e2 + high
         for e in (e1, e2, e3):
-            ok = ok and abs(4.0 * e ** 3 - inv.g2 * e - inv.g3) <= 1e-13
+            ok = ok and abs(4.0 * e ** 3 - g2 * e - g3) <= 1e-13
         ok = ok and abs(e1 + e2 + e3) <= 1e-14
         periods = half_periods_sig3(mod)
         om, omp = periods.omega, periods.omega_prime
         for z, e in ((om, e1), (om + omp, e2), (omp, e3)):
-            ok = ok and abs(wp(z, inv).real - e) <= 1e-10 * abs(e)
+            ok = ok and abs(wp(z, context(mod)).real - e) <= 1e-10 * abs(e)
     report(4, "midpoint values and lattice structure", ok)
 
 
 def test_criterion_5_jacobi_bridge():
     mod = modulus_from_kappa(0.6)
-    inv = invariants(mod)
+    ctx = context(mod)
+    g2, g3 = sig3_invariants(mod.kappa)
     periods = half_periods_sig3(mod)
     omega, omega_im = periods.omega, periods.omega_prime.imag
     ok = True
     for frac in (0.2, 0.5, 0.9, 1.3, 1.8):
         for z in (frac * omega, complex(frac * omega, 0.4 * omega_im)):
-            ref = wp_duplication(z, inv.g2, inv.g3)[0]
-            ok = ok and abs(wp(z, inv) - ref) <= 1e-9 * abs(ref)
+            ref = wp_duplication(z, g2, g3)[0]
+            ok = ok and abs(wp(z, ctx) - ref) <= 1e-9 * abs(ref)
     report(5, "Jacobi bridge against Laurent duplication", ok)
 
 

@@ -17,9 +17,9 @@ import sig3
 import sig3.cli
 import sig3.transfer
 from sig3.cli import CSV_HEADER, emit_csv, main
-from sig3.delta import DeltaContext, delta, half_periods_sig3, period_route_gap, verify_ode_delta
+from sig3.delta import delta, period_route_gap, verify_ode_delta
 from sig3.hypergeom import f2
-from sig3.moduli import modulus_from_kappa
+from sig3.moduli import DeltaContext, half_periods_sig3, modulus_from_kappa
 from sig3.transfer import VerificationReport, VerificationRow, grid_points, grid_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -472,7 +472,7 @@ def test_public_names_are_pinned():
     assert names == {
         "ConfigError", "DomainError", "NonConvergence", "PoleError", "Sig3Error",
         "f2", "f3", "f_half",
-        "WeierstrassInvariants", "wp",
+        "wp",
         "ModulusSet", "invariants", "modulus_from_kappa",
         "params_from_p",
         "DeltaContext", "delta", "delta_phase", "dn3",

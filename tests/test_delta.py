@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 import sig3.hypergeom
-import sig3.moduli
 import sig3.quadrature
 import sig3.weierstrass
 from sig3.delta import (
@@ -15,16 +14,15 @@ from sig3.delta import (
     delta_integral,
     delta_phase,
     dn3,
-    half_periods_sig3,
     period_route_gap,
 )
 from sig3.errors import DomainError, NonConvergence, PoleError
-from sig3.hypergeom import f_half
-from sig3.moduli import ModulusSet, modulus_from_kappa, params_from_p
+from sig3.hypergeom import f2_complement, f_half
+from sig3.moduli import HalfPeriodPair, ModulusSet, context, half_periods_sig3, modulus_from_kappa, params_from_p
 from sig3.quadrature import KRONROD_CENTRE, QK21, integrate
 from sig3.transfer import grid_report
-from sig3.weierstrass import WP_MAX_MODULUS, wp, _inv_sn, _jacobi_half_periods, _lattice
-from oracles import ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err, search_worst
+from sig3.weierstrass import WP_MAX_MODULUS, wp, _inv_sn
+from oracles import ONE, THIRD, TWO_THIRDS, exact_midpoints, hyp2f1_exact, rel_err, search_worst
 
 # The package namespace exports the function delta under the module's name.
 delta_module = importlib.import_module("sig3.delta")
@@ -75,7 +73,10 @@ def _jacobi_route(p):
     1; 1 - alpha), r^2 = e1 - e3 = (1 + 2p)/(1 + p + p^2)^2."""
     params = params_from_p(p)
     q = 1.0 + p + p * p
-    return _jacobi_half_periods(params.alpha, params.alpha_comp, math.sqrt((1.0 + 2.0 * p) / (q * q)))
+    r = math.sqrt((1.0 + 2.0 * p) / (q * q))
+    half_pi = 0.5 * math.pi
+    return HalfPeriodPair(half_pi * f2_complement(params.alpha_comp) / r,
+                          1j * (half_pi * f2_complement(params.alpha) / r))
 
 
 def test_jacobi_route_small_p_limit():
@@ -512,14 +513,13 @@ def test_real_and_integer_arguments_reduce_as_complex_ones(ctx06):
     # The lattice reduction reads abs, .real and .imag of z as it comes,
     # which floats and ints have too: the same bits as at complex(z).
     mod = ctx06.modulus
-    inv = sig3.moduli.invariants(mod)
 
     def bits(value):
         return value.real.hex(), value.imag.hex()
 
     assert bits(dn3(0.7, mod)) == bits(dn3(complex(0.7), mod))
     assert bits(dn3(1, mod)) == bits(dn3(complex(1), mod))
-    assert bits(wp(0.7, inv)) == bits(wp(complex(0.7), inv))
+    assert bits(wp(0.7, ctx06)) == bits(wp(complex(0.7), ctx06))
 
 
 def test_dn3_tends_to_one_at_the_origin(ctx06):
@@ -540,25 +540,26 @@ def test_dn3_propagates_lattice_pole(ctx06):
         dn3(1e-9, ctx06.modulus)
 
 
-def test_dn3_builds_no_invariants_and_calls_no_wp(monkeypatch):
+def test_dn3_calls_no_wp(monkeypatch):
+    # dn3 and wp share the bridge b + v^2 of weierstrass._shifted; dn3
+    # forms it directly, not through wp's (e1 - e3)(b + v^2) - 1/3.
     def refuse(*args):
         raise AssertionError("dn3 must not take this route")
 
-    monkeypatch.setattr(sig3.moduli, "invariants", refuse)
-    monkeypatch.setattr(sig3.weierstrass, "_lattice", refuse)
+    monkeypatch.setattr(sig3.weierstrass, "wp", refuse)
     monkeypatch.setattr(sig3.weierstrass, "wp_and_derivative", refuse)
-    delta_module._context.cache_clear()
+    context.cache_clear()
     mod = modulus_from_kappa(0.6)
     for z in (0.3, 0.2 + 0.4j, -5.1 + 33.0j):
         dn3(z, mod)
 
 
 def test_dn3_builds_one_context_per_modulus():
-    delta_module._context.cache_clear()
+    context.cache_clear()
     for kappa in (0.3, 0.7):
         for z in (0.3, 0.2 + 0.4j, -5.1 + 33.0j):
             dn3(z, modulus_from_kappa(kappa))
-    info = delta_module._context.cache_info()
+    info = context.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
 
 
@@ -623,14 +624,13 @@ def test_reference_delta_derivative_keeps_its_digits_near_kappa_one(kappa):
 
 def _mpmath_dn3(kappa, mpmath):
     """dn3 and |dn3'| as functions of z, in 40 digits on the exact lattice
-    of kappa: the roots of 4t^3 - g2 t - g3 for the exact g2, g3 of the
-    binary value of kappa, the Jacobi bridge for wp, and
-    wp'^2 = 4 wp^3 - g2 wp - g3."""
+    of kappa: the midpoints of ``oracles.exact_midpoints`` for the binary
+    value of kappa, the Jacobi bridge for wp, and
+    wp'^2 = 4 wp^3 - g2 wp - g3 with the exact g2, g3 of that kappa."""
     t = mpmath.mpf(kappa) ** 2
     g2 = mpmath.mpf(4) / 27 * (9 - 8 * t)
     g3 = mpmath.mpf(8) / 729 * (27 - 36 * t + 8 * t * t)
-    roots = mpmath.polyroots([4, 0, -g2, -g3], maxsteps=200, extraprec=200)
-    e1, e2, e3 = sorted((mpmath.re(root) for root in roots), reverse=True)
+    e1, e2, e3 = exact_midpoints(kappa, mpmath)
     m = (e2 - e3) / (e1 - e3)
     r = mpmath.sqrt(e1 - e3)
     c = mpmath.mpf(4) / 9 * t
@@ -685,23 +685,10 @@ def _cell_edges_and_pole(omega, omega_im):
     return points
 
 
-def _float_midpoints(inv):
-    """The float e1, e2, e3 that ``wp`` holds for ``inv``: the trigonometric
-    cubic solve of ``weierstrass._lattice``, repeated here and tied to it
-    bitwise through the e3 and e1 - e3 it returns."""
-    m = math.sqrt(inv.g2 / 3.0)
-    phi = math.acos(min(1.0, max(-1.0, inv.g3 / (m * m * m)))) / 3.0
-    third = 2.0 * math.pi / 3.0
-    e1, e2, e3 = (m * math.cos(phi - j * third) for j in range(3))
-    assert _lattice(*inv)[:2] == (e3, e1 - e3)
-    return e1, e2, e3
-
-
-def _mpmath_wp_on_float_midpoints(inv, mpmath):
-    """wp and wp' in 40 digits on the lattice of the float midpoints that
-    ``wp`` itself holds, so that only the descent is measured: the cubic
-    solve of the midpoints is exact here."""
-    e1, e2, e3 = (mpmath.mpf(e) for e in _float_midpoints(inv))
+def _mpmath_wp(kappa, mpmath):
+    """wp and wp' as functions of z, in 40 digits on the exact lattice of
+    kappa (``oracles.exact_midpoints``), through the Jacobi bridge."""
+    e1, e2, e3 = exact_midpoints(kappa, mpmath)
     m = (e2 - e3) / (e1 - e3)
     r = mpmath.sqrt(e1 - e3)
 
@@ -720,33 +707,28 @@ def test_complex_descent_at_its_worst_places(kappa):
     # |1 - dn3|/|dn3|, which joins the condition: at the corners
     # +-omega +- omega', where dn3' = 0, it reaches 62 at kappa = 0.9999
     # (a bridge without that cancellation is ROADMAP item 1).  Measured
-    # <= 8.9e-16 for wp and <= 3.2e-15 for dn3 over these points, apart
-    # from dn3 at those corners: 2.4e-14, or 5.1e-16 of its condition.  At
-    # kappa = 1e-5 the float invariants have no positive discriminant, and
-    # at 1e-3 their e2 - e3 rounds below 1e-14 of the spread: wp refuses
-    # both with DomainError (ROADMAP item 1), while dn3 serves them.
+    # <= 1.9e-15 for wp and <= 3.2e-15 for dn3 over these points, apart
+    # from dn3 at those corners: 2.4e-14, or 5.1e-16 of its condition.  wp
+    # runs on the same lattice, at kappa = 1e-5 and 1e-3 too, where the
+    # cubic solve of the rounded (g2, g3) left no lattice.
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     mod = modulus_from_kappa(kappa)
     periods = half_periods_sig3(mod)
+    points = _cell_edges_and_pole(periods.omega, periods.omega_prime.imag)
     reference = _mpmath_dn3(kappa, mpmath)
-    for z in _cell_edges_and_pole(periods.omega, periods.omega_prime.imag):
+    for z in points:
         ref_value, ref_deriv = reference(z)
         condition = max(1.0, float(abs(z) * ref_deriv / abs(ref_value)),
                         float(abs(1 - ref_value) / abs(ref_value)))
         err = float(abs(dn3(z, mod) - ref_value) / abs(ref_value))
         assert err <= 1e-14 * condition, (z, err, condition)
-    inv = sig3.moduli.invariants(mod)
-    if kappa <= 1e-3:
-        with pytest.raises(DomainError):
-            wp(0.3, inv)
-        return
-    cell = _lattice(*inv)[2]
-    reference = _mpmath_wp_on_float_midpoints(inv, mpmath)
-    for z in _cell_edges_and_pole(cell.period_re / 2, cell.period_im / 2):
+    ctx = context(mod)
+    reference = _mpmath_wp(kappa, mpmath)
+    for z in points:
         ref_value, ref_deriv = reference(z)
         condition = max(1.0, float(abs(mpmath.mpc(z) * ref_deriv / ref_value)))
-        err = float(abs(wp(z, inv) - ref_value) / abs(ref_value))
+        err = float(abs(wp(z, ctx) - ref_value) / abs(ref_value))
         assert err <= 1e-14 * condition, (z, err, condition)
 
 

@@ -1,7 +1,7 @@
 """The fault matrix: which certificate sees which fault.
 
 Each fault scales one quantity by 1 + 1e-12 on the module that reads it,
-with every cached lattice and context cleared before and after.  The
+with the cached contexts cleared before and after.  The
 certificates read:
 - T: the worst of (56)-(58) over ``grid_report(0.001, 0.999, 0.001)``;
 - re and im: ``period_route_gap``'s two columns;
@@ -19,9 +19,9 @@ import random
 
 import pytest
 
-from sig3 import hypergeom, moduli, transfer
-from sig3.delta import DeltaContext, period_route_gap, verify_ode_delta, verify_trimidiation
-from sig3.moduli import ModulusSet
+from sig3 import hypergeom, moduli, transfer, weierstrass
+from sig3.delta import period_route_gap, verify_ode_delta, verify_trimidiation
+from sig3.moduli import DeltaContext, ModulusSet
 from sig3.transfer import grid_report
 from oracles import clear_sig3_caches
 
@@ -89,16 +89,17 @@ FAULTS = {
     "agm and agm3": ([(hypergeom, "agm", _scaled(hypergeom.agm)), (hypergeom, "agm3", _scaled(hypergeom.agm3))],
                      "re gap ph V"),
     "_cbrt": ([(hypergeom, "_cbrt", _scaled(hypergeom._cbrt))], "T re im gap ph V"),
-    "e2 - e3": ([(delta_module, "midpoint_gaps", _scaled(moduli.midpoint_gaps, 0))], "re im gap V"),
-    "e1 - e2": ([(delta_module, "midpoint_gaps", _scaled(moduli.midpoint_gaps, 1))], "re im gap V"),
-    "1/3 + e3": ([(delta_module, "midpoint_gaps", _scaled(moduli.midpoint_gaps, 2))], "gap V"),
-    "omega": ([(delta_module, "half_periods_sig3", _scaled(delta_module.half_periods_sig3, 0))], "re gap ph V"),
-    "omega'": ([(delta_module, "half_periods_sig3", _scaled(delta_module.half_periods_sig3, 1))], "im V"),
+    "e2 - e3": ([(moduli, "midpoint_gaps", _scaled(moduli.midpoint_gaps, 0))], "re im gap V"),
+    "e1 - e2": ([(moduli, "midpoint_gaps", _scaled(moduli.midpoint_gaps, 1))], "re im gap V"),
+    "1/3 + e3": ([(moduli, "midpoint_gaps", _scaled(moduli.midpoint_gaps, 2))], "gap V"),
+    "omega": ([(moduli, "half_periods_sig3", _scaled(moduli.half_periods_sig3, 0))], "re gap ph V"),
+    "omega'": ([(moduli, "half_periods_sig3", _scaled(moduli.half_periods_sig3, 1))], "im V"),
     # The context's omega is half this period, the same float: the row is omega's.
-    "the cell's real period": ([(delta_module, "_cell", _scaled(delta_module._cell, 0))], "re gap ph V"),
-    "the ladder's top rung k": ([(delta_module, "_cell", _top_rung(delta_module._cell))], "gap ph V"),
-    "the ladder's scale": ([(delta_module, "_cell", _scaled(delta_module._cell, 2))], "re gap ph V"),
-    "_inv_sn": ([(delta_module, "_inv_sn", _scaled(delta_module._inv_sn))], "gap ph V"),
+    "the cell's real period": ([(moduli, "_cell", _scaled(moduli._cell, 0))], "re gap ph V"),
+    "the ladder's top rung k": ([(moduli, "_cell", _top_rung(moduli._cell))], "gap ph V"),
+    "the ladder's scale": ([(moduli, "_cell", _scaled(moduli._cell, 2))], "re gap ph V"),
+    # delta's real axis and the complex bridge of weierstrass._shifted.
+    "_inv_sn": ([(m, "_inv_sn", _scaled(weierstrass._inv_sn)) for m in (delta_module, weierstrass)], "gap ph V"),
     "_arc": ([(delta_module, "_arc", _faulty_arc)], "gap res ph"),
     "integrate": ([(delta_module, "integrate", _scaled(delta_module.integrate))], "ph"),
     "delta' of the reference": ([(delta_module, "_reference_delta", _scaled(delta_module._reference_delta, 1))],
@@ -106,9 +107,6 @@ FAULTS = {
     "alpha": ([(transfer, "params_from_p", _scaled(moduli.params_from_p, 1))], "T"),
     "1 - alpha": ([(transfer, "params_from_p", _scaled(moduli.params_from_p, 3))], "T"),
     "1 - beta": ([(transfer, "params_from_p", _scaled(moduli.params_from_p, 4))], "T"),
-    # Blind: only wp reads the invariants.  Item 8's certificate in wp's
-    # form, wp'^2 = 4 wp^3 - g2 wp - g3 on kappa's lattice, closes this row.
-    "g2 of invariants": ([(moduli, "invariants", _scaled(moduli.invariants, 0))], ""),
     # Blind: sig3 periods prints p and no certificate reads it.  Item 10
     # gives ModulusSet.p the p of the lattice, which the route gap checks.
     "ModulusSet.p": ([(ModulusSet, "p", property(_scaled(ModulusSet.p.fget)))], ""),

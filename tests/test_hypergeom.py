@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sig3 import cli, hypergeom, transfer
-from sig3.delta import DeltaContext, half_periods_sig3, period_route_gap
+from sig3.delta import period_route_gap
 from sig3.errors import DomainError, NonConvergence
 from sig3.hypergeom import (
     agm,
@@ -20,7 +20,7 @@ from sig3.hypergeom import (
     f3_complement,
     f_half,
 )
-from sig3.moduli import ModulusSet, modulus_from_kappa
+from sig3.moduli import DeltaContext, ModulusSet, half_periods_sig3, modulus_from_kappa
 from oracles import (
     HALF,
     ONE,

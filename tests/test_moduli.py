@@ -10,14 +10,16 @@ from sig3.errors import DomainError
 from sig3.moduli import (
     ModulusSet,
     _trisected,
+    context,
+    half_periods_sig3,
     invariants,
     midpoint_gaps,
     modulus_from_kappa,
     params_from_p,
 )
 from sig3.transfer import grid_points, grid_report
-from sig3.weierstrass import wp, _lattice
-from oracles import rel_err, toward_both_ends
+from sig3.weierstrass import wp
+from oracles import exact_midpoints, rel_err, sig3_invariants, toward_both_ends
 
 SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
@@ -214,7 +216,7 @@ def exact_bridge(p):
 
 
 def test_phase_constant_c_exactly():
-    # c = 1 + b - a/3 of delta.DeltaContext.phase_terms is (1+p)^3/((1+2p) q);
+    # c = 1 + b - a/3 of moduli.DeltaContext.phase_terms is (1+p)^3/((1+2p) q);
     # both sides have denominator (1+2p) q and numerators of degree <= 4: 7.
     def c(p):
         a, b, _, _ = exact_bridge(p)
@@ -372,20 +374,22 @@ def test_transfer_arguments_stay_in_range(p):
 
 
 # ------------------------------------------------------ invariants ----
+# The paper's (g2, g3) of kappa, ``oracles.sig3_invariants``, which the
+# tests of wp's differential equation and of the midpoints read.
 
 
 def test_invariants_small_modulus_limit():
-    inv = invariants(modulus_from_kappa(1e-8))
-    assert rel_err(inv.g2, 4.0 / 3.0) < 1e-14
-    assert rel_err(inv.g3, 8.0 / 27.0) < 1e-14
+    g2, g3 = sig3_invariants(1e-8)
+    assert rel_err(g2, 4.0 / 3.0) < 1e-14
+    assert rel_err(g3, 8.0 / 27.0) < 1e-14
 
 
 def test_invariants_match_exact_rational_arithmetic():
     for kappa in (0.1, 0.3, 0.6, 0.8):
-        inv = invariants(modulus_from_kappa(kappa))
+        g2, g3 = sig3_invariants(kappa)
         g2x, g3x = exact_invariants(kappa)
-        assert rel_err(inv.g2, g2x) < 1e-15
-        assert rel_err(inv.g3, g3x) < 1e-15
+        assert rel_err(g2, g2x) < 1e-15
+        assert rel_err(g3, g3x) < 1e-15
 
 
 def test_invariants_complementary_form_agreement():
@@ -394,18 +398,19 @@ def test_invariants_complementary_form_agreement():
     kappas = [10.0 ** (-8.0 + 8.0 * i / 150) for i in range(150)]
     kappas += [1.0 - 10.0 ** (-j / 4.0) for j in range(1, 61)]
     for kappa in kappas:
-        mod = modulus_from_kappa(kappa)
-        inv = invariants(mod)
-        u = mod.lam ** 2
+        g2, g3 = sig3_invariants(kappa)
+        u = modulus_from_kappa(kappa).lam ** 2
         g2_alt = (4.0 / 27.0) * (8.0 * u + 1.0)
         g3_alt = (8.0 / 729.0) * (8.0 * u * u + 20.0 * u - 1.0)
-        assert rel_err(inv.g2, g2_alt) < 1e-15
-        assert abs(inv.g3 - g3_alt) < 1e-15 * (8.0 / 729.0) * (27.0 + 36.0 * kappa ** 2)
+        assert rel_err(g2, g2_alt) < 1e-15
+        assert abs(g3 - g3_alt) < 1e-15 * (8.0 / 729.0) * (27.0 + 36.0 * kappa ** 2)
 
 
 def test_invariants_are_built_once_per_modulus():
-    # Cached per modulus: a repeat call, also with an equal ModulusSet built
-    # afresh, returns the very same pair.
+    # ``invariants`` is ``context``, the name perfbench calls: wp takes the
+    # context of kappa's lattice, cached per modulus, so a repeat call, also
+    # with an equal ModulusSet built afresh, returns the very same context.
+    assert invariants is context
     mod = modulus_from_kappa(0.4321)
     first = invariants(mod)
     assert invariants(mod) is first
@@ -414,8 +419,8 @@ def test_invariants_are_built_once_per_modulus():
 
 def test_discriminant_positive_inside_the_family():
     for kappa in (0.05, 0.3, 0.6, 0.9, 0.99):
-        inv = invariants(modulus_from_kappa(kappa))
-        assert inv.g2 ** 3 - 27.0 * inv.g3 ** 2 > 0.0
+        g2, g3 = sig3_invariants(kappa)
+        assert g2 ** 3 - 27.0 * g3 ** 2 > 0.0
 
 
 # ------------------------------------------------------- midpoints ----
@@ -440,11 +445,7 @@ def test_midpoint_gaps_against_400_digit_values():
     kappas += [1e-100, 1e-50, 1e-20, 1e-10]
     with mpmath.workdps(400):
         for kappa in kappas:
-            third = mpmath.asin(mpmath.mpf(kappa)) / 3
-            s, c = mpmath.sin(third), mpmath.cos(third)
-            x = (8 * s * s - 12) * s * s + 3
-            gap = 8 * mpmath.sqrt(3) * s ** 3 * c
-            e1, e2, e3 = 2 * x / 9, (gap - x) / 9, -(gap + x) / 9
+            e1, e2, e3 = exact_midpoints(kappa, mpmath)
             exact = (e2 - e3, e1 - e2, mpmath.mpf(1) / 3 + e3)
             for got, want in zip(midpoint_gaps(modulus_from_kappa(kappa)), exact):
                 assert abs(got - want) <= 1e-15 * want, (kappa, got)
@@ -454,13 +455,12 @@ def test_midpoint_gaps_against_400_digit_values():
 def test_midpoints_are_cubic_roots(kappa):
     # e1 > e2 > e3 summed from the gaps, each gap added once: their sum
     # ties the three closed forms together.
-    mod = modulus_from_kappa(kappa)
-    inv = invariants(mod)
-    low, high, shift = midpoint_gaps(mod)
+    g2, g3 = sig3_invariants(kappa)
+    low, high, shift = midpoint_gaps(modulus_from_kappa(kappa))
     e3 = shift - 1.0 / 3.0
     mids = (e3 + low + high, e3 + low, e3)
     for e in mids:
-        assert abs(4.0 * e ** 3 - inv.g2 * e - inv.g3) <= 1e-13 * max(1.0, abs(inv.g3))
+        assert abs(4.0 * e ** 3 - g2 * e - g3) <= 1e-13 * max(1.0, abs(g3))
     assert abs(sum(mids)) <= 1e-14
 
 
@@ -478,11 +478,11 @@ def test_midpoint_spread_matches_parametrization(p):
 
 
 # wp(2 omega'/3) = -1/3, the constant in the Velu identity that
-# ``delta.verify_trimidiation`` checks, holds on the lattice of the
-# invariants too.  kappa = 0.1 is left out: there the trigonometric cubic
-# solve of the midpoints alone costs ~3e-12.
-@pytest.mark.parametrize("kappa", [0.35, 0.6, 0.9, 0.99])
+# ``delta.verify_trimidiation`` checks, holds for wp too: measured
+# <= 5.6e-17 on kappa's lattice, where the cubic solve of the rounded
+# (g2, g3) read ~3e-12 at kappa = 0.1.
+@pytest.mark.parametrize("kappa", [0.1, 0.35, 0.6, 0.9, 0.99])
 def test_wp_at_two_thirds_of_the_imaginary_half_period_is_minus_a_third(kappa):
-    inv = invariants(modulus_from_kappa(kappa))
-    omega_prime = 0.5j * _lattice(*inv)[2].period_im
-    assert abs(wp(2.0 * omega_prime / 3.0, inv) + 1.0 / 3.0) <= 1e-13
+    mod = modulus_from_kappa(kappa)
+    omega_prime = half_periods_sig3(mod).omega_prime
+    assert abs(wp(2.0 * omega_prime / 3.0, context(mod)) + 1.0 / 3.0) <= 1e-15

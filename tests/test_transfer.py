@@ -1,4 +1,3 @@
-import importlib
 import io
 import math
 import random
@@ -11,9 +10,9 @@ import sig3.moduli
 import sig3.transfer
 import sig3.weierstrass
 from sig3.cli import emit_csv
-from sig3.delta import DeltaContext, period_route_gap, verify_ode_delta, verify_trimidiation
+from sig3.delta import period_route_gap, verify_ode_delta, verify_trimidiation
 from sig3.errors import ConfigError
-from sig3.moduli import ModulusSet, modulus_from_kappa, params_from_p
+from sig3.moduli import DeltaContext, ModulusSet, modulus_from_kappa, params_from_p
 from sig3.transfer import (
     DEFAULT_TOL,
     MAX_GRID_POINTS,
@@ -25,7 +24,6 @@ from sig3.transfer import (
 )
 from oracles import HALF, ONE, THIRD, TWO_THIRDS, hyp2f1_exact, rel_err, search_worst, toward_both_ends
 
-delta_module = importlib.import_module("sig3.delta")  # sig3.delta is the function
 DEFAULT_GRID = (0.05, 0.95, 0.05)
 TRIMID_SAMPLES = (0.3 + 0.0j, 0.2 + 0.1j, 0.5 + 0.3j)
 
@@ -247,8 +245,8 @@ def test_trimidiation_sees_a_wrong_bridge_constant(kappa):
 def test_trimidiation_reads_each_lattice_once(monkeypatch):
     # Every constant of either lattice is read off its context: with both
     # contexts built, a call derives no midpoint gap and no half period.
-    ctx = delta_module._context(ModulusSet(0.6))
-    delta_module._context(ModulusSet(ctx.modulus.lam))
+    ctx = sig3.moduli.context(ModulusSet(0.6))
+    sig3.moduli.context(ModulusSet(ctx.modulus.lam))
     calls = []
 
     def counting(route):
@@ -257,20 +255,21 @@ def test_trimidiation_reads_each_lattice_once(monkeypatch):
             return route(m)
         return counted
 
-    monkeypatch.setattr(delta_module, "midpoint_gaps", counting(delta_module.midpoint_gaps))
-    monkeypatch.setattr(delta_module, "half_periods_sig3", counting(delta_module.half_periods_sig3))
+    monkeypatch.setattr(sig3.moduli, "midpoint_gaps", counting(sig3.moduli.midpoint_gaps))
+    monkeypatch.setattr(sig3.moduli, "half_periods_sig3", counting(sig3.moduli.half_periods_sig3))
     assert verify_trimidiation(ctx, _seeded_samples()) <= 1e-14
     assert calls == []
 
 
-def test_trimidiation_builds_no_invariants_and_calls_no_wp(monkeypatch):
+def test_trimidiation_calls_no_wp(monkeypatch):
+    # Both sides form 1/3 + wp as (e1 - e3) times the bridge b + v^2 of
+    # weierstrass._shifted, not through wp itself.
     def refuse(*args):
         raise AssertionError("verify_trimidiation must not take this route")
 
-    monkeypatch.setattr(sig3.moduli, "invariants", refuse)
-    monkeypatch.setattr(sig3.weierstrass, "_lattice", refuse)
+    monkeypatch.setattr(sig3.weierstrass, "wp", refuse)
     monkeypatch.setattr(sig3.weierstrass, "wp_and_derivative", refuse)
-    importlib.import_module("sig3.delta")._context.cache_clear()
+    sig3.moduli.context.cache_clear()
     assert verify_trimidiation(DeltaContext(ModulusSet(0.6)), TRIMID_SAMPLES) <= 1e-14
 
 
@@ -325,14 +324,14 @@ def test_period_route_gap_sees_a_biased_midpoint_gap(monkeypatch, which):
     # One closed-form gap moved by 1e-12 moves the ladder's k^2 and r off
     # the periods of F3.  Measured 7.2e-14 to 5.0e-13 over these kappa;
     # the same gaps at the transfer arguments of p read ~4e-16 either way.
-    gaps = delta_module.midpoint_gaps
+    gaps = sig3.moduli.midpoint_gaps
 
     def biased(mod):
         moved = list(gaps(mod))
         moved[which] *= 1.0 + 1e-12
         return tuple(moved)
 
-    monkeypatch.setattr(delta_module, "midpoint_gaps", biased)
+    monkeypatch.setattr(sig3.moduli, "midpoint_gaps", biased)
     for kappa in (0.05, 0.3, 0.6, 0.9, 0.999, 0.999999):
         assert max(period_route_gap(DeltaContext(ModulusSet(kappa)))) >= 5e-14, kappa
 
